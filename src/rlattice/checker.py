@@ -6,6 +6,14 @@ fixed canonical order, so verdicts and witnesses are deterministic.  The
 sampling mode draws seeded random assignments; a sampled refutation is
 definitive, but a sampled pass is only ever reported as budget-exhausted,
 never as HOLDS.
+
+`check` walks relation codes, the indices into the enumeration, and runs
+every operation on them through `rlattice.kernel.RelationKernel`, whose
+results are memoized for the one check; the witness is decoded back into
+relations.  `evaluate` instead applies the relation-level operations of
+`rlattice.universe` directly, for any universe.  `run_check` is generic
+over its element carrier and also drives `models.verify_model` on
+operation tables.
 """
 
 from __future__ import annotations
@@ -20,13 +28,14 @@ from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
 from . import terms
+from .kernel import RelationKernel
 from .universe import (
-    ConstantKind,
     LatticeError,
     Relation,
     Universe,
     complement,
     constant,
+    cylindrify,
     inner_join,
     inner_union,
     natural_join,
@@ -133,65 +142,6 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
     return tuple(rels)
 
 
-class ConcreteOps:
-    """Universe operations memoized for the duration of one check.
-
-    The memo is deliberately scoped to a single check call; only the
-    relation enumeration itself is cached across statements.
-    """
-
-    def __init__(self, u: Universe):
-        self.u = u
-        self._memo: dict[tuple, Relation] = {}
-        self._consts = {k: constant(u, k) for k in ConstantKind}
-
-    def const(self, kind: ConstantKind) -> Relation:
-        return self._consts[kind]
-
-    def literal(self, lit: terms.Lit) -> Relation:
-        rel = self.u.relation(lit.attrs, lit.rows if lit.shape == "rows" else ())
-        if lit.shape == "full":
-            rel = Relation(rel.header, tuple(self.u.full_body(rel.header)))
-        return rel
-
-    def _binary(self, tag: str, fn: Callable, a: Relation, b: Relation) -> Relation:
-        key = (tag, a, b)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = fn(self.u, a, b)
-        return got
-
-    def meet(self, a, b):
-        return self._binary("^", natural_join, a, b)
-
-    def join(self, a, b):
-        return self._binary("v", inner_union, a, b)
-
-    def star(self, a, b):
-        return self._binary("*", inner_join, a, b)
-
-    def plus(self, a, b):
-        return self._binary("+", outer_union, a, b)
-
-    def at(self, a, b):
-        # y @ x is (y v R11) + x
-        return self.plus(self.join(a, self.const(ConstantKind.R11)), b)
-
-    def comp(self, a: Relation) -> Relation:
-        key = ("'", a)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = complement(self.u, a)
-        return got
-
-    def below(self, a: Relation, b: Relation) -> bool:
-        return self.meet(a, b) == a
-
-    def binary_fn(self, op: str) -> Callable:
-        return {"^": self.meet, "v": self.join, "*": self.star,
-                "+": self.plus, "@": self.at}[op]
-
-
 def _compile_term(t: terms.Term, var_index: Mapping[str, int], ops) -> Callable:
     """Translate a term into a closure over an assignment tuple.
 
@@ -232,12 +182,31 @@ def _compile_atom(atom: terms.Atom, var_index: Mapping[str, int], ops) -> Callab
     return lambda env: below(lf(env), rf(env))
 
 
+_RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
+                 "+": outer_union, "@": cylindrify}
+
+
 def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> Relation:
-    """Evaluate a term under an assignment of relations to variables."""
-    names = tuple(assignment)
-    ops = ConcreteOps(u)
-    fn = _compile_term(t, {n: i for i, n in enumerate(names)}, ops)
-    return fn(tuple(assignment[n] for n in names))
+    """Evaluate a term under an assignment of relations to variables.
+
+    This runs the relation-level operations of `rlattice.universe`
+    directly, so it works over any universe, enumerable or not, and
+    shares nothing with the code kernel that `check` uses.
+    """
+    if isinstance(t, terms.Var):
+        if t.name not in assignment:
+            raise EvaluationError(f"unbound variable {t.name!r}")
+        return assignment[t.name]
+    if isinstance(t, terms.Const):
+        return constant(u, t.kind)
+    if isinstance(t, terms.Lit):
+        return t.relation(u)
+    if isinstance(t, terms.Neg):
+        return complement(u, evaluate(u, t.item, assignment))
+    if isinstance(t, terms.Bin):
+        return _RELATION_OPS[t.op](u, evaluate(u, t.left, assignment),
+                                   evaluate(u, t.right, assignment))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def run_check(statement: terms.Statement, elements: Sequence, *,
@@ -326,14 +295,21 @@ def run_check(statement: terms.Statement, elements: Sequence, *,
 
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),
           enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
-    """Decide a statement over all relations of `u`."""
+    """Decide a statement over all relations of `u`.
+
+    Assignments range over relation codes (indices into the enumeration);
+    the witness is decoded back into relations.
+    """
     if isinstance(statement, str):
         statement = terms.parse_statement(statement)
-    ops = ConcreteOps(u)
-    elements = enumerate_relations(u, enum_budget)
-    return run_check(
-        statement, elements,
+    rels = enumerate_relations(u, enum_budget)
+    ops = RelationKernel(u)
+    report = run_check(
+        statement, range(len(rels)),
         compile_atom=lambda a, vi: _compile_atom(a, vi, ops),
-        render=terms.format_relation,
+        render=lambda code: terms.format_relation(rels[code]),
         mode=mode,
     )
+    if report.witness is not None:
+        report.witness = {n: rels[code] for n, code in report.witness.items()}
+    return report

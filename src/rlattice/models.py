@@ -31,8 +31,9 @@ from .checker import (
     run_check,
     DEFAULT_ENUM_BUDGET,
 )
+from .kernel import RelationKernel
 from .terms import Bin, Const, Eq, Imp, Lit, Lt, Ne, Neg, Or, Statement, Term, Var
-from .universe import ConstantKind, LatticeError, Universe, constant
+from .universe import ConstantKind, LatticeError, Universe
 
 
 class ModelError(LatticeError):
@@ -168,27 +169,36 @@ def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str,
 def model_from_universe(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteModel:
     """Abstract the concrete semantics of `u` into operation tables.
 
-    The carrier is the canonical relation enumeration; tables are computed
-    by applying the concrete operations to every pair.
+    The carrier is the canonical relation enumeration, so element `i` is
+    relation code `i`; tables are filled by the code kernel one block of
+    equal-header right operands at a time.
     """
-    from .universe import complement as comp_op, inner_union, natural_join
+    n = len(enumerate_relations(u, budget))
+    k = RelationKernel(u)
+    blocks = list(enumerate(k.sizes))  # (header mask, tuple-space size)
 
-    rels = enumerate_relations(u, budget)
-    index = {r: i for i, r in enumerate(rels)}
-    meet = tuple(
-        tuple(index[natural_join(u, a, b)] for b in rels) for a in rels
-    )
-    join = tuple(
-        tuple(index[inner_union(u, a, b)] for b in rels) for a in rels
-    )
-    comp = tuple(index[comp_op(u, a)] for a in rels)
+    def table(target, combine) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for ha, size_a in blocks:
+            for body in range(1 << size_a):
+                row: list[int] = []
+                for hb, size_b in blocks:
+                    h = target(ha, hb)
+                    left, base = k.image(ha, h)(body), k.offset[h]
+                    row.extend(base + combine(left, right)
+                               for right in map(k.image(hb, h), range(1 << size_b)))
+                rows.append(tuple(row))
+        return tuple(rows)
+
+    meet = table(int.__or__, int.__and__)
+    join = table(int.__and__, int.__or__)
     return FiniteModel(
-        size=len(rels),
+        size=n,
         meet=meet,
         join=join,
-        comp=comp,
-        r00=index[constant(u, ConstantKind.R00)],
-        r11=index[constant(u, ConstantKind.R11)],
+        comp=tuple(k.comp(a) for a in range(n)),
+        r00=k.const(ConstantKind.R00),
+        r11=k.r11,
     )
 
 
@@ -581,7 +591,7 @@ class _SizeSearch:
 
     # ----- search driver
 
-    def run(self, deadline: float | None, budget_check=None) -> FiniteModel | None:
+    def run(self, deadline: float | None) -> FiniteModel | None:
         if self.trivially_unsat:
             return None
         queue: list[int] = []

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .universe import ConstantKind, LatticeError, Relation
+from .universe import ConstantKind, LatticeError, Relation, Universe
 
 BINARY_OPS = ("^", "v", "*", "+", "@")
 
@@ -62,6 +62,13 @@ class Lit:
     shape: str  # "rows" | "empty" | "full"
     attrs: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...] = ()
+
+    def relation(self, u: Universe) -> Relation:
+        """The relation this literal denotes over `u`, validated against it."""
+        rel = u.relation(self.attrs, self.rows if self.shape == "rows" else ())
+        if self.shape == "full":
+            rel = Relation(rel.header, tuple(u.full_body(rel.header)))
+        return rel
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,11 @@ class Universe:
 
     def sort_header(self, attrs: Iterable[str]) -> tuple[str, ...]:
         """Canonical header: the given attributes in universe order."""
-        return tuple(a for a in self.attributes if a in set(attrs))
+        given = set(attrs)
+        unknown = sorted(given - self._index.keys())
+        if unknown:
+            raise RelationError(f"attribute {unknown[0]!r} not in universe")
+        return tuple(a for a in self.attributes if a in given)
 
     def space_size(self, header: Sequence[str]) -> int:
         return math.prod(len(self.domain(a)) for a in header)

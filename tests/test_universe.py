@@ -450,3 +450,12 @@ class TestProject:
         r = u2.relation(["t"], [["a"]])
         with pytest.raises(RelationError):
             project(u2, r, ["s"])
+
+    def test_project_onto_iterator(self, u2):
+        r = u2.relation(["t", "s"], [["a", "1"], ["b", "2"]])
+        assert project(u2, r, iter(["s", "t"])) == r
+
+    def test_project_unknown_attr(self, u2):
+        r = u2.relation(["t", "s"], [["a", "1"]])
+        with pytest.raises(RelationError):
+            project(u2, r, ["zzz"])
