@@ -7,13 +7,16 @@ sampling mode draws seeded random assignments; a sampled refutation is
 definitive, but a sampled pass is only ever reported as budget-exhausted,
 never as HOLDS.
 
-`check` walks relation codes, the indices into the enumeration, and runs
-every operation on them through `rlattice.kernel.RelationKernel`, whose
-results are memoized for the one check; the witness is decoded back into
-relations.  `evaluate` instead applies the relation-level operations of
-`rlattice.universe` directly, for any universe.  `run_check` is generic
-over its element carrier and also drives `models.verify_model` on
-operation tables.
+`compile_statement` turns a statement, once, into one generated Python
+function of straight-line code over five operation tables (meet, join,
+star, plus, complement).  `run_check` runs that code over any carrier
+`range(n)` that supplies such tables: `check` over relation codes, the
+indices into the enumeration, with tables that
+`rlattice.kernel.RelationKernel` fills on first use, and
+`models.verify_model` over a model's flat tables.  The witness of
+`check` is decoded back into relations.  `evaluate` instead applies the
+relation-level operations of `rlattice.universe` directly, for any
+universe.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import product
-from typing import Any, Callable, Mapping, Sequence
+from functools import lru_cache, partial
+from itertools import islice, product, repeat
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import terms
 from .kernel import RelationKernel
 from .universe import (
+    ConstantKind,
     LatticeError,
     Relation,
     Universe,
@@ -142,44 +146,88 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
     return tuple(rels)
 
 
-def _compile_term(t: terms.Term, var_index: Mapping[str, int], ops) -> Callable:
-    """Translate a term into a closure over an assignment tuple.
+class Compiled(NamedTuple):
+    """A statement compiled into straight-line code over operation tables.
 
-    Constants and literals resolve once, at compile time, which is where
-    literal validation against the active universe happens.
+    `bind(M, J, S, P, C, N, *leaf_values)` returns `outcome(env) ->
+    (counts_toward_premises, holds)` for an assignment `env` of carrier
+    elements to `variables`, in order.  `M J S P` are the meet, join,
+    star and plus tables indexed `a * N + b` and `C` the complement table;
+    `leaf_values` are the elements of the constants and literals in
+    `leaves`, supplied anew by every caller and universe.
     """
-    if isinstance(t, terms.Var):
-        if t.name not in var_index:
-            raise EvaluationError(f"unbound variable {t.name!r}")
-        i = var_index[t.name]
-        return lambda env: env[i]
-    if isinstance(t, terms.Const):
-        value = ops.const(t.kind)
-        return lambda env: value
-    if isinstance(t, terms.Lit):
-        value = ops.literal(t)
-        return lambda env: value
-    if isinstance(t, terms.Neg):
-        f = _compile_term(t.item, var_index, ops)
-        comp = ops.comp
-        return lambda env: comp(f(env))
-    if isinstance(t, terms.Bin):
-        lf = _compile_term(t.left, var_index, ops)
-        rf = _compile_term(t.right, var_index, ops)
-        fn = ops.binary_fn(t.op)
-        return lambda env: fn(lf(env), rf(env))
-    raise TypeError(f"not a term: {t!r}")
+
+    variables: tuple[str, ...]
+    leaves: tuple[terms.Term, ...]
+    bind: Callable
 
 
-def _compile_atom(atom: terms.Atom, var_index: Mapping[str, int], ops) -> Callable:
-    lf = _compile_term(atom.lhs, var_index, ops)
-    rf = _compile_term(atom.rhs, var_index, ops)
-    if isinstance(atom, terms.Eq):
-        return lambda env: lf(env) == rf(env)
-    if isinstance(atom, terms.Ne):
-        return lambda env: lf(env) != rf(env)
-    below = ops.below
-    return lambda env: below(lf(env), rf(env))
+_TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
+_R11 = terms.Const(ConstantKind.R11)
+
+
+@lru_cache(maxsize=256)
+def compile_statement(statement: terms.Statement) -> Compiled:
+    """Compile `statement` once into a generated Python function.
+
+    Each distinct subterm is computed once, `y @ x` becomes `(y v R11) + x`
+    and `a < b` becomes `a ^ b = a`; premises and disjuncts keep their
+    left-to-right short-circuit.
+    """
+    variables = terms.free_variables(statement)
+    names: dict[terms.Term, str] = {terms.Var(v): f"v{i}" for i, v in enumerate(variables)}
+    leaves: list[terms.Term] = []
+    lines: list[str] = []
+
+    def term(t: terms.Term) -> str:
+        if t in names:
+            return names[t]
+        if isinstance(t, (terms.Const, terms.Lit)):
+            name = f"k{len(leaves)}"
+            leaves.append(t)
+        elif isinstance(t, terms.Bin) and t.op == "@":
+            name = term(terms.Bin("+", terms.Bin("v", t.left, _R11), t.right))
+        else:
+            if isinstance(t, terms.Neg):
+                expr = f"C[{term(t.item)}]"
+            elif isinstance(t, terms.Bin):
+                expr = f"{_TABLE[t.op]}[{term(t.left)}*N+{term(t.right)}]"
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            name = f"t{len(lines)}"
+            lines.append(f"{name} = {expr}")
+        names[t] = name
+        return name
+
+    def atom(a: terms.Atom) -> str:
+        lhs, rhs = term(a.lhs), term(a.rhs)
+        if isinstance(a, terms.Eq):
+            return f"{lhs} == {rhs}"
+        if isinstance(a, terms.Ne):
+            return f"{lhs} != {rhs}"
+        return f"M[{lhs}*N+{rhs}] == {lhs}"
+
+    if isinstance(statement, terms.Imp):
+        for premise in statement.premises:
+            test = atom(premise)
+            lines.append(f"if not ({test}): return False, True")
+        last = f"True, {atom(statement.conclusion)}"
+    elif isinstance(statement, terms.Or):
+        for alt in statement.alts[:-1]:
+            test = atom(alt)
+            lines.append(f"if {test}: return False, True")
+        last = f"False, {atom(statement.alts[-1])}"
+    else:
+        last = f"False, {atom(statement)}"
+    if variables:
+        lines.insert(0, f"{', '.join(names[terms.Var(v)] for v in variables)}, = env")
+    lines.append(f"return {last}")
+    params = "".join(f", k{i}" for i in range(len(leaves)))
+    source = (f"def bind(M, J, S, P, C, N{params}):\n    def outcome(env):\n"
+              + "".join(f"        {line}\n" for line in lines) + "    return outcome\n")
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<{terms.format_statement(statement)}>", "exec"), namespace)
+    return Compiled(variables, tuple(leaves), namespace["bind"])
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
@@ -209,88 +257,58 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
     raise TypeError(f"not a term: {t!r}")
 
 
-def run_check(statement: terms.Statement, elements: Sequence, *,
-              compile_atom: Callable, render: Callable[[Any], str],
+def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
+              leaf: Callable[[terms.Term], int], render: Callable[[int], str],
               mode: Mode = Exhaustive()) -> CheckReport:
-    """Generic assignment-space check over an arbitrary element carrier.
+    """Check a statement over the carrier `range(n)` with operation tables.
 
-    `compile_atom(atom, var_index)` must produce a truth closure over an
-    assignment tuple of elements.  Exhaustive mode walks assignments in
-    canonical order (itertools.product over element indices, last variable
-    fastest) and reports the first witness; implications count vacuous and
-    premise-satisfying assignments separately.
+    `tables` are the `M J S P C` tables of `Compiled`, any mapping from
+    index to element; `leaf` gives the element of a constant or literal.
+    Exhaustive mode walks assignments in canonical order (itertools.product,
+    last variable fastest) and reports the first witness.  Sampled mode
+    draws each variable as `Random(seed).randrange(n)` does in CPython
+    3.10-3.12: `getrandbits(n.bit_length())`, drawn again while `>= n`.
+    Implications count vacuous and premise-satisfying assignments
+    separately.
     """
     start = time.perf_counter()
-    var_names = terms.free_variables(statement)
-    var_index = {n: i for i, n in enumerate(var_names)}
-
-    if isinstance(statement, terms.Imp):
-        premises = [compile_atom(a, var_index) for a in statement.premises]
-        conclusion = compile_atom(statement.conclusion, var_index)
-
-        def outcome(env):  # (counts_toward_premises, holds)
-            if all(p(env) for p in premises):
-                return True, conclusion(env)
-            return False, True
-        track_premises = True
-    elif isinstance(statement, terms.Or):
-        alts = [compile_atom(a, var_index) for a in statement.alts]
-
-        def outcome(env):
-            return False, any(a(env) for a in alts)
-        track_premises = False
-    else:
-        truth = compile_atom(statement, var_index)
-
-        def outcome(env):
-            return False, truth(env)
-        track_premises = False
-
-    text = terms.format_statement(statement)
-    tested = 0
-    premise_sat = 0
-
-    def report(verdict: Verdict, witness_env) -> CheckReport:
-        witness = witness_text = None
-        if witness_env is not None:
-            witness = dict(zip(var_names, witness_env))
-            witness_text = {n: render(e) for n, e in witness.items()}
-        return CheckReport(
-            statement=text,
-            verdict=verdict,
-            witness=witness,
-            witness_text=witness_text,
-            assignments_tested=tested,
-            premise_satisfying=premise_sat if track_premises else None,
-            mode=mode,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        )
-
+    code = compile_statement(statement)
+    outcome = code.bind(*tables, n, *map(leaf, code.leaves))
+    arity = len(code.variables)
     if isinstance(mode, Exhaustive):
-        limit = mode.max_assignments
-        for env in product(elements, repeat=len(var_names)):
-            if limit is not None and tested >= limit:
-                return report(Verdict.BUDGET_EXHAUSTED, None)
-            tested += 1
-            counts, holds = outcome(env)
-            if counts:
-                premise_sat += 1
-            if not holds:
-                return report(Verdict.REFUTED, env)
-        return report(Verdict.HOLDS, None)
-
-    rng = random.Random(mode.seed)
-    n = len(elements)
-    for _ in range(mode.samples):
+        envs = product(range(n), repeat=arity)
+        walk = envs if mode.max_assignments is None else islice(envs, max(mode.max_assignments, 0))
+    else:
+        getrandbits = random.Random(mode.seed).getrandbits
+        # The accepted draws, grouped `arity` at a time into assignments.
+        draws = filter(n.__gt__, iter(partial(getrandbits, n.bit_length()), None))
+        walk = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
+    tested = premise_sat = 0
+    witness = None
+    for env in walk:
         tested += 1
-        env = tuple(elements[rng.randrange(n)] for _ in var_names)
         counts, holds = outcome(env)
         if counts:
             premise_sat += 1
         if not holds:
-            return report(Verdict.REFUTED, env)
-    # A sampled pass is not a proof, so never HOLDS here.
-    return report(Verdict.BUDGET_EXHAUSTED, None)
+            witness = dict(zip(code.variables, env))
+            break
+    if witness is not None:
+        verdict = Verdict.REFUTED
+    elif isinstance(mode, Exhaustive) and next(envs, None) is None:
+        verdict = Verdict.HOLDS
+    else:  # a sampled pass is not a proof, so never HOLDS
+        verdict = Verdict.BUDGET_EXHAUSTED
+    return CheckReport(
+        statement=terms.format_statement(statement),
+        verdict=verdict,
+        witness=witness,
+        witness_text=None if witness is None else {v: render(e) for v, e in witness.items()},
+        assignments_tested=tested,
+        premise_satisfying=premise_sat if isinstance(statement, terms.Imp) else None,
+        mode=mode,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+    )
 
 
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),
@@ -303,12 +321,10 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
     if isinstance(statement, str):
         statement = terms.parse_statement(statement)
     rels = enumerate_relations(u, enum_budget)
-    ops = RelationKernel(u)
+    kernel = RelationKernel(u)
     report = run_check(
-        statement, range(len(rels)),
-        compile_atom=lambda a, vi: _compile_atom(a, vi, ops),
-        render=lambda code: terms.format_relation(rels[code]),
-        mode=mode,
+        statement, len(rels), tables=kernel.tables(), leaf=kernel.leaf,
+        render=lambda code: terms.format_relation(rels[code]), mode=mode,
     )
     if report.witness is not None:
         report.witness = {n: rels[code] for n, code in report.witness.items()}

@@ -17,8 +17,11 @@ them onto the common header.  The maps that move a body between two
 headers are built lazily, once per header pair and kernel, so a check
 pays only for the header pairs its terms reach.
 
-The relation-level functions in `rlattice.universe` are the reference
-these operations are tested against.
+`RelationKernel.tables` hands the checker the results as operation
+tables whose entries are computed on first use, so a check computes each
+pair it reaches once.  The relation-level functions in
+`rlattice.universe` are the reference these operations are tested
+against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable
 
-from .terms import Lit
+from .terms import Const, Lit
 from .universe import ConstantKind, Relation, Universe, constant
 
 _CHUNK = 8  # body bits per image-table lookup
@@ -34,13 +37,14 @@ _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
 class RelationKernel:
-    """Code-level operations over one universe, with the checker's ops interface.
+    """Code-level operations over one universe.
 
     Moving bodies from a header with a tuple space of `s` tuples costs
     image tables of about `32 * s` entries, each as wide as the target
     space: small for every universe whose relations can be enumerated,
-    but growing with the square of the space beyond that.  `binary_fn`
-    and `below` memoize per kernel, so a kernel lives as long as one check.
+    but growing with the square of the space beyond that.  The image
+    tables and the operation tables of `tables` are kept per kernel, so
+    a kernel lives as long as one check.
     """
 
     def __init__(self, u: Universe):
@@ -58,11 +62,9 @@ class RelationKernel:
         for s in sizes:
             self.offset.append(total)
             total += 1 << s
+        self.n = total
         self._images: dict[tuple[int, int], Callable[[int], int]] = {}
         self.r11 = self.const(ConstantKind.R11)
-        self._memoized = {op: _memoize(fn, total) for op, fn in (
-            ("^", self.meet), ("v", self.join), ("*", self.star),
-            ("+", self.plus), ("@", self.at))}
 
     # ----- codes and relations
 
@@ -82,8 +84,9 @@ class RelationKernel:
     def const(self, kind: ConstantKind) -> int:
         return self.encode(constant(self.u, kind))
 
-    def literal(self, lit: Lit) -> int:
-        return self.encode(lit.relation(self.u))
+    def leaf(self, t: Const | Lit) -> int:
+        """Code of a constant, or of a literal validated over the universe."""
+        return self.encode(t.relation(self.u)) if isinstance(t, Lit) else self.const(t.kind)
 
     # ----- header-pair maps
 
@@ -179,30 +182,34 @@ class RelationKernel:
         x, y = self._bodies(a, ha, b, hb, ha & hb)
         return off[ha & hb] + (x & y)
 
-    def at(self, a: int, b: int) -> int:
-        # y @ x is (y v R11) + x
-        return self.plus(self.join(a, self.r11), b)
-
     def comp(self, a: int) -> int:
         h = self.header(a)
         return self.offset[h] + (self.full[h] ^ (a - self.offset[h]))
 
-    # ----- the checker's ops interface, memoized per kernel
+    # ----- tables for compiled statements
 
-    def binary_fn(self, op: str) -> Callable[[int, int], int]:
-        return self._memoized[op]
+    def tables(self) -> tuple[dict[int, int], ...]:
+        """The meet, join, star, plus and complement tables of `checker.Compiled`.
 
-    def below(self, a: int, b: int) -> bool:
-        return self._memoized["^"](a, b) == a
+        Entries are computed on first use, entry `a * n + b` of a binary
+        table by the operation on codes `a` and `b`, so a check pays only
+        for the pairs it reaches and each of them once.
+        """
+        n = self.n
+        binary = [_Table(lambda key, op=op: op(*divmod(key, n)))
+                  for op in (self.meet, self.join, self.star, self.plus)]
+        return (*binary, _Table(self.comp))
 
 
-def _memoize(fn: Callable[[int, int], int], n: int) -> Callable[[int, int], int]:
-    memo: dict[int, int] = {}
+class _Table(dict):
+    """A dict that fills a missing entry with `fill(key)`."""
 
-    def memoized(a: int, b: int) -> int:
-        key = a * n + b
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = fn(a, b)
-        return got
-    return memoized
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[[int], int]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fill(key)
+        return value

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 from . import terms
@@ -26,7 +26,6 @@ from .checker import (
     Exhaustive,
     Mode,
     Verdict,
-    _compile_atom,
     enumerate_relations,
     run_check,
     DEFAULT_ENUM_BUDGET,
@@ -94,70 +93,35 @@ class FiniteModel:
         )
 
 
-class ModelOps:
-    """Adapter giving table-driven semantics to the checker engine."""
+def _model_tables(m: FiniteModel) -> tuple[tuple[int, ...], ...]:
+    """Flat meet, join, star, plus and complement tables of `checker.Compiled`.
 
-    def __init__(self, m: FiniteModel):
-        self.m = m
-        n = m.size
-        mt, jn, r00, r11 = m.meet, m.join, m.r00, m.r11
-        rng = range(n)
-        # Derived tables, computed once per model from the definitions.
-        self.star = tuple(
-            tuple(mt[jn[a][mt[b][r00]]][jn[b][mt[a][r00]]] for b in rng) for a in rng
-        )
-        self.plus = tuple(
-            tuple(jn[mt[a][jn[b][r11]]][mt[b][jn[a][r11]]] for b in rng) for a in rng
-        )
-
-    def const(self, kind: ConstantKind) -> int:
-        return {
-            ConstantKind.R00: self.m.r00,
-            ConstantKind.R11: self.m.r11,
-            ConstantKind.R10: self.m.r10,
-            ConstantKind.R01: self.m.r01,
-        }[kind]
-
-    def literal(self, lit: Lit) -> int:
-        raise ModelError("relation literals have no interpretation in an abstract model")
-
-    def comp(self, a: int) -> int:
-        return self.m.comp[a]
-
-    def below(self, a: int, b: int) -> bool:
-        return self.m.meet[a][b] == a
-
-    def binary_fn(self, op: str):
-        if op == "^":
-            table = self.m.meet
-        elif op == "v":
-            table = self.m.join
-        elif op == "*":
-            table = self.star
-        elif op == "+":
-            table = self.plus
-        else:  # "@": y @ x = (y v R11) + x
-            jn, plus, r11 = self.m.join, self.plus, self.m.r11
-            return lambda a, b: plus[jn[a][r11]][b]
-        return lambda a, b: table[a][b]
+    Star and plus are derived once per call from their definitions.
+    """
+    n, r00, r11 = m.size, m.r00, m.r11
+    M = tuple(chain.from_iterable(m.meet))
+    J = tuple(chain.from_iterable(m.join))
+    rows = range(0, n * n, n)  # a * n for every element a
+    S = tuple(M[J[an + M[bn + r00]] * n + J[bn + M[an + r00]]] for an in rows for bn in rows)
+    P = tuple(J[M[an + J[bn + r11]] * n + M[bn + J[an + r11]]] for an in rows for bn in rows)
+    return M, J, S, P, m.comp
 
 
 def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
                  mode: Mode = Exhaustive()) -> list[CheckReport]:
     """Check each statement over all carrier assignments of `m`."""
-    ops = ModelOps(m)
-    elements = tuple(range(m.size))
-    out = []
-    for s in statements:
-        if isinstance(s, str):
-            s = terms.parse_statement(s)
-        out.append(run_check(
-            s, elements,
-            compile_atom=lambda a, vi: _compile_atom(a, vi, ops),
-            render=str,
-            mode=mode,
-        ))
-    return out
+    tables = _model_tables(m)
+    constants = {ConstantKind.R00: m.r00, ConstantKind.R11: m.r11,
+                 ConstantKind.R10: m.r10, ConstantKind.R01: m.r01}
+
+    def leaf(t: Const | Lit) -> int:
+        if isinstance(t, Lit):
+            raise ModelError("relation literals have no interpretation in an abstract model")
+        return constants[t.kind]
+
+    return [run_check(terms.parse_statement(s) if isinstance(s, str) else s, m.size,
+                      tables=tables, leaf=leaf, render=str, mode=mode)
+            for s in statements]
 
 
 def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str, int] | None:

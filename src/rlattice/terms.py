@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .universe import ConstantKind, LatticeError, Relation, Universe
 
@@ -83,7 +83,7 @@ class Bin:
     right: "Term"
 
 
-Term = Union[Var, Const, Lit, Neg, Bin]
+Term = Var | Const | Lit | Neg | Bin
 
 
 # --- statements ------------------------------------------------------------
@@ -108,7 +108,7 @@ class Lt:
     rhs: Term
 
 
-Atom = Union[Eq, Ne, Lt]
+Atom = Eq | Ne | Lt
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Or:
     alts: tuple[Atom, ...]
 
 
-Statement = Union[Eq, Ne, Lt, Imp, Or]
+Statement = Eq | Ne | Lt | Imp | Or
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -38,8 +38,8 @@ class RelationError(LatticeError):
     """Relation not valid over the universe it is used with."""
 
 
-class CapacityError(LatticeError):
-    """A full tuple space would exceed the universe's cap."""
+class CapacityError(UniverseError):
+    """The universe's full tuple space exceeds its cap."""
 
 
 class ConstantKind(Enum):
@@ -87,7 +87,7 @@ class Universe:
         for dom in self.domains:
             space *= len(dom)
         if space > self.cap:
-            raise UniverseError(
+            raise CapacityError(
                 f"full tuple space has {space} tuples, exceeding cap {self.cap}"
             )
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.attributes)})
@@ -151,10 +151,6 @@ class Universe:
 
     def full_body(self, header: tuple[str, ...]) -> list[tuple[str, ...]]:
         """All tuples over `header`, lexicographically sorted."""
-        if self.space_size(header) > self.cap:
-            raise CapacityError(
-                f"full space over {header} exceeds cap {self.cap}"
-            )
         doms = [sorted(self.domain(a)) for a in header]
         return [tuple(vals) for vals in product(*doms)]
 
@@ -341,8 +337,6 @@ def outer_union(u: Universe, r: Relation, s: Relation) -> Relation:
 
 def _extend_all(u: Universe, r: Relation, header: tuple[str, ...]) -> Iterable[tuple[str, ...]]:
     missing = tuple(a for a in header if a not in r.header)
-    if u.space_size(missing) * max(len(r.body), 1) > u.cap:
-        raise CapacityError(f"extension over {header} exceeds cap {u.cap}")
     r_of = {a: i for i, a in enumerate(r.header)}
     doms = [sorted(u.domain(a)) for a in missing]
     for tr in r.body:

@@ -170,32 +170,16 @@ class TestReports:
 
 class TestGenericEngine:
     def test_runs_over_plain_integers(self):
-        # model-style carrier: two elements with min/max tables
-        meet = [[0, 0], [0, 1]]
-        join = [[0, 1], [1, 1]]
+        # model-style carrier: two elements with min/max tables, flat a*2+b
+        meet = (0, 0, 0, 1)
+        join = (0, 1, 1, 1)
 
-        class Ops:
-            def const(self, kind):
-                raise AssertionError("no constants here")
+        def leaf(t):
+            raise AssertionError("no constants here")
 
-            def literal(self, lit):
-                raise AssertionError
-
-            def comp(self, a):
-                return 1 - a
-
-            def below(self, a, b):
-                return meet[a][b] == a
-
-            def binary_fn(self, op):
-                return {"^": lambda a, b: meet[a][b], "v": lambda a, b: join[a][b]}[op]
-
-        from rlattice.checker import _compile_atom
-        ops = Ops()
         rep = run_check(
-            parse_statement("x ^ y = y ^ x"), (0, 1),
-            compile_atom=lambda a, vi: _compile_atom(a, vi, ops),
-            render=str,
+            parse_statement("x ^ y = y ^ x"), 2,
+            tables=(meet, join, (), (), (1, 0)), leaf=leaf, render=str,
         )
         assert rep.verdict is Verdict.HOLDS
         assert rep.assignments_tested == 4

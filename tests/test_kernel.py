@@ -40,7 +40,8 @@ BINARY = {
     "v": (RelationKernel.join, inner_union),
     "*": (RelationKernel.star, inner_join),
     "+": (RelationKernel.plus, outer_union),
-    "@": (RelationKernel.at, cylindrify),
+    # Compiled statements expand y @ x into (y v R11) + x.
+    "@": (lambda k, a, b: k.plus(k.join(a, k.r11), b), cylindrify),
 }
 
 

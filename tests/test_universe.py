@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlattice import (
+    CapacityError,
     ConstantKind,
     Relation,
     RelationError,
@@ -106,6 +107,11 @@ class TestUniverse:
     def test_cap_enforced_at_construction(self):
         with pytest.raises(UniverseError):
             Universe.make({"t": ("a", "b"), "s": ("1", "2")}, cap=3)
+
+    def test_cap_raises_capacity_error(self):
+        with pytest.raises(CapacityError):
+            Universe.make({"t": ("a", "b"), "s": ("1", "2")}, cap=3)
+        assert Universe.make({"t": ("a", "b"), "s": ("1", "2")}, cap=4).cap == 4
 
     def test_parse_roundtrip(self, u2):
         text = "t : a, b\ns : 1, 2  # second attribute\n"
