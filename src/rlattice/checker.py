@@ -8,10 +8,17 @@ definitive, but a sampled pass is only ever reported as budget-exhausted,
 never as HOLDS.
 
 `compile_statement` turns a statement, once, into one generated Python
-function of straight-line code over five operation tables (meet, join,
-star, plus, complement).  `run_check` runs that code over any carrier
-`range(n)` that supplies such tables: `check` over relation codes, the
-indices into the enumeration, with tables that
+function that runs the whole check loop over five operation tables
+(meet, join, star, plus, complement).  An uncapped exhaustive check runs
+nested loops, one per variable, and computes each subterm in the loop of
+its deepest variable, so `x ^ y` in a 3-variable law is looked up N^2
+times, not N^3; a premise is tested in the loop of its deepest variable
+and skips everything inside it when false.  The assignment count is
+worked out from the position of the witness, or is N^k when nothing
+refutes.  Sampled and capped checks run the same lines in one flat loop
+over the assignments they are handed.  `run_check` runs that code over
+any carrier `range(n)` that supplies such tables: `check` over relation
+codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
 `models.verify_model` over a model's flat tables.  The witness of
 `check` is decoded back into relations.  `evaluate` instead applies the
@@ -147,87 +154,142 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 
 
 class Compiled(NamedTuple):
-    """A statement compiled into straight-line code over operation tables.
+    """A statement compiled into one generated loop over operation tables.
 
-    `bind(M, J, S, P, C, N, *leaf_values)` returns `outcome(env) ->
-    (counts_toward_premises, holds)` for an assignment `env` of carrier
-    elements to `variables`, in order.  `M J S P` are the meet, join,
-    star and plus tables indexed `a * N + b` and `C` the complement table;
-    `leaf_values` are the elements of the constants and literals in
-    `leaves`, supplied anew by every caller and universe.
+    `run(M, J, S, P, C, N, envs, *leaf_values)` decides the statement
+    over the carrier `range(N)` and returns `(premise_satisfying,
+    assignments_tested, witness)`, the witness being the first refuting
+    assignment as a tuple of elements for `variables`, or None.  With
+    `envs=None` it walks every assignment in nested loops, last variable
+    fastest; otherwise it walks the assignments `envs` yields in one flat
+    loop.  `M J S P` are the meet, join, star and plus tables indexed
+    `a * N + b` and `C` the complement table; `leaf_values` are the
+    elements of the constants and literals in `leaves`, supplied anew by
+    every caller and universe.
     """
 
     variables: tuple[str, ...]
     leaves: tuple[terms.Term, ...]
-    bind: Callable
+    run: Callable
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
 _R11 = terms.Const(ConstantKind.R11)
+# Variables given a loop of their own; the rest come from one `product`
+# loop inside the innermost, since CPython rejects more than 20
+# statically nested blocks.
+_NESTED = 10
 
 
 @lru_cache(maxsize=256)
 def compile_statement(statement: terms.Statement) -> Compiled:
     """Compile `statement` once into a generated Python function.
 
-    Each distinct subterm is computed once, `y @ x` becomes `(y v R11) + x`
-    and `a < b` becomes `a ^ b = a`; premises and disjuncts keep their
-    left-to-right short-circuit.
+    Variable `i` is the loop at level `min(i, _NESTED)`.  Each distinct
+    subterm is computed once, at the level of its deepest variable, and
+    terms of constants and literals once before the loops; so is `a * N`
+    for a left operand used at a deeper level.  `y @ x` becomes
+    `(y v R11) + x` and `a < b` becomes `a ^ b = a`.  A premise, or a
+    disjunct other than the last, is tested at its own level and skips
+    the rest of that level's loop body (`continue`) when it decides the
+    assignment; the conclusion is tested innermost.  The flat loop runs
+    the same lines, those of every level in one body.
     """
     variables = terms.free_variables(statement)
-    names: dict[terms.Term, str] = {terms.Var(v): f"v{i}" for i, v in enumerate(variables)}
+    arity = len(variables)
+    names: dict[terms.Term, tuple[str, int]] = {
+        terms.Var(v): (f"v{i}", min(i, _NESTED)) for i, v in enumerate(variables)}
+    rows: dict[str, str] = {}
     leaves: list[terms.Term] = []
-    lines: list[str] = []
+    lines: list[tuple[int, str]] = []  # (level, line) in the order they are needed
 
-    def term(t: terms.Term) -> str:
+    def term(t: terms.Term) -> tuple[str, int]:
         if t in names:
             return names[t]
         if isinstance(t, (terms.Const, terms.Lit)):
-            name = f"k{len(leaves)}"
+            got = f"k{len(leaves)}", -1
             leaves.append(t)
         elif isinstance(t, terms.Bin) and t.op == "@":
-            name = term(terms.Bin("+", terms.Bin("v", t.left, _R11), t.right))
+            got = term(terms.Bin("+", terms.Bin("v", t.left, _R11), t.right))
         else:
             if isinstance(t, terms.Neg):
-                expr = f"C[{term(t.item)}]"
+                item, level = term(t.item)
+                expr = f"C[{item}]"
             elif isinstance(t, terms.Bin):
-                expr = f"{_TABLE[t.op]}[{term(t.left)}*N+{term(t.right)}]"
+                (left, lv), (right, rv) = term(t.left), term(t.right)
+                level = max(lv, rv)
+                if lv < level:
+                    if left not in rows:
+                        rows[left] = f"r{len(rows)}"
+                        lines.append((lv, f"{rows[left]} = {left}*N"))
+                    expr = f"{_TABLE[t.op]}[{rows[left]}+{right}]"
+                else:
+                    expr = f"{_TABLE[t.op]}[{left}*N+{right}]"
             else:
                 raise TypeError(f"not a term: {t!r}")
-            name = f"t{len(lines)}"
-            lines.append(f"{name} = {expr}")
-        names[t] = name
-        return name
+            got = f"t{len(lines)}", level
+            lines.append((level, f"{got[0]} = {expr}"))
+        names[t] = got
+        return got
 
-    def atom(a: terms.Atom) -> str:
-        lhs, rhs = term(a.lhs), term(a.rhs)
-        if isinstance(a, terms.Eq):
-            return f"{lhs} == {rhs}"
-        if isinstance(a, terms.Ne):
-            return f"{lhs} != {rhs}"
-        return f"M[{lhs}*N+{rhs}] == {lhs}"
+    def test(a: terms.Atom, holds: bool) -> tuple[str, int]:
+        """The test that `a` holds (or fails), and the level to run it at."""
+        if isinstance(a, terms.Lt):
+            (lhs, lv), (rhs, rv) = term(terms.Bin("^", a.lhs, a.rhs)), term(a.lhs)
+        else:
+            (lhs, lv), (rhs, rv) = term(a.lhs), term(a.rhs)
+        equal = holds != isinstance(a, terms.Ne)
+        return f"{lhs} {'==' if equal else '!='} {rhs}", max(lv, rv, 0)
 
     if isinstance(statement, terms.Imp):
         for premise in statement.premises:
-            test = atom(premise)
-            lines.append(f"if not ({test}): return False, True")
-        last = f"True, {atom(statement.conclusion)}"
+            fails, level = test(premise, holds=False)
+            lines.append((level, f"if {fails}: continue"))
+        last = statement.conclusion
     elif isinstance(statement, terms.Or):
         for alt in statement.alts[:-1]:
-            test = atom(alt)
-            lines.append(f"if {test}: return False, True")
-        last = f"False, {atom(statement.alts[-1])}"
+            holds, level = test(alt, holds=True)
+            lines.append((level, f"if {holds}: continue"))
+        last = statement.alts[-1]
     else:
-        last = f"False, {atom(statement)}"
-    if variables:
-        lines.insert(0, f"{', '.join(names[terms.Var(v)] for v in variables)}, = env")
-    lines.append(f"return {last}")
+        last = statement
+    fails, _ = test(last, holds=False)
+    env = "".join(f"v{i}, " for i in range(arity))
+    count = ["premise += 1"] if isinstance(statement, terms.Imp) else []
+
+    def innermost(position: str) -> list[str]:
+        return [*count, f"if {fails}: return premise, {position}, ({env})"]
+
     params = "".join(f", k{i}" for i in range(len(leaves)))
-    source = (f"def bind(M, J, S, P, C, N{params}):\n    def outcome(env):\n"
-              + "".join(f"        {line}\n" for line in lines) + "    return outcome\n")
-    namespace: dict[str, Any] = {}
-    exec(compile(source, f"<{terms.format_statement(statement)}>", "exec"), namespace)
-    return Compiled(variables, tuple(leaves), namespace["bind"])
+    source = [f"def run(M, J, S, P, C, N, envs{params}):"]
+    source += ["    " + line for level, line in lines if level < 0]
+    source.append("    premise = 0")
+    if arity:
+        source.append("    if envs is None:")
+        indent = "        "
+        for level in range(min(arity, _NESTED + 1)):
+            if level < _NESTED:
+                source.append(f"{indent}for v{level} in range(N):")
+            else:
+                rest = "".join(f"v{i}, " for i in range(_NESTED, arity))
+                source.append(f"{indent}for {rest}in product(range(N), repeat={arity - _NESTED}):")
+            indent += "    "
+            source += [indent + line for lv, line in lines if lv == level]
+        position = "v0"
+        for i in range(1, arity):
+            position = f"({position})*N+v{i}"
+        source += [indent + line for line in innermost(f"{position}+1")]
+        source.append(f"        return premise, N**{arity}, None")
+    else:  # the one empty assignment, walked by the flat loop
+        source.append("    envs = ((),) if envs is None else envs")
+    source += ["    i = 0", f"    for i, ({env}) in enumerate(envs, 1):"]
+    source += ["        " + line for level, line in lines if level >= 0]
+    source += ["        " + line for line in innermost("i")]
+    source.append("    return premise, i, None")
+    namespace: dict[str, Any] = {"product": product}
+    exec(compile("\n".join(source) + "\n", f"<{terms.format_statement(statement)}>", "exec"),
+         namespace)
+    return Compiled(variables, tuple(leaves), namespace["run"])
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
@@ -265,37 +327,31 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
     index to element; `leaf` gives the element of a constant or literal.
     Exhaustive mode walks assignments in canonical order (itertools.product,
-    last variable fastest) and reports the first witness.  Sampled mode
-    draws each variable as `Random(seed).randrange(n)` does in CPython
+    last variable fastest) and reports the first witness: in the generated
+    nested loops, or, when `max_assignments` stops it short, in the flat
+    loop over the first `max_assignments` of them.  Sampled mode draws
+    each variable as `Random(seed).randrange(n)` does in CPython
     3.10-3.12: `getrandbits(n.bit_length())`, drawn again while `>= n`.
     Implications count vacuous and premise-satisfying assignments
     separately.
     """
     start = time.perf_counter()
     code = compile_statement(statement)
-    outcome = code.bind(*tables, n, *map(leaf, code.leaves))
     arity = len(code.variables)
     if isinstance(mode, Exhaustive):
-        envs = product(range(n), repeat=arity)
-        walk = envs if mode.max_assignments is None else islice(envs, max(mode.max_assignments, 0))
+        total = n ** arity
+        cap = total if mode.max_assignments is None else max(mode.max_assignments, 0)
+        envs = None if cap >= total else islice(product(range(n), repeat=arity), cap)
     else:
         getrandbits = random.Random(mode.seed).getrandbits
         # The accepted draws, grouped `arity` at a time into assignments.
         draws = filter(n.__gt__, iter(partial(getrandbits, n.bit_length()), None))
-        walk = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
-    tested = premise_sat = 0
-    witness = None
-    for env in walk:
-        tested += 1
-        counts, holds = outcome(env)
-        if counts:
-            premise_sat += 1
-        if not holds:
-            witness = dict(zip(code.variables, env))
-            break
+        envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
+    premise_sat, tested, found = code.run(*tables, n, envs, *map(leaf, code.leaves))
+    witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
-    elif isinstance(mode, Exhaustive) and next(envs, None) is None:
+    elif isinstance(mode, Exhaustive) and tested == total:
         verdict = Verdict.HOLDS
     else:  # a sampled pass is not a proof, so never HOLDS
         verdict = Verdict.BUDGET_EXHAUSTED

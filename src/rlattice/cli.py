@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LatticeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error: input file is not UTF-8 text: {exc}\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

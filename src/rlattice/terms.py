@@ -13,6 +13,12 @@ Two deliberate strictures keep formulas unambiguous:
 Statements are equations (`=`), inequations (`!=`), order assertions
 (`<`), and Horn implications (`a & b -> c`).  Goal syntax for model
 search additionally admits a top-level disjunction (`a | b`).
+
+A term nests at most `MAX_TERM_DEPTH` levels: at most that many
+operators (binary or `'`) on any path from the root to a leaf, and at
+most that many parentheses open at once.  Deeper input is a `ParseError`,
+so no later recursive walk over a term (evaluating, hashing, printing)
+runs out of stack.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Iterator
 from .universe import ConstantKind, LatticeError, Relation, Universe
 
 BINARY_OPS = ("^", "v", "*", "+", "@")
+MAX_TERM_DEPTH = 100
 
 
 class ParseError(LatticeError):
@@ -193,6 +200,7 @@ class _Parser:
     def __init__(self, source: str):
         self.toks = _tokenize(source)
         self.at = 0
+        self.parens = 0  # parentheses open around the current position
 
     def peek(self) -> _Tok:
         return self.toks[self.at]
@@ -209,47 +217,57 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.take()
 
+    @staticmethod
+    def nest(depth: int, tok: _Tok) -> int:
+        """`depth + 1`, or a ParseError at `tok` beyond MAX_TERM_DEPTH."""
+        if depth >= MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.pos)
+        return depth + 1
+
     # term := factor (BINOP factor)*, one operator per chain
-    def term(self) -> Term:
-        node = self.factor()
+    def term(self) -> tuple[Term, int]:
+        """A term and its height, the most operators on a path to a leaf."""
+        node, height = self.factor()
         tok = self.peek()
         if tok.kind != "OP" or tok.text == "'":
-            return node
+            return node, height
         chain_op = tok.text
         while True:
             tok = self.peek()
             if tok.kind != "OP" or tok.text == "'":
-                return node
+                return node, height
             if tok.text != chain_op:
                 raise MixedOperatorError(
                     f"operator {tok.text!r} mixed with {chain_op!r}; parenthesize one side",
                     tok.pos,
                 )
             self.take()
-            node = Bin(chain_op, node, self.factor())
+            right, right_height = self.factor()
+            node, height = Bin(chain_op, node, right), self.nest(max(height, right_height), tok)
 
-    def factor(self) -> Term:
-        node = self.primary()
+    def factor(self) -> tuple[Term, int]:
+        node, height = self.primary()
         while self.peek().kind == "OP" and self.peek().text == "'":
-            self.take()
+            height = self.nest(height, self.take())
             node = Neg(node)
-        return node
+        return node, height
 
-    def primary(self) -> Term:
+    def primary(self) -> tuple[Term, int]:
         tok = self.peek()
         if tok.kind == "IDENT":
-            return Var(self.take().text)
+            return Var(self.take().text), 0
         if tok.kind == "CONST":
-            return Const(_CONSTS[self.take().text])
+            return Const(_CONSTS[self.take().text]), 0
         if tok.kind == "KEYWORD":
-            return self.header_literal()
+            return self.header_literal(), 0
         if tok.kind == "PUNC" and tok.text == "{":
-            return self.rows_literal()
+            return self.rows_literal(), 0
         if tok.kind == "PUNC" and tok.text == "(":
-            self.take()
-            node = self.term()
+            self.parens = self.nest(self.parens, self.take())
+            inner = self.term()
             self.expect("PUNC", ")")
-            return node
+            self.parens -= 1
+            return inner
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
 
     def header_literal(self) -> Lit:
@@ -309,11 +327,11 @@ class _Parser:
         return attr, self.take().text
 
     def atom(self) -> Atom:
-        lhs = self.term()
+        lhs, _ = self.term()
         tok = self.peek()
         if tok.kind == "PUNC" and tok.text in ("=", "!=", "<"):
             self.take()
-            rhs = self.term()
+            rhs, _ = self.term()
             if tok.text == "=":
                 return Eq(lhs, rhs)
             if tok.text == "!=":
@@ -356,7 +374,7 @@ def parse_term(source: str) -> Term:
     if not source.strip():
         raise ParseError("empty input", 0)
     p = _Parser(source)
-    node = p.term()
+    node, _ = p.term()
     p.finish()
     return node
 

@@ -70,6 +70,22 @@ class TestCheck:
     def test_usage_error_exit_three(self, capsys):
         assert main(["check"]) == 3
 
+    def test_non_utf8_universe_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "bin.univ"
+        path.write_bytes(b"t : a, \xff\xfe\n")
+        assert main(["check", "-u", str(path), "-e", "x = x"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_statement_file_exit_three(self, u1_file, tmp_path, capsys):
+        path = tmp_path / "bin.stmt"
+        path.write_bytes(b"x = x\n\x80\n")
+        assert main(["check", "-u", u1_file, "-f", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_too_deep_term_exit_three(self, u1_file, capsys):
+        assert main(["check", "-u", u1_file, "-e", " v ".join(["x"] * 900) + " = x"]) == 3
+        assert "nested deeper" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_count(self, u1_file, capsys):

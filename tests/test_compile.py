@@ -1,15 +1,17 @@
 """Compiled statements against the relation-level evaluator.
 
-`checker.compile_statement` turns a statement into straight-line code
-over operation tables; `check` runs it on lazily filled kernel tables and
-`verify_model` on a model's flat tables.  Here it is compared with
-`checker.evaluate`, which applies the `rlattice.universe` functions
-directly, and the two callers are compared with each other.
+`checker.compile_statement` turns a statement into one generated check
+loop over operation tables; `check` runs it on lazily filled kernel
+tables and `verify_model` on a model's flat tables.  Here it is compared
+with `checker.evaluate`, which applies the `rlattice.universe` functions
+directly, one assignment at a time and in whole reference loops over
+`product` and `randrange` assignments; its nested and flat loops are
+compared with each other, and so are the two callers.
 """
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -41,9 +43,10 @@ from rlattice import (
     model_from_universe,
     parse_goal,
     parse_statement,
+    suite_catalog,
     verify_model,
 )
-from rlattice.checker import compile_statement
+from rlattice.checker import compile_statement, run_check
 from rlattice.kernel import RelationKernel
 from rlattice.terms import BINARY_OPS
 
@@ -83,10 +86,12 @@ def assert_matches_relations(u, statement, limit=150):
     rels = enumerate_relations(u)
     k = RelationKernel(u)
     code = compile_statement(statement)
-    outcome = code.bind(*k.tables(), k.n, *map(k.leaf, code.leaves))
+    tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
     for env in assignments(u, statement, limit):
-        expected = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
-        assert outcome(env) == expected, env
+        counts, holds = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
+        # the flat loop over this one assignment
+        got = code.run(*tables, k.n, [env], *leaves)
+        assert got == (counts, 1, None if holds else env), env
 
 
 # --- Hypothesis strategies ---------------------------------------------------
@@ -181,6 +186,194 @@ class TestCompiled:
             parse_statement(text))
 
 
+# --- the generated loop against a reference loop ------------------------------
+
+def reference_walk(u, statement, envs):
+    """(tested, premise_satisfying, witness) after each assignment of codes in
+    `envs`, judged on relations, up to and including the first refutation."""
+    rels, names = enumerate_relations(u), free_variables(statement)
+    premises = 0
+    for tested, env in enumerate(envs, 1):
+        assignment = {v: rels[e] for v, e in zip(names, env)}
+        counts, holds = at_relations(u, statement, assignment)
+        premises += counts
+        yield tested, premises, None if holds else assignment
+        if not holds:
+            return
+
+
+def assert_report(rep, statement, step, verdict):
+    tested, premises, witness = step
+    assert rep.verdict is (Verdict.REFUTED if witness is not None else verdict)
+    assert rep.assignments_tested == tested
+    assert rep.premise_satisfying == (premises if isinstance(statement, Imp) else None)
+    assert rep.witness == witness
+
+
+def assert_exhaustive_matches(u, statement, caps):
+    """`check` with each cap (None: uncapped) against a `product` reference loop."""
+    n, arity = len(enumerate_relations(u)), len(free_variables(statement))
+    total = n ** arity
+    top = max(total if c is None else c for c in caps)
+    steps = [(0, 0, None), *reference_walk(
+        u, statement, islice(product(range(n), repeat=arity), top))]
+    for cap in caps:
+        step = steps[min(total if cap is None else cap, len(steps) - 1)]
+        rep = check(u, statement, Exhaustive(max_assignments=cap))
+        assert_report(rep, statement, step, Verdict.HOLDS if step[0] == total
+                      else Verdict.BUDGET_EXHAUSTED)
+
+
+def assert_sampled_matches(u, statement, seed, samples):
+    """`check` in sample mode against a `randrange` reference loop."""
+    n, arity = len(enumerate_relations(u)), len(free_variables(statement))
+    rng = random.Random(seed)
+    envs = (tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples))
+    *_, step = [(0, 0, None), *reference_walk(u, statement, envs)]
+    assert_report(check(u, statement, Sample(seed, samples)), statement, step,
+                  Verdict.BUDGET_EXHAUSTED)
+
+
+LOOPS = [
+    # = != < at arity 0-4
+    "R00 ^ R11 != R00",
+    "R01' = R10",
+    "x' < x @ R11",
+    "x != x'",
+    "x ^ y = y ^ x",
+    "x v y < x",
+    "x ^ (y v z) = (x ^ y) v (x ^ z)",
+    "x * (y + z) != (x * y) + z",
+    "(x ^ y) v (z ^ w) = (x v z) ^ (y v w)",
+    # premises at different depths, before and after deeper ones
+    "x < y & y < z -> x v z < y v z",
+    "x ^ y = y & x' = x' ^ R11 -> x v y = y",
+    "x ^ z = R00 & x < y -> x < (y ^ z')",
+    "x v y = z v w -> x = z",
+    "R00 = R11 & x < y -> y < x",
+    "R00 < R11 & x < y -> x ^ y = x",
+]
+DISJUNCTIONS = [
+    "x ^ R00 = R10 | x v R01 = R01 | x' != x",
+    "x < y | y < x",
+    "x ^ y = x | z < y | x v z != z",
+    "R00 = R11 | x = x'",
+    "R00 != R11 | x = x'",
+]
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize("text", LOOPS + DISJUNCTIONS)
+    def test_against_reference(self, text):
+        statement = parse_goal(text)
+        n = len(enumerate_relations(U1))
+        total = n ** len(free_variables(statement))
+        assert_exhaustive_matches(U1, statement, [None, 0, 1, total - 1, total, total + 1])
+        for seed in (0, 5):
+            assert_sampled_matches(U1, statement, seed, 300)
+
+    @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
+                                             for e in entries}))
+    def test_catalog_nested_equals_flat(self, text):
+        """The nested loops and the flat loop over every assignment agree
+        (on u2 up to 3 variables, 17,576 assignments)."""
+        statement = parse_statement(text)
+        code = compile_statement(statement)
+        for u in (U1, U2)[:1 + (len(code.variables) <= 3)]:
+            k = RelationKernel(u)
+            tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
+            nested = code.run(*tables, k.n, None, *leaves)
+            flat = code.run(*tables, k.n, product(range(k.n), repeat=len(code.variables)),
+                            *leaves)
+            assert nested == flat
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(statements(U1, with_literals=False))
+    def test_non_commuting_tables(self, statement):
+        """Over tables where no operation commutes, so a swapped operand shows."""
+        n = 3
+        pairs = [divmod(key, n) for key in range(n * n)]
+        M, J = [a for a, b in pairs], [b for a, b in pairs]
+        S, P = [(a + 2 * b) % n for a, b in pairs], [(2 * a + b) % n for a, b in pairs]
+        C = [(a + 1) % n for a in range(n)]
+        leaf = {ConstantKind.R00: 0, ConstantKind.R11: 2, ConstantKind.R10: 1,
+                ConstantKind.R01: 1}
+
+        def value(t, env):
+            if isinstance(t, Var):
+                return env[t.name]
+            if isinstance(t, Const):
+                return leaf[t.kind]
+            if isinstance(t, Neg):
+                return C[value(t.item, env)]
+            a = value(Bin("v", t.left, Const(ConstantKind.R11)) if t.op == "@" else t.left, env)
+            table = {"^": M, "v": J, "*": S, "+": P, "@": P}[t.op]
+            return table[a * n + value(t.right, env)]
+
+        def holds(a, env):
+            lhs, rhs = value(a.lhs, env), value(a.rhs, env)
+            return {Eq: lhs == rhs, Ne: lhs != rhs, Lt: M[lhs * n + rhs] == lhs}[type(a)]
+
+        names = free_variables(statement)
+        tested = premises = 0
+        witness = None
+        for tested, values in enumerate(product(range(n), repeat=len(names)), 1):
+            env = dict(zip(names, values))
+            if isinstance(statement, Imp):
+                if not all(holds(p, env) for p in statement.premises):
+                    continue
+                premises += 1
+                ok = holds(statement.conclusion, env)
+            else:
+                ok = any(holds(a, env) for a in getattr(statement, "alts", [statement]))
+            if not ok:
+                witness = env
+                break
+        rep = run_check(statement, n, tables=(M, J, S, P, C), leaf=lambda t: leaf[t.kind],
+                        render=str)
+        assert rep.verdict is (Verdict.HOLDS if witness is None else Verdict.REFUTED)
+        assert rep.assignments_tested == tested
+        assert rep.premise_satisfying == (premises if isinstance(statement, Imp) else None)
+        assert rep.witness == witness
+
+
+EMPTY = Universe.make({})  # two relations: empty() and {()}
+
+
+def xs(lo, hi, op):
+    return f" {op} ".join(f"x{i}" for i in range(lo, hi))
+
+
+class TestManyVariables:
+    """Beyond the loops given their own nesting level."""
+
+    @pytest.mark.parametrize("text", [
+        f"x0 = x1 & x19 < x20 -> {xs(0, 21, 'v')} = x0 v x20",
+        f"({xs(1, 9, '^')}) v (x9 ^ x20) v ({xs(10, 20, '^')}) = x0",
+    ])
+    def test_21_variables_exhaustive(self, text):
+        statement = parse_statement(text)
+        assert len(free_variables(statement)) == 21
+        assert check(EMPTY, statement).assignments_tested < 5000  # an early refutation
+        assert_exhaustive_matches(EMPTY, statement, [None])
+
+    def test_24_variables_capped_and_sampled(self):
+        statement = parse_statement(f"x0 = x1 & x22 < x23 -> {xs(0, 24, '^')} = x0 ^ x23")
+        assert len(free_variables(statement)) == 24
+        assert_exhaustive_matches(EMPTY, statement, [1000])
+        assert check(EMPTY, statement, Exhaustive(max_assignments=1000)).premise_satisfying > 0
+        for seed in range(3):
+            assert_sampled_matches(EMPTY, statement, seed, 200)
+
+    @pytest.mark.parametrize("arity", range(25))
+    def test_every_arity(self, arity):
+        statement = parse_statement(f"{xs(0, arity, 'v')} = {xs(0, arity, '^')}"
+                                    if arity else "R00 = R11")
+        assert_exhaustive_matches(EMPTY, statement, [0, 1, 64] + [None] * (arity <= 10))
+        assert_sampled_matches(EMPTY, statement, arity, 40)
+
+
 # --- check and verify_model run the same code --------------------------------
 
 @lru_cache(maxsize=None)
@@ -212,26 +405,12 @@ class TestSampledDraws:
         ("x v y = R00 -> x = R00", True),  # refuted by 5 of 676 assignments on u2
         ("x < y & y < z -> x v z < y v z", False),
     ])
-    def test_same_assignments_as_randrange(self, rels2, text, refuted):
+    def test_same_assignments_as_randrange(self, text, refuted):
         statement, seed, samples = parse_statement(text), 11, 1500
+        assert_sampled_matches(U2, statement, seed, samples)
         rep = check(U2, statement, Sample(seed, samples))
-        rng = random.Random(seed)
-        tested = premises = 0
-        witness = None
-        for _ in range(samples):
-            env = {v: rels2[rng.randrange(len(rels2))] for v in free_variables(statement)}
-            tested += 1
-            counts, holds = at_relations(U2, statement, env)
-            premises += counts
-            if not holds:
-                witness = env
-                break
-        assert (witness is not None) == refuted
-        assert rep.verdict is (Verdict.REFUTED if refuted else Verdict.BUDGET_EXHAUSTED)
-        assert rep.assignments_tested == tested
-        assert rep.premise_satisfying == premises
-        assert rep.witness == witness
-        assert tested > 20  # the pinned sequence is long enough to mean something
+        assert (rep.verdict is Verdict.REFUTED) == refuted
+        assert rep.assignments_tested > 20  # the pinned sequence is long enough to mean something
 
 
 # --- leaves are bound on every call ------------------------------------------

@@ -18,15 +18,22 @@ from rlattice import (
     Or,
     ParseError,
     Var,
+    Verdict,
+    check,
+    evaluate,
     format_relation,
     format_statement,
     format_term,
     free_variables,
+    model_from_universe,
     parse_goal,
     parse_statement,
     parse_statement_file,
     parse_term,
+    search_model,
+    verify_model,
 )
+from rlattice.terms import MAX_TERM_DEPTH
 
 
 class TestParseTerm:
@@ -158,6 +165,45 @@ class TestStatementFiles:
         with pytest.raises(ParseError) as err:
             parse_statement_file("x = y\nx ^^ y = y\n")
         assert "line 2" in str(err.value)
+
+
+# ---- nesting bound ----------------------------------------------------------
+
+NESTED = {
+    "parentheses": lambda d: "(" * d + "x" + ")" * d,
+    "complements": lambda d: "x" + "'" * d,
+    "binary chain": lambda d: " v ".join(["x"] * (d + 1)),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_bound_parses(self, shape):
+        parse_statement(NESTED[shape](MAX_TERM_DEPTH) + " = x")
+
+    @pytest.mark.parametrize("shape", NESTED)
+    @pytest.mark.parametrize("extra", [1, 800])
+    def test_beyond_bound_rejected(self, shape, extra):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_statement(NESTED[shape](MAX_TERM_DEPTH + extra) + " = x")
+
+    def test_parentheses_and_operators_counted_apart(self):
+        d = MAX_TERM_DEPTH
+        parse_term("(" * d + NESTED["complements"](d) + ")" * d)
+        parse_term(format_term(parse_term(" v ".join(["x"] * (d + 1)))))
+        with pytest.raises(ParseError):
+            parse_term("(" * d + NESTED["complements"](d) + ")" * d + "'")
+
+    @pytest.mark.parametrize("shape, axiom", [("complements", "x'' = x"),
+                                              ("binary chain", "x v x = x")])
+    def test_at_bound_runs_everywhere(self, u1, rels1, shape, axiom):
+        statement = parse_statement(NESTED[shape](MAX_TERM_DEPTH) + " = x")
+        assert check(u1, statement).verdict is Verdict.HOLDS
+        assert all(evaluate(u1, statement.lhs, {"x": r}) == r for r in rels1)
+        assert verify_model(model_from_universe(u1), [statement])[0].verdict is Verdict.HOLDS
+        # grounded as a goal: the axiom makes it true in every model
+        outcome = search_model([axiom], [statement], range(2, 4))
+        assert not outcome.found and outcome.sizes_excluded == (2, 3)
 
 
 # ---- round-trip property -----------------------------------------------------
