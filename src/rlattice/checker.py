@@ -1,11 +1,10 @@
 """Deciding statements over a universe by exhaustive or sampled evaluation.
 
-The exhaustive mode enumerates every relation over the universe and tries
-every assignment of relations to the statement's free variables, in a
-fixed canonical order, so verdicts and witnesses are deterministic.  The
-sampling mode draws seeded random assignments; a sampled refutation is
-definitive, but a sampled pass is only ever reported as budget-exhausted,
-never as HOLDS.
+The exhaustive mode tries every assignment of relations over the
+universe to the statement's free variables, in a fixed canonical order,
+so verdicts and witnesses are deterministic.  The sampling mode draws
+seeded random assignments; a sampled refutation is definitive, but a
+sampled pass is only ever reported as budget-exhausted, never as HOLDS.
 
 `compile_statement` turns a statement, once, into one generated Python
 function that runs the whole check loop over five operation tables
@@ -20,8 +19,9 @@ over the assignments they are handed.  `run_check` runs that code over
 any carrier `range(n)` that supplies such tables: `check` over relation
 codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
-`models.verify_model` over a model's flat tables.  The witness of
-`check` is decoded back into relations.  `evaluate` instead applies the
+`models.verify_model` over a model's flat tables.  `check` builds no
+enumeration: its kernel enforces the budget and decodes the witness
+codes into relations.  `evaluate` instead applies the
 relation-level operations of `rlattice.universe` directly, for any
 universe.
 """
@@ -38,7 +38,8 @@ from itertools import islice, product, repeat
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import terms
-from .kernel import RelationKernel
+# The budget names and `count_relations` are re-exported from here.
+from .kernel import DEFAULT_ENUM_BUDGET, EnumerationBudgetError, RelationKernel, count_relations  # noqa: F401
 from .universe import (
     ConstantKind,
     LatticeError,
@@ -52,12 +53,6 @@ from .universe import (
     natural_join,
     outer_union,
 )
-
-DEFAULT_ENUM_BUDGET = 1_000_000
-
-
-class EnumerationBudgetError(LatticeError):
-    """The universe has more relations than the enumeration budget allows."""
 
 
 class EvaluationError(LatticeError):
@@ -121,36 +116,11 @@ class CheckReport:
         return json.dumps(self.document(timing), indent=2, sort_keys=True) + "\n"
 
 
-def count_relations(u: Universe) -> int:
-    """Number of relations over `u`: sum over headers of 2^(tuple-space size)."""
-    total = 0
-    for mask in range(2 ** len(u.attributes)):
-        header = tuple(a for i, a in enumerate(u.attributes) if mask >> i & 1)
-        total += 2 ** u.space_size(header)
-    return total
-
-
-@lru_cache(maxsize=32)
 def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[Relation, ...]:
-    """Every relation over `u` exactly once, in canonical order.
-
-    Headers are ordered by attribute-subset bitmask (attribute 0 is the
-    low bit); bodies by subset bitmask over the lexicographically sorted
-    tuple space of the header.
-    """
-    total = count_relations(u)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"universe has {total} relations, over the budget of {budget}"
-        )
-    rels = []
-    for mask in range(2 ** len(u.attributes)):
-        header = tuple(a for i, a in enumerate(u.attributes) if mask >> i & 1)
-        space = u.full_body(header)
-        for bodymask in range(2 ** len(space)):
-            body = tuple(space[i] for i in range(len(space)) if bodymask >> i & 1)
-            rels.append(Relation(header, body))
-    return tuple(rels)
+    """Every relation over `u` exactly once, in canonical order: relation
+    `i` has code `i` (see `rlattice.kernel`)."""
+    kernel = RelationKernel(u, budget)
+    return tuple(map(kernel.decode, range(kernel.n)))
 
 
 class Compiled(NamedTuple):
@@ -371,17 +341,17 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
           enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
     """Decide a statement over all relations of `u`.
 
-    Assignments range over relation codes (indices into the enumeration);
-    the witness is decoded back into relations.
+    Assignments range over relation codes (`rlattice.kernel`), whose
+    kernel raises `EnumerationBudgetError` past `enum_budget`; each code
+    of the witness is decoded into its relation once.
     """
     if isinstance(statement, str):
         statement = terms.parse_statement(statement)
-    rels = enumerate_relations(u, enum_budget)
-    kernel = RelationKernel(u)
-    report = run_check(
-        statement, len(rels), tables=kernel.tables(), leaf=kernel.leaf,
-        render=lambda code: terms.format_relation(rels[code]), mode=mode,
-    )
+    kernel = RelationKernel(u, enum_budget)
+    relations: dict[int, Relation] = {}  # the witness, decoded by `render`
+    report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
+                       render=lambda code: terms.format_relation(
+                           relations.setdefault(code, kernel.decode(code))), mode=mode)
     if report.witness is not None:
-        report.witness = {n: rels[code] for n, code in report.witness.items()}
+        report.witness = {name: relations[code] for name, code in report.witness.items()}
     return report

@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
 def _universe_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
     if repeatable:
         p.add_argument("-u", "--universe", action="append", default=[],
-                       metavar="FILE", help="universe file (repeatable)")
+                       metavar="FILE",
+                       help="universe file (repeatable); its base name is the universe id")
     else:
         p.add_argument("-u", "--universe", required=True, metavar="FILE")
 
@@ -234,7 +235,12 @@ def cmd_enumerate(args) -> int:
         text = "\n".join(format_relation(r) for r in rels) + "\n"
         text += f"{len(rels)}\n"
     else:
-        text = f"{count_relations(u)}\n"
+        count = count_relations(u)
+        try:
+            text = f"{count}\n"
+        except ValueError:  # past the interpreter's limit on integer digits
+            bits = count.bit_length()
+            raise LatticeError(f"relation count of {bits} bits is too long to print") from None
     _emit(text, args.output)
     return EXIT_OK
 

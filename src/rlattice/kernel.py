@@ -1,4 +1,4 @@
-"""The lattice operations on integer relation codes.
+"""Relation codes: the one place that knows their layout.
 
 A relation over a universe is coded by its index in the canonical
 enumeration (`checker.enumerate_relations`), which is exactly
@@ -9,6 +9,10 @@ Headers are ordered by their attribute bitmask (attribute 0 is the low
 bit) and `offset[h]` counts the relations over all smaller masks.  Bit
 `i` of the body stands for the `i`-th tuple of the header's
 lexicographically sorted tuple space, the order of `Universe.full_body`.
+`RelationKernel` builds the offsets, stopping with
+`EnumerationBudgetError` as soon as they pass the budget, encodes and
+decodes codes, and computes the operations on them; `count_relations`
+counts relations without a kernel.
 
 Every binary operation moves both bodies onto one target header and then
 combines them with a single AND or OR: meet and outer union lift them
@@ -17,54 +21,79 @@ them onto the common header.  The maps that move a body between two
 headers are built lazily, once per header pair and kernel, so a check
 pays only for the header pairs its terms reach.
 
-`RelationKernel.tables` hands the checker the results as operation
-tables whose entries are computed on first use, so a check computes each
-pair it reaches once.  The relation-level functions in
-`rlattice.universe` are the reference these operations are tested
-against.
+`RelationKernel.tables` hands the checker operation tables whose entries
+are computed on first use, so a check computes each pair it reaches
+once; `bridge_tables` fills every entry for `models.model_from_universe`.
+The relation-level functions in `rlattice.universe` are the reference
+these operations are tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Callable
 
 from .terms import Const, Lit
-from .universe import ConstantKind, Relation, Universe, constant
+from .universe import ConstantKind, LatticeError, Relation, Universe
+
+DEFAULT_ENUM_BUDGET = 1_000_000
 
 _CHUNK = 8  # body bits per image-table lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
+Rows = tuple[tuple[int, ...], ...]
+
+
+class EnumerationBudgetError(LatticeError):
+    """The universe has more relations than the enumeration budget allows."""
+
+
+def count_relations(u: Universe) -> int:
+    """Number of relations over `u`: sum over headers of 2^(tuple-space size),
+    with the headers counted per size, not one by one."""
+    headers = Counter({1: 1})  # tuple-space size -> number of headers with it
+    for dim in map(len, u.domains):
+        for size, count in list(headers.items()):
+            headers[size * dim] += count
+    return sum(count << size for size, count in headers.items())
+
 
 class RelationKernel:
-    """Code-level operations over one universe.
+    """Codes and code-level operations over one universe.
 
-    Moving bodies from a header with a tuple space of `s` tuples costs
-    image tables of about `32 * s` entries, each as wide as the target
-    space: small for every universe whose relations can be enumerated,
-    but growing with the square of the space beyond that.  The image
-    tables and the operation tables of `tables` are kept per kernel, so
-    a kernel lives as long as one check.
+    Building a kernel raises `EnumerationBudgetError` when the universe
+    has more than `budget` relations.  Moving bodies from a header with
+    a tuple space of `s` tuples costs image tables of about `32 * s`
+    entries, each as wide as the target space: small for every universe
+    whose relations can be enumerated, but growing with the square of
+    the space beyond that.  The image tables and the operation tables of
+    `tables` are kept per kernel, so a kernel lives as long as one check.
     """
 
-    def __init__(self, u: Universe):
+    def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
         self.u = u
         self._dims = [len(d) for d in u.domains]
         self._ranks = [{v: i for i, v in enumerate(sorted(d))} for d in u.domains]
-        sizes = [1]
-        for h in range(1, 2 ** len(u.attributes)):
-            low = (h & -h).bit_length() - 1
-            sizes.append(sizes[h & (h - 1)] * self._dims[low])
-        self.sizes = sizes
-        self.full = [(1 << s) - 1 for s in sizes]
-        self.offset = []
+        self._sizes = sizes = [1]
+        self._offset = offset = []
         total = 0
-        for s in sizes:
-            self.offset.append(total)
-            total += 1 << s
+        for h in range(2 ** len(u.attributes)):
+            if h:
+                low = (h & -h).bit_length() - 1
+                sizes.append(sizes[h & (h - 1)] * self._dims[low])
+            offset.append(total)
+            total += 1 << sizes[h]
+            if total > budget:
+                raise EnumerationBudgetError(
+                    f"universe has more relations than the enumeration budget of {budget}")
         self.n = total
+        self._full = [(1 << s) - 1 for s in sizes]
         self._images: dict[tuple[int, int], Callable[[int], int]] = {}
-        self.r11 = self.const(ConstantKind.R11)
+        # Empty and full body over the empty header, then over the full one.
+        self._consts = {ConstantKind.R00: 0, ConstantKind.R01: 1, ConstantKind.R10: offset[-1],
+                        ConstantKind.R11: offset[-1] + self._full[-1]}
+        self.r11 = self._consts[ConstantKind.R11]
 
     # ----- codes and relations
 
@@ -79,10 +108,18 @@ class RelationKernel:
             for p, v in zip(positions, tup):
                 index = index * self._dims[p] + self._ranks[p][v]
             body |= 1 << index
-        return self.offset[h] + body
+        return self._offset[h] + body
+
+    def decode(self, code: int) -> Relation:
+        """The relation with code `code`, for `0 <= code < n`."""
+        h = self.header(code)
+        header = tuple(a for i, a in enumerate(self.u.attributes) if h >> i & 1)
+        body = code - self._offset[h]
+        space = self.u.full_body(header)
+        return Relation(header, tuple(t for i, t in enumerate(space) if body >> i & 1))
 
     def const(self, kind: ConstantKind) -> int:
-        return self.encode(constant(self.u, kind))
+        return self._consts[kind]
 
     def leaf(self, t: Const | Lit) -> int:
         """Code of a constant, or of a literal validated over the universe."""
@@ -105,7 +142,7 @@ class RelationKernel:
                 index = [x + v * step for x in index for v in range(self._dims[p])]
         return index
 
-    def image(self, src: int, dst: int) -> Callable[[int], int]:
+    def _image(self, src: int, dst: int) -> Callable[[int], int]:
         """Map from a body over header `src` to its body over header `dst`.
 
         One of the headers contains the other: a larger `dst` gives the
@@ -119,7 +156,7 @@ class RelationKernel:
 
     def _build_image(self, src: int, dst: int) -> Callable[[int], int]:
         if src & dst == src:  # cylinder; also the identity when src == dst
-            bits = [0] * self.sizes[src]
+            bits = [0] * self._sizes[src]
             for j, i in enumerate(self._tuple_map(dst, src)):
                 bits[i] |= 1 << j
         else:  # projection
@@ -145,48 +182,42 @@ class RelationKernel:
     # ----- operations on codes
 
     def header(self, code: int) -> int:
-        return bisect_right(self.offset, code) - 1
+        return bisect_right(self._offset, code) - 1
 
-    def _bodies(self, a: int, ha: int, b: int, hb: int, h: int) -> tuple[int, int]:
-        """The bodies of codes `a` (header `ha`) and `b` (header `hb`) moved onto header `h`."""
-        off, images = self.offset, self._images
-        fa = images.get((ha, h)) or self.image(ha, h)
-        fb = images.get((hb, h)) or self.image(hb, h)
-        return fa(a - off[ha]), fb(b - off[hb])
+    def _lift(self, a: int, b: int, union: bool) -> tuple[int, int, int]:
+        """Offset of the union (or common) header of `a` and `b`, and both bodies moved onto it."""
+        off, images = self._offset, self._images
+        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
+        h = ha | hb if union else ha & hb
+        fa = images.get((ha, h)) or self._image(ha, h)
+        fb = images.get((hb, h)) or self._image(hb, h)
+        return off[h], fa(a - off[ha]), fb(b - off[hb])
 
     def meet(self, a: int, b: int) -> int:
         """Natural join: both cylinders onto the union header, intersected."""
-        off = self.offset
-        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
-        x, y = self._bodies(a, ha, b, hb, ha | hb)
-        return off[ha | hb] + (x & y)
+        base, x, y = self._lift(a, b, True)
+        return base + (x & y)
 
     def plus(self, a: int, b: int) -> int:
         """Outer union: both cylinders onto the union header, united."""
-        off = self.offset
-        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
-        x, y = self._bodies(a, ha, b, hb, ha | hb)
-        return off[ha | hb] + (x | y)
+        base, x, y = self._lift(a, b, True)
+        return base + (x | y)
 
     def join(self, a: int, b: int) -> int:
         """Inner union: both projections onto the common header, united."""
-        off = self.offset
-        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
-        x, y = self._bodies(a, ha, b, hb, ha & hb)
-        return off[ha & hb] + (x | y)
+        base, x, y = self._lift(a, b, False)
+        return base + (x | y)
 
     def star(self, a: int, b: int) -> int:
         """Inner join: both projections onto the common header, intersected."""
-        off = self.offset
-        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
-        x, y = self._bodies(a, ha, b, hb, ha & hb)
-        return off[ha & hb] + (x & y)
+        base, x, y = self._lift(a, b, False)
+        return base + (x & y)
 
     def comp(self, a: int) -> int:
         h = self.header(a)
-        return self.offset[h] + (self.full[h] ^ (a - self.offset[h]))
+        return self._offset[h] + (self._full[h] ^ (a - self._offset[h]))
 
-    # ----- tables for compiled statements
+    # ----- tables
 
     def tables(self) -> tuple[dict[int, int], ...]:
         """The meet, join, star, plus and complement tables of `checker.Compiled`.
@@ -199,6 +230,31 @@ class RelationKernel:
         binary = [_Table(lambda key, op=op: op(*divmod(key, n)))
                   for op in (self.meet, self.join, self.star, self.plus)]
         return (*binary, _Table(self.comp))
+
+    def bridge_tables(self) -> tuple[Rows, Rows, tuple[int, ...]]:
+        """Every entry of the meet, join and complement tables, as rows of codes.
+
+        A row is filled one block of equal-header right operands at a
+        time: one target header and two image maps per block, then one
+        AND or OR per entry.
+        """
+        blocks = list(enumerate(self._sizes))  # (header mask, tuple-space size)
+
+        def rows(union: bool, combine: Callable[[int, int], int]) -> Rows:
+            out = []
+            for ha, size_a in blocks:
+                for body in range(1 << size_a):
+                    row: list[int] = []
+                    for hb, size_b in blocks:
+                        h = ha | hb if union else ha & hb
+                        left, base = self._image(ha, h)(body), self._offset[h]
+                        row.extend(base + combine(left, right)
+                                   for right in map(self._image(hb, h), range(1 << size_b)))
+                    out.append(tuple(row))
+            return tuple(out)
+
+        return (rows(True, int.__and__), rows(False, int.__or__),
+                tuple(map(self.comp, range(self.n))))
 
 
 class _Table(dict):

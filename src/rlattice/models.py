@@ -21,16 +21,8 @@ from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 from . import terms
-from .checker import (
-    CheckReport,
-    Exhaustive,
-    Mode,
-    Verdict,
-    enumerate_relations,
-    run_check,
-    DEFAULT_ENUM_BUDGET,
-)
-from .kernel import RelationKernel
+from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
+from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel
 from .terms import Bin, Const, Eq, Imp, Lit, Lt, Ne, Neg, Or, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
@@ -134,36 +126,13 @@ def model_from_universe(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> Finit
     """Abstract the concrete semantics of `u` into operation tables.
 
     The carrier is the canonical relation enumeration, so element `i` is
-    relation code `i`; tables are filled by the code kernel one block of
-    equal-header right operands at a time.
+    relation code `i`; the kernel fills every table entry and raises
+    `EnumerationBudgetError` past `budget`.
     """
-    n = len(enumerate_relations(u, budget))
-    k = RelationKernel(u)
-    blocks = list(enumerate(k.sizes))  # (header mask, tuple-space size)
-
-    def table(target, combine) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for ha, size_a in blocks:
-            for body in range(1 << size_a):
-                row: list[int] = []
-                for hb, size_b in blocks:
-                    h = target(ha, hb)
-                    left, base = k.image(ha, h)(body), k.offset[h]
-                    row.extend(base + combine(left, right)
-                               for right in map(k.image(hb, h), range(1 << size_b)))
-                rows.append(tuple(row))
-        return tuple(rows)
-
-    meet = table(int.__or__, int.__and__)
-    join = table(int.__and__, int.__or__)
-    return FiniteModel(
-        size=n,
-        meet=meet,
-        join=join,
-        comp=tuple(k.comp(a) for a in range(n)),
-        r00=k.const(ConstantKind.R00),
-        r11=k.r11,
-    )
+    k = RelationKernel(u, budget)
+    meet, join, comp = k.bridge_tables()
+    return FiniteModel(size=k.n, meet=meet, join=join, comp=comp,
+                       r00=k.const(ConstantKind.R00), r11=k.r11)
 
 
 # --- model files -------------------------------------------------------------
@@ -360,7 +329,7 @@ class _SizeSearch:
         self._seen_instances: set = set()
 
         for ax in axioms:
-            self._ground_atom(ax, gi=None, positive=True)
+            self._ground_atom(ax, positive=True)
         for gi, g in enumerate(goals):
             self._add_negated_goal(gi, g)
 
@@ -420,42 +389,37 @@ class _SizeSearch:
         self.inst_rhs.append(rhs)
         self.inst_eq.append(is_eq)
 
-    def _atom_sides(self, atom: terms.Atom) -> tuple[Term, Term, bool]:
-        """(lhs, rhs, is_equation) with order assertions turned into equations."""
-        if isinstance(atom, Lt):
-            return Bin("^", atom.lhs, atom.rhs), atom.lhs, True
-        return atom.lhs, atom.rhs, isinstance(atom, Eq)
-
-    def _ground_atom(self, atom: terms.Atom, gi: int | None, positive: bool,
+    def _ground_atom(self, atom: terms.Atom, positive: bool,
                      fixed_env: Mapping[str, tuple] | None = None) -> None:
-        lhs_t, rhs_t, is_eq = self._atom_sides(atom)
-        if not positive:
-            is_eq = not is_eq
-        names = terms.free_variables(atom)
+        """Add the instances of `atom`: one under `fixed_env`, or one per
+        assignment of carrier elements to its variables.  `a < b` is the
+        equation `a ^ b = a`; a negative atom adds its negation."""
+        if isinstance(atom, Lt):
+            lhs_t, rhs_t = Bin("^", atom.lhs, atom.rhs), atom.lhs
+        else:
+            lhs_t, rhs_t = atom.lhs, atom.rhs
+        is_eq = isinstance(atom, (Eq, Lt)) == positive
         if fixed_env is not None:
-            env = dict(fixed_env)
-            self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
-            return
-        if gi is not None:
-            env = {name: (_PUSH_CELL, self.skolem_of[(gi, name)]) for name in names}
-            self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
-            return
-        for combo in product(range(self.n), repeat=len(names)):
-            env = {name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
+            envs = [fixed_env]
+        else:
+            names = terms.free_variables(atom)
+            envs = ({name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
+                    for combo in product(range(self.n), repeat=len(names)))
+        for env in envs:
             self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
 
     def _add_negated_goal(self, gi: int, g: Statement) -> None:
         env = {name: (_PUSH_CELL, self.skolem_of[(gi, name)])
                for name in terms.free_variables(g)}
         if isinstance(g, (Eq, Ne, Lt)):
-            self._ground_atom(g, gi, positive=False, fixed_env=env)
+            self._ground_atom(g, positive=False, fixed_env=env)
         elif isinstance(g, Or):
             for alt in g.alts:
-                self._ground_atom(alt, gi, positive=False, fixed_env=env)
+                self._ground_atom(alt, positive=False, fixed_env=env)
         elif isinstance(g, Imp):
             for p in g.premises:
-                self._ground_atom(p, gi, positive=True, fixed_env=env)
-            self._ground_atom(g.conclusion, gi, positive=False, fixed_env=env)
+                self._ground_atom(p, positive=True, fixed_env=env)
+            self._ground_atom(g.conclusion, positive=False, fixed_env=env)
         else:
             raise ModelSearchError(f"unsupported goal: {g!r}")
 
@@ -660,28 +624,24 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     deadline = start + budget if budget is not None else None
     excluded: list[int] = []
     nodes = 0
+    model = None
+    timed_out = False
     for n in size_list:
         search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry)
         try:
             model = search.run(deadline)
         except _Timeout:
-            nodes += search.nodes
-            return SearchOutcome(
-                model=None, size=None, sizes_excluded=tuple(excluded),
-                nodes=nodes, elapsed_ms=(time.monotonic() - start) * 1000.0,
-                budget_exhausted=True,
-            )
+            timed_out = True
         nodes += search.nodes
-        if model is not None:
-            _validate_found(model, parsed_axioms, parsed_goals)
-            return SearchOutcome(
-                model=model, size=n, sizes_excluded=tuple(excluded),
-                nodes=nodes, elapsed_ms=(time.monotonic() - start) * 1000.0,
-            )
+        if timed_out or model is not None:
+            break
         excluded.append(n)
+    if model is not None:
+        _validate_found(model, parsed_axioms, parsed_goals)
     return SearchOutcome(
-        model=None, size=None, sizes_excluded=tuple(excluded),
-        nodes=nodes, elapsed_ms=(time.monotonic() - start) * 1000.0,
+        model=model, size=None if model is None else model.size,
+        sizes_excluded=tuple(excluded), nodes=nodes,
+        elapsed_ms=(time.monotonic() - start) * 1000.0, budget_exhausted=timed_out,
     )
 
 

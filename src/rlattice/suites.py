@@ -40,7 +40,7 @@ REFUTED = Verdict.REFUTED
 
 
 class UnknownSuiteError(LatticeError):
-    pass
+    """A suite name, or a universe id for a suite, that the catalog does not know."""
 
 
 @dataclass(frozen=True)
@@ -382,6 +382,11 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
     catalog = suite_catalog(reading)
     if name not in catalog:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(catalog)}")
+    known = sorted({uid for entry in catalog[name] for uid in entry.universes})
+    unused = [uid for uid in universes or () if uid not in known]  # would check nothing
+    if unused:
+        raise UnknownSuiteError(f"no entry of suite {name!r} runs on universe {unused[0]!r}; "
+                                f"its universe ids are {', '.join(known)}")
     if universes is None:
         universes = standard_universes()
     results = []

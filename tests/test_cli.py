@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, and deterministic output."""
 
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,17 @@ class TestSuite:
     def test_unknown_suite_exit_three(self, capsys):
         assert main(["suite", "bogus"]) == 3
 
+    def test_universe_id_no_entry_runs_on_exit_three(self, tmp_path, u2_file, capsys):
+        # The id is the file's base name; an id no entry runs on would
+        # otherwise check nothing and report every HOLDS entry as ok.
+        mine = tmp_path / "mine.univ"
+        mine.write_text(U1_TEXT)
+        assert main(["suite", "nand", "-u", str(mine)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'mine'" in err and "ids are u1, u2\n" in err
+        assert main(["suite", "dependencies", "-u", u2_file]) == 3
+        assert "'u2'; its universe ids are u1\n" in capsys.readouterr().err
+
 
 class TestBridgeAndVerify:
     def test_bridge_then_verify(self, u1_file, tmp_path, capsys):
@@ -157,7 +169,8 @@ class TestSearch:
         assert code == 0
         out = capsys.readouterr().out
         assert "model found at size 2" in out
-        assert parse_model(open(model_file).read()).size == 2
+        with open(model_file, encoding="utf-8") as fh:
+            assert parse_model(fh.read()).size == 2
 
     def test_exhausted_exit_two(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"
@@ -170,3 +183,23 @@ class TestSearch:
         axiom_file = tmp_path / "ax.stmt"
         axiom_file.write_text("x ^ y = y ^ x\n")
         assert main(["search", "-f", str(axiom_file), "--sizes", "nope"]) == 3
+
+
+class TestWideUniverses:
+    """Binary attributes: 14 give a count of 4,933 digits, 20 the full
+    tuple-space cap; past the enumeration budget both are input errors."""
+
+    @pytest.mark.parametrize("nattrs", [14, 20])
+    @pytest.mark.parametrize("command", ["check", "bridge", "enumerate", "suite"])
+    def test_exit_three_promptly(self, tmp_path, capsys, nattrs, command):
+        universe = tmp_path / "u1.univ"
+        universe.write_text("".join(f"a{i} : p, q\n" for i in range(nattrs)))
+        u = str(universe)
+        argv = {"check": ["check", "-u", u, "-e", "x = x"],
+                "bridge": ["bridge", "-u", u, "-o", str(tmp_path / "m.model")],
+                "enumerate": ["enumerate", "-u", u],
+                "suite": ["suite", "appendixA", "-u", u]}[command]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith("error: ")

@@ -2,9 +2,12 @@
 
 `rlattice.universe` is the reference: every code-level operation must
 decode to exactly what the relation-level function returns, and the
-checker and the bridge built on codes must agree with it.
+checker and the bridge built on codes must agree with it.  The code
+layout itself (counting, decoding, constants, the budget) is checked
+against a plain header-by-header enumeration loop.
 """
 
+import math
 import time
 from itertools import product
 
@@ -21,6 +24,7 @@ from rlattice import (
     check,
     complement,
     constant,
+    count_relations,
     cylindrify,
     enumerate_relations,
     free_variables,
@@ -45,20 +49,11 @@ BINARY = {
 }
 
 
-def decode(k: RelationKernel, code: int) -> Relation:
-    """A code back to its relation, without the enumeration."""
-    h = k.header(code)
-    header = tuple(a for i, a in enumerate(k.u.attributes) if h >> i & 1)
-    space = k.u.full_body(header)
-    body = code - k.offset[h]
-    return Relation(header, tuple(t for i, t in enumerate(space) if body >> i & 1))
-
-
 def assert_matches_oracle(u, k, r, s):
     a, b = k.encode(r), k.encode(s)
     for op, (code_fn, rel_fn) in BINARY.items():
-        assert decode(k, code_fn(k, a, b)) == rel_fn(u, r, s), (op, r, s)
-    assert decode(k, k.comp(a)) == complement(u, r)
+        assert k.decode(code_fn(k, a, b)) == rel_fn(u, r, s), (op, r, s)
+    assert k.decode(k.comp(a)) == complement(u, r)
 
 
 class TestCodes:
@@ -68,7 +63,7 @@ class TestCodes:
         k = RelationKernel(u)
         for i, r in enumerate(enumerate_relations(u)):
             assert k.encode(r) == i
-            assert decode(k, i) == r
+            assert k.decode(i) == r
 
     def test_constants(self, u2, rels2):
         k = RelationKernel(u2)
@@ -94,7 +89,9 @@ class TestAgainstRelations:
         domains = [data.draw(st.lists(st.sampled_from("qzbxa"), min_size=1, max_size=3,
                                       unique=True)) for _ in range(nattrs)]
         u = Universe.make({f"c{i}": d for i, d in enumerate(domains)})
-        k = RelationKernel(u)
+        # Up to 134 M relations: past the default budget, but the
+        # operations need no enumeration.
+        k = RelationKernel(u, budget=count_relations(u))
 
         def relation():
             header = [a for a in u.attributes if data.draw(st.booleans())]
@@ -162,3 +159,70 @@ class TestBounds:
             check(u2, "x = x", enum_budget=10)
         with pytest.raises(EnumerationBudgetError):
             model_from_universe(u2, budget=10)
+
+
+def reference_enumeration(u: Universe) -> list[Relation]:
+    """Every relation, header mask by header mask and body mask by body
+    mask over the header's sorted tuple space: the canonical order."""
+    rels = []
+    for mask in range(2 ** len(u.attributes)):
+        header = tuple(a for i, a in enumerate(u.attributes) if mask >> i & 1)
+        space = u.full_body(header)
+        for bodymask in range(2 ** len(space)):
+            body = tuple(space[i] for i in range(len(space)) if bodymask >> i & 1)
+            rels.append(Relation(header, body))
+    return rels
+
+
+# At most 3 attributes of 1-3 values each, given out of order; at most
+# 600 relations, so that bridging one stays quick.
+small_universes = st.integers(0, 3).flatmap(
+    lambda nattrs: st.lists(st.lists(st.sampled_from("qzbxa"), min_size=1, max_size=3,
+                                     unique=True), min_size=nattrs, max_size=nattrs)
+).map(lambda domains: Universe.make({f"c{i}": d for i, d in enumerate(domains)})
+      ).filter(lambda u: count_relations(u) <= 600)
+
+
+class TestLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(small_universes)
+    def test_codes_against_reference_loop(self, u):
+        reference = reference_enumeration(u)
+        assert list(enumerate_relations(u)) == reference
+        assert count_relations(u) == len(reference)
+        k = RelationKernel(u)
+        assert k.n == len(reference)
+        for code, r in enumerate(reference):
+            assert k.decode(code) == r
+            assert k.encode(k.decode(code)) == code
+        for kind in ConstantKind:
+            assert k.const(kind) == k.encode(constant(u, kind))
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_universes)
+    def test_budget_is_the_relation_count(self, u):
+        n = count_relations(u)
+        with pytest.raises(EnumerationBudgetError):
+            check(u, "x = x", enum_budget=n - 1)
+        with pytest.raises(EnumerationBudgetError):
+            model_from_universe(u, budget=n - 1)
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_relations(u, budget=n - 1)
+        assert check(u, "x = x", enum_budget=n).assignments_tested == n
+        assert model_from_universe(u, budget=n).size == n
+
+    def test_count_by_tuple_space_size(self):
+        # 2^20 headers; their count is summed per size, 21 sizes in all.
+        u = Universe.make({f"a{i}": ("0", "1") for i in range(20)})
+        start = time.perf_counter()
+        count = count_relations(u)
+        assert time.perf_counter() - start < 1.0
+        assert count == sum(math.comb(20, k) << 2 ** k for k in range(21))
+        assert count_relations(Universe.make({f"a{i}": ("0",) for i in range(12)})) == 2 ** 13
+
+    def test_wide_universe_stops_at_the_budget(self):
+        u = Universe.make({f"a{i}": ("0", "1") for i in range(20)})
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError, match="budget of 1000000$"):
+            check(u, "x = x")
+        assert time.perf_counter() - start < 1.0
