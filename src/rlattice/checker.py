@@ -21,7 +21,17 @@ codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
 `models.verify_model` over a model's flat tables.  `check` builds no
 enumeration: its kernel enforces the budget and decodes the witness
-codes into relations.  `evaluate` instead applies the
+codes into relations.
+
+An uncapped exhaustive `check` of a statement with two or more
+variables, no literals and at least `_REDUCE_FROM` assignments tries
+only the kernel's orbit-least codes for the first variable.  Each
+symmetry of the universe maps an assignment to one with the same
+outcome, so a refutation whose first value is not orbit-least has an
+image that refutes too and comes earlier: the first witness, and with
+it the assignment count, is the same.  A skipped first value below the
+witness satisfies as many premises as its orbit's least code, walked
+earlier, and that count is added.  `evaluate` instead applies the
 relation-level operations of `rlattice.universe` directly, for any
 universe.
 """
@@ -126,12 +136,15 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 class Compiled(NamedTuple):
     """A statement compiled into one generated loop over operation tables.
 
-    `run(M, J, S, P, C, N, envs, *leaf_values)` decides the statement
-    over the carrier `range(N)` and returns `(premise_satisfying,
-    assignments_tested, witness)`, the witness being the first refuting
-    assignment as a tuple of elements for `variables`, or None.  With
-    `envs=None` it walks every assignment in nested loops, last variable
-    fastest; otherwise it walks the assignments `envs` yields in one flat
+    `run(M, J, S, P, C, N, envs, firsts, starts, *leaf_values)` decides
+    the statement over the carrier `range(N)` and returns
+    `(premise_satisfying, assignments_tested, witness)`, the witness being
+    the first refuting assignment as a tuple of elements for `variables`,
+    or None.  With `envs=None` it walks in nested loops, last variable
+    fastest, every assignment whose first variable is one of `firsts`
+    (increasing; `range(N)` for all of them), and an implication appends
+    its premise count so far to the list `starts` as it begins each first
+    value; otherwise it walks the assignments `envs` yields in one flat
     loop.  `M J S P` are the meet, join, star and plus tables indexed
     `a * N + b` and `C` the complement table; `leaf_values` are the
     elements of the constants and literals in `leaves`, supplied anew by
@@ -149,6 +162,10 @@ _R11 = terms.Const(ConstantKind.R11)
 # loop inside the innermost, since CPython rejects more than 20
 # statically nested blocks.
 _NESTED = 10
+# Fewest assignments for which `run_check` tries orbit-least first values
+# only.  Finding the orbits costs up to N map applications per generator,
+# about as much as a check this short (under a millisecond on u1 or u2).
+_REDUCE_FROM = 4096
 
 
 @lru_cache(maxsize=256)
@@ -231,19 +248,23 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         return [*count, f"if {fails}: return premise, {position}, ({env})"]
 
     params = "".join(f", k{i}" for i in range(len(leaves)))
-    source = [f"def run(M, J, S, P, C, N, envs{params}):"]
+    source = [f"def run(M, J, S, P, C, N, envs, firsts, starts{params}):"]
     source += ["    " + line for level, line in lines if level < 0]
     source.append("    premise = 0")
     if arity:
         source.append("    if envs is None:")
         indent = "        "
         for level in range(min(arity, _NESTED + 1)):
-            if level < _NESTED:
+            if level == 0:
+                source.append(f"{indent}for v0 in firsts:")
+            elif level < _NESTED:
                 source.append(f"{indent}for v{level} in range(N):")
             else:
                 rest = "".join(f"v{i}, " for i in range(_NESTED, arity))
                 source.append(f"{indent}for {rest}in product(range(N), repeat={arity - _NESTED}):")
             indent += "    "
+            if level == 0 and count:
+                source.append(f"{indent}starts.append(premise)")
             source += [indent + line for lv, line in lines if lv == level]
         position = "v0"
         for i in range(1, arity):
@@ -291,7 +312,7 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
 
 def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
               leaf: Callable[[terms.Term], int], render: Callable[[int], str],
-              mode: Mode = Exhaustive()) -> CheckReport:
+              mode: Mode = Exhaustive(), symmetry: RelationKernel | None = None) -> CheckReport:
     """Check a statement over the carrier `range(n)` with operation tables.
 
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
@@ -303,7 +324,9 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     each variable as `Random(seed).randrange(n)` does in CPython
     3.10-3.12: `getrandbits(n.bit_length())`, drawn again while `>= n`.
     Implications count vacuous and premise-satisfying assignments
-    separately.
+    separately.  A `symmetry` kernel over the carrier's codes lets the
+    nested loops skip first values that are not orbit-least (see the
+    module docstring).
     """
     start = time.perf_counter()
     code = compile_statement(statement)
@@ -317,7 +340,16 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         # The accepted draws, grouped `arity` at a time into assignments.
         draws = filter(n.__gt__, iter(partial(getrandbits, n.bit_length()), None))
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
-    premise_sat, tested, found = code.run(*tables, n, envs, *map(leaf, code.leaves))
+    reduced = (symmetry is not None and envs is None and arity >= 2
+               and n ** arity >= _REDUCE_FROM
+               and not any(isinstance(t, terms.Lit) for t in code.leaves))
+    starts: list[int] = []
+    premise_sat, tested, found = code.run(*tables, n, envs,
+                                          symmetry.least_codes() if reduced else range(n),
+                                          starts, *map(leaf, code.leaves))
+    if reduced and isinstance(statement, terms.Imp):
+        premise_sat += _skipped_premises(symmetry.orbit_least, starts, premise_sat,
+                                         n if found is None else found[0])
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
@@ -337,6 +369,27 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     )
 
 
+def _skipped_premises(least: Mapping[int, int], starts: list[int], premise: int,
+                      end: int) -> int:
+    """Premise count of the first values below `end` that were skipped.
+
+    `starts` holds the running count as each walked first value began,
+    and `premise` the count at the end; so walked value `i` contributed
+    `starts[i + 1] - starts[i]`, and a skipped value as much as its
+    orbit's least code.
+    """
+    steps = map(int.__sub__, [*starts[1:], premise], starts)
+    walked: dict[int, int] = {}
+    skipped = 0
+    for code in range(end):
+        first = least[code]
+        if first == code:
+            walked[code] = next(steps)
+        else:
+            skipped += walked[first]
+    return skipped
+
+
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),
           enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
     """Decide a statement over all relations of `u`.
@@ -351,7 +404,8 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
     relations: dict[int, Relation] = {}  # the witness, decoded by `render`
     report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
                        render=lambda code: terms.format_relation(
-                           relations.setdefault(code, kernel.decode(code))), mode=mode)
+                           relations.setdefault(code, kernel.decode(code))), mode=mode,
+                       symmetry=kernel)
     if report.witness is not None:
         report.witness = {name: relations[code] for name, code in report.witness.items()}
     return report

@@ -21,6 +21,12 @@ them onto the common header.  The maps that move a body between two
 headers are built lazily, once per header pair and kernel, so a check
 pays only for the header pairs its terms reach.
 
+`RelationKernel.symmetries` gives generators of the universe's
+automorphism group as maps on codes: they permute header masks and body
+bits, again through tables built lazily per header, and decode nothing.
+`least_codes` yields the least code of each orbit, lazily and in
+increasing order, for the checker's symmetry-reduced walk.
+
 `RelationKernel.tables` hands the checker operation tables whose entries
 are computed on first use, so a check computes each pair it reaches
 once; `bridge_tables` fills every entry for `models.model_from_universe`.
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Callable
+from operator import pos
+from typing import Callable, Iterator, Sequence
 
 from .terms import Const, Lit
 from .universe import ConstantKind, LatticeError, Relation, Universe
@@ -74,7 +81,8 @@ class RelationKernel:
     def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
         self.u = u
         self._dims = [len(d) for d in u.domains]
-        self._ranks = [{v: i for i, v in enumerate(sorted(d))} for d in u.domains]
+        self._values = [sorted(d) for d in u.domains]
+        self._ranks = [{v: i for i, v in enumerate(values)} for values in self._values]
         self._sizes = sizes = [1]
         self._offset = offset = []
         total = 0
@@ -94,6 +102,10 @@ class RelationKernel:
         self._consts = {ConstantKind.R00: 0, ConstantKind.R01: 1, ConstantKind.R10: offset[-1],
                         ConstantKind.R11: offset[-1] + self._full[-1]}
         self.r11 = self._consts[ConstantKind.R11]
+        # Set here, not on first use: an attribute added later to an instance
+        # slows every other attribute lookup on it, in every table fill.
+        self._symmetries: list[Callable[[int], int]] | None = None
+        self.orbit_least: dict[int, int] = {}  # filled by `least_codes`
 
     # ----- codes and relations
 
@@ -111,12 +123,24 @@ class RelationKernel:
         return self._offset[h] + body
 
     def decode(self, code: int) -> Relation:
-        """The relation with code `code`, for `0 <= code < n`."""
+        """The relation with code `code`, for `0 <= code < n`: the index of
+        each set body bit, read as mixed-radix digits, gives one tuple."""
         h = self.header(code)
-        header = tuple(a for i, a in enumerate(self.u.attributes) if h >> i & 1)
+        positions = [p for p in range(len(self._dims)) if h >> p & 1]
+        # The digits of a tuple's index, lowest first: the last attribute's rank first.
+        digits = [(self._dims[p], self._values[p]) for p in reversed(positions)]
         body = code - self._offset[h]
-        space = self.u.full_body(header)
-        return Relation(header, tuple(t for i, t in enumerate(space) if body >> i & 1))
+        rows = []
+        while body:  # set bits from the lowest: tuples in sorted order
+            index = (body & -body).bit_length() - 1
+            body &= body - 1
+            row = []
+            for dim, values in digits:
+                index, rank = divmod(index, dim)
+                row.append(values[rank])
+            row.reverse()
+            rows.append(tuple(row))
+        return Relation(tuple(self.u.attributes[p] for p in positions), tuple(rows))
 
     def const(self, kind: ConstantKind) -> int:
         return self._consts[kind]
@@ -127,19 +151,24 @@ class RelationKernel:
 
     # ----- header-pair maps
 
-    def _tuple_map(self, big: int, small: int) -> list[int]:
-        """For each tuple of header `big`, the index of its restriction to `small`."""
+    def _tuple_map(self, big: int, small: int, perm: Sequence[int] | None = None,
+                   values: Sequence[Sequence[int]] | None = None) -> list[int]:
+        """For each tuple of header `big`, the index of its restriction to
+        `small`, after moving attribute `p` to `perm[p]` and its value of
+        rank `r` to rank `values[p][r]` (by default, moving nothing)."""
+        dims = self._dims
         weights = {}
         w = 1
-        for p in reversed(range(len(self._dims))):
+        for p in reversed(range(len(dims))):
             if small >> p & 1:
                 weights[p] = w
-                w *= self._dims[p]
+                w *= dims[p]
         index = [0]
-        for p in range(len(self._dims)):
+        for p in range(len(dims)):
             if big >> p & 1:
-                step = weights.get(p, 0)
-                index = [x + v * step for x in index for v in range(self._dims[p])]
+                step = weights.get(p if perm is None else perm[p], 0)
+                ranks = range(dims[p]) if values is None else values[p]
+                index = [x + v * step for x in index for v in ranks]
         return index
 
     def _image(self, src: int, dst: int) -> Callable[[int], int]:
@@ -155,29 +184,95 @@ class RelationKernel:
         return got
 
     def _build_image(self, src: int, dst: int) -> Callable[[int], int]:
-        if src & dst == src:  # cylinder; also the identity when src == dst
+        if src == dst:
+            return pos  # the identity on ints
+        if src & dst == src:  # cylinder
             bits = [0] * self._sizes[src]
             for j, i in enumerate(self._tuple_map(dst, src)):
                 bits[i] |= 1 << j
         else:  # projection
             bits = [1 << j for j in self._tuple_map(src, dst)]
-        tables = []
-        for base in range(0, len(bits), _CHUNK):
-            chunk = bits[base:base + _CHUNK]
-            table = [0] * (1 << len(chunk))
-            for v in range(1, len(table)):
-                table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
-            tables.append(table)
-        if len(tables) == 1:
-            return tables[0].__getitem__
+        return _bit_map(bits)
 
-        def image(body: int) -> int:
-            out = 0
-            for table in tables:
-                out |= table[body & _CHUNK_MASK]
-                body >>= _CHUNK
-            return out
-        return image
+    # ----- symmetries
+
+    def symmetries(self) -> list[Callable[[int], int]]:
+        """Generators of the universe's automorphism group, as maps on codes.
+
+        Attributes with equal-size domains form a class.  The first of a
+        class gets one map per two neighbouring values (in sorted order),
+        swapping them; every other one a map exchanging it with the one
+        before it in the class, values matched by rank.  The exchanges
+        carry the first attribute's swaps to the others, so these maps
+        generate every permutation of each domain and every exchange of
+        attributes with equal-size domains.  Each commutes with every
+        operation and fixes the four constants.
+        """
+        if self._symmetries is None:
+            dims = self._dims
+            same = list(range(len(dims)))
+            ranks = [range(d) for d in dims]
+            moves = []  # (target of each attribute, target rank of each value, moved attributes)
+            last: dict[int, int] = {}  # domain size -> last attribute with it
+            for p, d in enumerate(dims):
+                if d in last:
+                    q = last[d]
+                    perm = list(same)
+                    perm[p], perm[q] = q, p
+                    moves.append((perm, ranks, 1 << p | 1 << q))
+                else:
+                    for r in range(d - 1):
+                        swapped = [*range(r), r + 1, r, *range(r + 2, d)]
+                        moves.append((same, [*ranks[:p], swapped, *ranks[p + 1:]], 1 << p))
+                last[d] = p
+            self._symmetries = [self._symmetry(*move) for move in moves]
+        return self._symmetries
+
+    def _symmetry(self, perm: list[int], values: list[Sequence[int]],
+                  moved: int) -> Callable[[int], int]:
+        """The map on codes moving attribute `p` to `perm[p]` and its value
+        of rank `r` to rank `values[p][r]`; it fixes every code whose header
+        has none of the `moved` attributes, and is built per header on first use."""
+        off = self._offset
+        maps: dict[int, tuple[int, Callable[[int], int]]] = {}
+
+        def build(h: int) -> tuple[int, Callable[[int], int]]:
+            dst = sum(1 << perm[p] for p in range(len(perm)) if h >> p & 1)
+            index = self._tuple_map(h, dst, perm, values)
+            same = index == list(range(len(index)))  # only the header changes
+            got = maps[h] = off[dst], pos if same else _bit_map([1 << i for i in index])
+            return got
+
+        def apply(code: int) -> int:
+            h = bisect_right(off, code) - 1
+            if not h & moved:  # the map is the identity on this header
+                return code
+            base, body = maps.get(h) or build(h)
+            return base + body(code - off[h])
+        return apply
+
+    def least_codes(self) -> Iterator[int]:
+        """The least code of every orbit under `symmetries`, in increasing order.
+
+        On reaching a code that no earlier orbit holds, this walks the
+        code's orbit, records the code in `orbit_least` for every member,
+        and yields it.  So `orbit_least` covers every code below the one
+        yielded, and a caller that stops early pays only for the orbits
+        below where it stopped.
+        """
+        least, moves = self.orbit_least, self.symmetries()
+        for code in range(self.n):
+            if code not in least:
+                least[code] = code
+                todo = [code]
+                for x in todo:  # grows as the walk finds new members
+                    for move in moves:
+                        y = move(x)
+                        if y not in least:
+                            least[y] = code
+                            todo.append(y)
+            if least[code] == code:
+                yield code
 
     # ----- operations on codes
 
@@ -255,6 +350,30 @@ class RelationKernel:
 
         return (rows(True, int.__and__), rows(False, int.__or__),
                 tuple(map(self.comp, range(self.n))))
+
+
+def _bit_map(bits: list[int]) -> Callable[[int], int]:
+    """The map sending a body to the union of `bits[j]` over its set bits `j`.
+
+    It looks up `_CHUNK` body bits at a time in precomputed tables.
+    """
+    tables = []
+    for base in range(0, len(bits), _CHUNK):
+        chunk = bits[base:base + _CHUNK]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def image(body: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[body & _CHUNK_MASK]
+            body >>= _CHUNK
+        return out
+    return image
 
 
 class _Table(dict):

@@ -90,7 +90,7 @@ def assert_matches_relations(u, statement, limit=150):
     for env in assignments(u, statement, limit):
         counts, holds = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
         # the flat loop over this one assignment
-        got = code.run(*tables, k.n, [env], *leaves)
+        got = code.run(*tables, k.n, [env], range(k.n), [], *leaves)
         assert got == (counts, 1, None if holds else env), env
 
 
@@ -282,9 +282,9 @@ class TestFusedLoop:
         for u in (U1, U2)[:1 + (len(code.variables) <= 3)]:
             k = RelationKernel(u)
             tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
-            nested = code.run(*tables, k.n, None, *leaves)
+            nested = code.run(*tables, k.n, None, range(k.n), [], *leaves)
             flat = code.run(*tables, k.n, product(range(k.n), repeat=len(code.variables)),
-                            *leaves)
+                            range(k.n), [], *leaves)
             assert nested == flat
 
 

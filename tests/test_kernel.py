@@ -65,6 +65,23 @@ class TestCodes:
             assert k.encode(r) == i
             assert k.decode(i) == r
 
+    @pytest.mark.parametrize("decl", [
+        {"t": ("a", "b")},
+        {"t": ("a", "b"), "s": ("1", "2")},
+        {"a": ("1", "0"), "b": ("0", "1"), "c": ("1", "0")},
+        {"a": ("y", "x"), "b": ("3", "1", "2")},
+    ], ids=["u1", "u2", "2x2x2", "2x3"])
+    def test_decode_in_full_body_order(self, decl):
+        u = Universe.make(decl)
+        k = RelationKernel(u)
+        for code in range(k.n):
+            h = k.header(code)
+            header = tuple(a for i, a in enumerate(u.attributes) if h >> i & 1)
+            body = code - k.encode(Relation(header, ()))
+            space = u.full_body(header)
+            assert k.decode(code) == Relation(
+                header, tuple(t for i, t in enumerate(space) if body >> i & 1))
+
     def test_constants(self, u2, rels2):
         k = RelationKernel(u2)
         for kind in ConstantKind:

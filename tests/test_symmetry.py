@@ -1,0 +1,229 @@
+"""Symmetry-reduced exhaustive checks against the unreduced walk.
+
+Every permutation of a domain's values, and every exchange of attributes
+with equal-size domains, is an automorphism of a universe.  The kernel's
+generators of that group must commute with every operation and fix the
+four constants; their orbits must be those of the whole group applied to
+relations with `rlattice.universe`; and `check`, which tries only
+orbit-least values for the first variable, must report exactly what
+`verify_model` reports after walking every assignment.
+"""
+
+from itertools import permutations, product
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rlattice import (
+    ConstantKind,
+    Sample,
+    Universe,
+    Verdict,
+    check,
+    enumerate_relations,
+    free_variables,
+    model_from_universe,
+    parse_statement,
+    suite_catalog,
+    verify_model,
+)
+from rlattice import checker
+from rlattice.checker import Exhaustive
+from rlattice.kernel import RelationKernel
+from rlattice.terms import BINARY_OPS, Bin, Const, Eq, Imp, Lt, Ne, Neg, Or, Var
+
+U1 = Universe.make({"t": ("a", "b")})
+U2 = Universe.make({"t": ("a", "b"), "s": ("1", "2")})
+U3 = Universe.make({"a": ("0", "1"), "b": ("1", "0"), "c": ("0", "1")})  # 318 relations
+U23 = Universe.make({"a": ("y", "x"), "b": ("3", "1", "2")})  # unequal domains, 78 relations
+# Equal-size attributes with another one between them, and singleton domains.
+GAPPED = Universe.make({"a": ("q", "p"), "b": ("x",), "c": ("2", "1")})
+SINGLETONS = Universe.make({"a": ("x",), "b": ("1", "2"), "c": ("p",)})
+
+OPS = (RelationKernel.meet, RelationKernel.join, RelationKernel.star, RelationKernel.plus)
+
+
+def automorphisms(u):
+    """Every automorphism of `u` as a function on relations: each attribute
+    goes to one with a domain of the same size, and each value of rank `r`
+    in its sorted domain to the value of rank `ranks[r]` there."""
+    values = [sorted(d) for d in u.domains]
+    positions = range(len(values))
+    for target in permutations(positions):
+        if any(len(values[p]) != len(values[target[p]]) for p in positions):
+            continue
+        for ranks in product(*(permutations(range(len(v))) for v in values)):
+            rename = {u.attributes[p]: u.attributes[target[p]] for p in positions}
+            revalue = {u.attributes[p]: {v: values[target[p]][ranks[p][i]]
+                                         for i, v in enumerate(values[p])} for p in positions}
+
+            def move(r, rename=rename, revalue=revalue):
+                return u.relation([rename[a] for a in r.header],
+                                  [[revalue[a][v] for a, v in zip(r.header, row)]
+                                   for row in r.body])
+            yield move
+
+
+def reference_least(u):
+    """For each code, the least code its relation reaches under the whole group."""
+    k = RelationKernel(u)
+    group = list(automorphisms(u))
+    return [min(k.encode(g(r)) for g in group) for r in enumerate_relations(u)]
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("u", [U1, U2, U3, U23, GAPPED, SINGLETONS])
+    def test_permutations_fixing_the_constants(self, u):
+        k = RelationKernel(u)
+        for g in k.symmetries():
+            assert sorted(map(g, range(k.n))) == list(range(k.n))
+            for kind in ConstantKind:
+                assert g(k.const(kind)) == k.const(kind)
+
+    def test_every_pair_on_u2(self):
+        k = RelationKernel(U2)
+        assert len(k.symmetries()) == 2
+        for g, a, b in product(k.symmetries(), range(k.n), range(k.n)):
+            for op in OPS:
+                assert g(op(k, a, b)) == op(k, g(a), g(b))
+            assert g(k.comp(a)) == k.comp(g(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_pairs(self, data):
+        u = data.draw(st.sampled_from([U3, U23, GAPPED]))
+        k = RelationKernel(u)
+        a, b = (data.draw(st.integers(0, k.n - 1)) for _ in range(2))
+        for g in k.symmetries():
+            for op in OPS:
+                assert g(op(k, a, b)) == op(k, g(a), g(b))
+            assert g(k.comp(a)) == k.comp(g(a))
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("u, orbits", [(U1, 5), (U2, 11), (U3, 33), (U23, None),
+                                           (GAPPED, None), (SINGLETONS, None)])
+    def test_against_the_whole_group(self, u, orbits):
+        least = reference_least(u)
+        k = RelationKernel(u)
+        got = list(k.least_codes())
+        assert got == [c for c, m in enumerate(least) if m == c]
+        assert k.orbit_least == dict(enumerate(least))
+        if orbits is not None:
+            assert len(got) == orbits
+
+    def test_lazy_and_repeatable(self):
+        k = RelationKernel(U3)
+        first = next(iter(k.least_codes()))
+        assert first == 0 and k.orbit_least == {0: 0}
+        assert list(k.least_codes()) == list(k.least_codes())
+        assert len(k.orbit_least) == k.n
+
+
+# --- the reduced walk against the unreduced one ------------------------------
+
+VARS = [Var("x"), Var("y"), Var("z")]
+term = st.recursive(
+    st.one_of(st.sampled_from(VARS), st.sampled_from([Const(kind) for kind in ConstantKind])),
+    lambda sub: st.one_of(st.builds(Neg, sub),
+                          st.builds(Bin, st.sampled_from(BINARY_OPS), sub, sub)),
+    max_leaves=5)
+atom = st.builds(lambda kind, lhs, rhs: kind(lhs, rhs), st.sampled_from([Eq, Ne, Lt]), term, term)
+statements = st.one_of(
+    atom,
+    st.builds(Imp, st.lists(atom, min_size=1, max_size=2).map(tuple), atom),
+    st.lists(atom, min_size=2, max_size=3).map(lambda alts: Or(tuple(alts))),
+).filter(lambda s: len(free_variables(s)) >= 2)
+
+_models = {}
+
+
+def assert_as_unreduced(u, statement):
+    """`check` reports what `verify_model` reports over the bridged tables."""
+    if u not in _models:
+        _models[u] = model_from_universe(u), enumerate_relations(u)
+    model, rels = _models[u]
+    con = check(u, statement)
+    tab = verify_model(model, [statement])[0]
+    assert con.verdict is tab.verdict
+    assert con.assignments_tested == tab.assignments_tested
+    assert con.premise_satisfying == tab.premise_satisfying
+    if tab.witness is None:
+        assert con.witness is None
+    else:
+        assert con.witness == {n: rels[i] for n, i in tab.witness.items()}
+
+
+@pytest.fixture
+def reduce_every_check():
+    """Reduce checks of any length, so that small universes take the reduced path too."""
+    with mock.patch.object(checker, "_REDUCE_FROM", 0):
+        yield
+
+
+class TestReducedWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([U1, U2, U23]), statements)
+    def test_drawn_statements(self, u, statement):
+        with mock.patch.object(checker, "_REDUCE_FROM", 0):
+            assert_as_unreduced(u, statement)
+
+    @pytest.mark.parametrize("text", sorted(
+        {e.text for entries in suite_catalog().values() for e in entries
+         if len(free_variables(parse_statement(e.text))) == 2}))
+    def test_two_variable_catalog_on_u3(self, text):
+        assert_as_unreduced(U3, parse_statement(text))
+
+    @pytest.mark.parametrize("text", [
+        "x < y -> y < x",  # the premise holds at the first value of some skipped orbits
+        "x ^ y = R10 & y < x -> x = y",
+        "x v y = y -> x' v y' = x'",
+        "x ^ R10 = x & x < y -> y ^ x = x",  # a premise on the first variable alone
+    ])
+    def test_premise_counts(self, reduce_every_check, text):
+        for u in (U1, U2, U23):
+            assert_as_unreduced(u, parse_statement(text))
+
+    def test_three_variables_on_u3(self):
+        rep = check(U3, "x ^ (y ^ z) = (x ^ y) ^ z")
+        assert rep.verdict is Verdict.HOLDS
+        assert rep.assignments_tested == 318 ** 3 == 32_157_432
+
+
+class TestWhenReduced:
+    """Which checks try only orbit-least first values."""
+
+    @pytest.fixture
+    def walks(self):
+        calls = []
+        real = RelationKernel.least_codes
+
+        def spy(kernel):
+            calls.append(kernel.n)
+            return real(kernel)
+        with mock.patch.object(RelationKernel, "least_codes", spy):
+            yield calls
+
+    def test_uncapped_literal_free(self, walks):
+        check(U23, "x ^ y = y ^ x")
+        assert walks == [78]
+
+    def test_short_check(self, walks):
+        check(U2, "x ^ y = y ^ x")  # 676 assignments: too few to repay the orbits
+        assert walks == []
+
+    @pytest.mark.parametrize("text, mode", [
+        ("x ^ y = y ^ x", Exhaustive(max_assignments=78 ** 2 - 1)),
+        ("x ^ y = y ^ x", Sample(seed=1, samples=500)),
+        ("x ^ {(a=x)} = y ^ {(a=x)} -> x = y", Exhaustive()),
+        ("x' v x = x v R11", Exhaustive()),
+    ], ids=["capped", "sampled", "literal", "one-variable"])
+    def test_every_first_value_walked(self, reduce_every_check, walks, text, mode):
+        rep = check(U23, text, mode)
+        assert walks == []
+        if "{" not in text:
+            tab = verify_model(model_from_universe(U23), [parse_statement(text)], mode)[0]
+            assert (rep.verdict, rep.assignments_tested, rep.witness_text is None) == (
+                tab.verdict, tab.assignments_tested, tab.witness is None)
