@@ -21,7 +21,18 @@ codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
 `models.verify_model` over a model's flat tables.  `check` builds no
 enumeration: its kernel enforces the budget and decodes the witness
-codes into relations.
+codes into relations.  `check` is the one-shot case of `check_on`, which
+takes a kernel and its tables; `checker_for` keeps one kernel per
+universe for a run of checks (a suite, a statement file), so they share
+its image maps and symmetry orbits, and, while the kernel has at most
+`_SHARED_TABLE_PAIRS` code pairs, one set of operation tables.
+
+A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
+a carrier of at most 255 elements it takes the 32-bit words of one
+`getrandbits` call per chunk and keeps the top `n.bit_length()` bits of
+each, dropping the values `>= n`, with one `bytes.translate`; this
+gives the same values, draw for draw, as CPython 3.10-3.13's
+`randrange(n)`.
 
 An uncapped exhaustive `check` of a statement with two or more
 variables, no literals and at least `_REDUCE_FROM` assignments tries
@@ -44,8 +55,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import islice, product, repeat
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from itertools import chain, islice, product, repeat
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import terms
 # The budget names and `count_relations` are re-exported from here.
@@ -166,6 +177,12 @@ _NESTED = 10
 # only.  Finding the orbits costs up to N map applications per generator,
 # about as much as a check this short (under a millisecond on u1 or u2).
 _REDUCE_FROM = 4096
+# Most code pairs per operation for which `checker_for` shares one set of
+# operation tables across its checks: u1 (36) and u2 (676) share them,
+# three binary attributes (318 codes, 101,124 pairs) get fresh ones per check.
+_SHARED_TABLE_PAIRS = 65_536
+# 32-bit words per `getrandbits` call of a bulk draw stream.
+_DRAW_WORDS = 1024
 
 
 @lru_cache(maxsize=256)
@@ -322,7 +339,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     nested loops, or, when `max_assignments` stops it short, in the flat
     loop over the first `max_assignments` of them.  Sampled mode draws
     each variable as `Random(seed).randrange(n)` does in CPython
-    3.10-3.12: `getrandbits(n.bit_length())`, drawn again while `>= n`.
+    3.10-3.13 (see `_draws`).
     Implications count vacuous and premise-satisfying assignments
     separately.  A `symmetry` kernel over the carrier's codes lets the
     nested loops skip first values that are not orbit-least (see the
@@ -336,9 +353,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         cap = total if mode.max_assignments is None else max(mode.max_assignments, 0)
         envs = None if cap >= total else islice(product(range(n), repeat=arity), cap)
     else:
-        getrandbits = random.Random(mode.seed).getrandbits
-        # The accepted draws, grouped `arity` at a time into assignments.
-        draws = filter(n.__gt__, iter(partial(getrandbits, n.bit_length()), None))
+        # The draws, grouped `arity` at a time into assignments.
+        draws = _draws(random.Random(mode.seed).getrandbits, n)
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
     reduced = (symmetry is not None and envs is None and arity >= 2
                and n ** arity >= _REDUCE_FROM
@@ -369,6 +385,28 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     )
 
 
+def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
+    """The stream of `randrange(n)` values of the generator `getrandbits`.
+
+    CPython 3.10-3.13 draw each as `getrandbits(k)`, `k = n.bit_length()`,
+    drawn again while `>= n`, and `getrandbits(k)` is the top `k` bits of
+    one 32-bit output.  `getrandbits(32 * w)` holds the next `w` outputs,
+    the first in the lowest bits, so for `k <= 8` the top byte of each
+    word shifted right by `8 - k` gives the same draws, `_DRAW_WORDS` of
+    them per call.  Larger carriers draw one value per call.
+    """
+    k = n.bit_length()
+    if k > 8:
+        return filter(n.__gt__, iter(partial(getrandbits, k), None))
+    shift = 8 - k
+    table = bytes(b >> shift for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= n)
+    bits, size = 32 * _DRAW_WORDS, 4 * _DRAW_WORDS
+    return chain.from_iterable(  # a generator with `yield from` is slower
+        getrandbits(bits).to_bytes(size, "little")[3::4].translate(table, rejected)
+        for _ in repeat(None))
+
+
 def _skipped_premises(least: Mapping[int, int], starts: list[int], premise: int,
                       end: int) -> int:
     """Premise count of the first values below `end` that were skipped.
@@ -396,13 +434,44 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
 
     Assignments range over relation codes (`rlattice.kernel`), whose
     kernel raises `EnumerationBudgetError` past `enum_budget`; each code
-    of the witness is decoded into its relation once.
+    of the witness is decoded into its relation once.  This is
+    `check_on` with a kernel and tables of its own.
+    """
+    if isinstance(statement, str):  # a parse error comes before a budget error
+        statement = terms.parse_statement(statement)
+    kernel = RelationKernel(u, enum_budget)
+    return check_on(kernel, kernel.tables(), statement, mode)
+
+
+def checker_for(u: Universe, enum_budget: int = DEFAULT_ENUM_BUDGET
+                ) -> Callable[..., CheckReport]:
+    """`check` over `u` as a function of statement and mode, for many calls.
+
+    The calls share one kernel, so its image maps and symmetry orbits are
+    built once; while the kernel has at most `_SHARED_TABLE_PAIRS` code
+    pairs they also share one set of its lazy tables, and above that each
+    call gets tables of its own, freed when it returns.  The reports are
+    those of `check`.
+    """
+    kernel = RelationKernel(u, enum_budget)
+    shared = kernel.tables() if kernel.n * kernel.n <= _SHARED_TABLE_PAIRS else None
+
+    def decide(statement: terms.Statement | str, mode: Mode = Exhaustive()) -> CheckReport:
+        return check_on(kernel, shared or kernel.tables(), statement, mode)
+    return decide
+
+
+def check_on(kernel: RelationKernel, tables: Sequence, statement: terms.Statement | str,
+             mode: Mode = Exhaustive()) -> CheckReport:
+    """`check` over the universe of `kernel`, with tables from its `tables()`.
+
+    Filled table entries and the kernel's orbits carry over from earlier
+    checks; the report does not depend on them.
     """
     if isinstance(statement, str):
         statement = terms.parse_statement(statement)
-    kernel = RelationKernel(u, enum_budget)
     relations: dict[int, Relation] = {}  # the witness, decoded by `render`
-    report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
+    report = run_check(statement, kernel.n, tables=tables, leaf=kernel.leaf,
                        render=lambda code: terms.format_relation(
                            relations.setdefault(code, kernel.decode(code))), mode=mode,
                        symmetry=kernel)

@@ -74,8 +74,12 @@ class RelationKernel:
     a tuple space of `s` tuples costs image tables of about `32 * s`
     entries, each as wide as the target space: small for every universe
     whose relations can be enumerated, but growing with the square of
-    the space beyond that.  The image tables and the operation tables of
-    `tables` are kept per kernel, so a kernel lives as long as one check.
+    the space beyond that.  The image tables, symmetry maps and orbits are
+    kept per kernel and shared by every check that uses it:
+    `checker.checker_for` keeps one kernel per universe across a run's
+    checks.  The operation tables of `tables` are not kept on the kernel
+    (they hold its methods, so that would be a reference cycle): they
+    live as long as whoever asked for them.
     """
 
     def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
@@ -151,26 +155,6 @@ class RelationKernel:
 
     # ----- header-pair maps
 
-    def _tuple_map(self, big: int, small: int, perm: Sequence[int] | None = None,
-                   values: Sequence[Sequence[int]] | None = None) -> list[int]:
-        """For each tuple of header `big`, the index of its restriction to
-        `small`, after moving attribute `p` to `perm[p]` and its value of
-        rank `r` to rank `values[p][r]` (by default, moving nothing)."""
-        dims = self._dims
-        weights = {}
-        w = 1
-        for p in reversed(range(len(dims))):
-            if small >> p & 1:
-                weights[p] = w
-                w *= dims[p]
-        index = [0]
-        for p in range(len(dims)):
-            if big >> p & 1:
-                step = weights.get(p if perm is None else perm[p], 0)
-                ranks = range(dims[p]) if values is None else values[p]
-                index = [x + v * step for x in index for v in ranks]
-        return index
-
     def _image(self, src: int, dst: int) -> Callable[[int], int]:
         """Map from a body over header `src` to its body over header `dst`.
 
@@ -188,10 +172,10 @@ class RelationKernel:
             return pos  # the identity on ints
         if src & dst == src:  # cylinder
             bits = [0] * self._sizes[src]
-            for j, i in enumerate(self._tuple_map(dst, src)):
+            for j, i in enumerate(_tuple_map(self._dims, dst, src)):
                 bits[i] |= 1 << j
         else:  # projection
-            bits = [1 << j for j in self._tuple_map(src, dst)]
+            bits = [1 << j for j in _tuple_map(self._dims, src, dst)]
         return _bit_map(bits)
 
     # ----- symmetries
@@ -233,12 +217,14 @@ class RelationKernel:
         """The map on codes moving attribute `p` to `perm[p]` and its value
         of rank `r` to rank `values[p][r]`; it fixes every code whose header
         has none of the `moved` attributes, and is built per header on first use."""
-        off = self._offset
+        # The closures hold no reference to the kernel, which holds them: a
+        # kernel is freed as soon as its last user drops it, not by the cyclic GC.
+        off, dims = self._offset, self._dims
         maps: dict[int, tuple[int, Callable[[int], int]]] = {}
 
         def build(h: int) -> tuple[int, Callable[[int], int]]:
             dst = sum(1 << perm[p] for p in range(len(perm)) if h >> p & 1)
-            index = self._tuple_map(h, dst, perm, values)
+            index = _tuple_map(dims, h, dst, perm, values)
             same = index == list(range(len(index)))  # only the header changes
             got = maps[h] = off[dst], pos if same else _bit_map([1 << i for i in index])
             return got
@@ -350,6 +336,27 @@ class RelationKernel:
 
         return (rows(True, int.__and__), rows(False, int.__or__),
                 tuple(map(self.comp, range(self.n))))
+
+
+def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | None = None,
+               values: Sequence[Sequence[int]] | None = None) -> list[int]:
+    """For each tuple of header `big`, over domains of sizes `dims`, the
+    index of its restriction to `small`, after moving attribute `p` to
+    `perm[p]` and its value of rank `r` to rank `values[p][r]` (by
+    default, moving nothing)."""
+    weights = {}
+    w = 1
+    for p in reversed(range(len(dims))):
+        if small >> p & 1:
+            weights[p] = w
+            w *= dims[p]
+    index = [0]
+    for p in range(len(dims)):
+        if big >> p & 1:
+            step = weights.get(p if perm is None else perm[p], 0)
+            ranks = range(dims[p]) if values is None else values[p]
+            index = [x + v * step for x in index for v in ranks]
+    return index
 
 
 def _bit_map(bits: list[int]) -> Callable[[int], int]:

@@ -26,7 +26,7 @@ from .checker import (
     Exhaustive,
     Sample,
     Verdict,
-    check,
+    checker_for,
     count_relations,
 )
 from .universe import DEFAULT_FD_READING, FdReading, LatticeError, Universe, JOIN, MEET, OUTER
@@ -132,13 +132,12 @@ def discriminate_fd_reading(universes: Mapping[str, Universe] | None = None) -> 
     """Exhaustively test every candidate reading against the three laws."""
     if universes is None:
         universes = {"u1": standard_universes()["u1"]}
+    deciders = {uid: checker_for(u) for uid, u in universes.items()}
     rows = []
     for reading in ALL_FD_READINGS:
         verdicts: dict[str, dict[str, Verdict]] = {}
         for law, text in fd_law_texts(reading).items():
-            verdicts[law] = {
-                uid: check(u, text).verdict for uid, u in universes.items()
-            }
+            verdicts[law] = {uid: decide(text).verdict for uid, decide in deciders.items()}
         rows.append(ReadingVerdicts(reading, verdicts))
     return FdDiscrimination(tuple(rows))
 
@@ -377,7 +376,8 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
     """Check every entry of a registered suite over its universes.
 
     Entries whose assignment space exceeds `exhaustive_limit` run in
-    sampling mode instead, which can refute but never confirms.
+    sampling mode instead, which can refute but never confirms.  The
+    checks on one universe share a kernel (`checker.checker_for`).
     """
     catalog = suite_catalog(reading)
     if name not in catalog:
@@ -389,6 +389,7 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
                                 f"its universe ids are {', '.join(known)}")
     if universes is None:
         universes = standard_universes()
+    deciders = {uid: checker_for(u) for uid, u in universes.items()}
     results = []
     for entry in catalog[name]:
         stmt = entry.statement
@@ -397,10 +398,9 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
         for uid in entry.universes:
             if uid not in universes:
                 continue
-            u = universes[uid]
-            space = count_relations(u) ** nvars
+            space = count_relations(universes[uid]) ** nvars
             mode = Exhaustive() if space <= exhaustive_limit else Sample(seed, samples)
-            reports.append((uid, check(u, stmt, mode)))
+            reports.append((uid, deciders[uid](stmt, mode)))
         results.append(EntryResult(entry, tuple(reports)))
     return SuiteReport(name, tuple(results))
 

@@ -1,5 +1,7 @@
 """Enumeration, term evaluation, and the exhaustive/sampled checker."""
 
+import random
+
 import pytest
 
 from rlattice import (
@@ -19,6 +21,7 @@ from rlattice import (
     parse_statement,
     parse_term,
 )
+from rlattice import checker
 from rlattice.checker import run_check
 
 
@@ -144,6 +147,73 @@ class TestCheckSampled:
         b = check(u1, "x ^ (y v z) = (x ^ y) v (x ^ z)", Sample(seed=3, samples=5000))
         assert a.witness == b.witness
         assert a.assignments_tested == b.assignments_tested
+
+
+class TestDrawStream:
+    """Sampled checks draw the `Random(seed).randrange(n)` stream.
+
+    Carriers of up to 255 elements take it from bulk `getrandbits` calls,
+    larger ones one draw per call; both must give the values `randrange`
+    does, grouped `arity` at a time into assignments, including across
+    the boundaries of bulk calls and when a refutation stops the stream.
+    """
+
+    # Each assignment's variables are looked up in the complement table
+    # in order; the last statement stops at the first assignment with x != y.
+    STATEMENTS = {1: "x' = x'", 2: "x' = x' & y' = y' -> x = y",
+                  3: "x' = x' & y' = y' -> z' = z'"}
+
+    @staticmethod
+    def walked(n, seed, samples, arity):
+        """The assignments a sampled check over `range(n)` walked, and its report."""
+        seen = []
+
+        class Recorder:  # the complement table: records each lookup
+            def __getitem__(self, a):
+                seen.append(a)
+                return a
+        rep = run_check(parse_statement(TestDrawStream.STATEMENTS[arity]), n,
+                        tables=(None, None, None, None, Recorder()), leaf=None, render=str,
+                        mode=Sample(seed, samples))
+        return list(zip(*[iter(seen)] * arity)), rep
+
+    @staticmethod
+    def expected(n, seed, samples, arity):
+        r = random.Random(seed)
+        return [tuple(r.randrange(n) for _ in range(arity)) for _ in range(samples)]
+
+    def assert_stream(self, n, seed, samples, arity):
+        walked, rep = self.walked(n, seed, samples, arity)
+        want = self.expected(n, seed, samples, arity)
+        if arity == 2:  # stops after the first assignment with x != y
+            stop = next((i for i, (x, y) in enumerate(want, 1) if x != y), None)
+            if stop is not None:
+                want = want[:stop]
+                assert rep.verdict is Verdict.REFUTED
+                assert rep.witness == dict(zip("xy", want[-1]))
+        assert walked == want, (n, seed, arity)
+        assert rep.assignments_tested == len(want)
+
+    @pytest.mark.parametrize("words", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 20110604])
+    def test_every_carrier_size(self, monkeypatch, words, seed):
+        # Few words per bulk call, so that short streams cross many calls.
+        monkeypatch.setattr(checker, "_DRAW_WORDS", words)
+        for n in range(1, 301):
+            for arity in (1, 2, 3):
+                self.assert_stream(n, seed, 25, arity)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_bulk_calls(self, seed):
+        # Over 3,000 draws: more than two bulk calls of the default size.
+        for n in (1, 2, 3, 26, 127, 128, 129, 255, 256, 300):
+            for arity in (1, 3):
+                self.assert_stream(n, seed, 3100 // arity, arity)
+
+    def test_early_refutation_on_default_size(self):
+        # u2's 26 relations: the stream stops long before the first bulk call is used up.
+        walked, rep = self.walked(26, 3, 1000, 2)
+        assert rep.verdict is Verdict.REFUTED and len(walked) < 10
 
 
 class TestReports:
