@@ -21,11 +21,9 @@ codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
 `models.verify_model` over a model's flat tables.  `check` builds no
 enumeration: its kernel enforces the budget and decodes the witness
-codes into relations.  `check` is the one-shot case of `check_on`, which
-takes a kernel and its tables; `checker_for` keeps one kernel per
-universe for a run of checks (a suite, a statement file), so they share
-its image maps and symmetry orbits, and, while the kernel has at most
-`_SHARED_TABLE_PAIRS` code pairs, one set of operation tables.
+codes into relations.  A run of checks on one universe (a suite, a
+statement file) hands `check` one kernel for all of them, so they share
+its image maps, symmetry orbits and operation tables.
 
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one
@@ -177,10 +175,6 @@ _NESTED = 10
 # only.  Finding the orbits costs up to N map applications per generator,
 # about as much as a check this short (under a millisecond on u1 or u2).
 _REDUCE_FROM = 4096
-# Most code pairs per operation for which `checker_for` shares one set of
-# operation tables across its checks: u1 (36) and u2 (676) share them,
-# three binary attributes (318 codes, 101,124 pairs) get fresh ones per check.
-_SHARED_TABLE_PAIRS = 65_536
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
 
@@ -429,49 +423,22 @@ def _skipped_premises(least: Mapping[int, int], starts: list[int], premise: int,
 
 
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),
-          enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
+          enum_budget: int = DEFAULT_ENUM_BUDGET, kernel: RelationKernel | None = None
+          ) -> CheckReport:
     """Decide a statement over all relations of `u`.
 
     Assignments range over relation codes (`rlattice.kernel`), whose
     kernel raises `EnumerationBudgetError` past `enum_budget`; each code
-    of the witness is decoded into its relation once.  This is
-    `check_on` with a kernel and tables of its own.
+    of the witness is decoded into its relation once.  A `kernel` over
+    `u` is used instead of a new one, with the image maps, orbits and
+    table entries that earlier checks left in it; the report does not
+    depend on them.
     """
     if isinstance(statement, str):  # a parse error comes before a budget error
         statement = terms.parse_statement(statement)
-    kernel = RelationKernel(u, enum_budget)
-    return check_on(kernel, kernel.tables(), statement, mode)
-
-
-def checker_for(u: Universe, enum_budget: int = DEFAULT_ENUM_BUDGET
-                ) -> Callable[..., CheckReport]:
-    """`check` over `u` as a function of statement and mode, for many calls.
-
-    The calls share one kernel, so its image maps and symmetry orbits are
-    built once; while the kernel has at most `_SHARED_TABLE_PAIRS` code
-    pairs they also share one set of its lazy tables, and above that each
-    call gets tables of its own, freed when it returns.  The reports are
-    those of `check`.
-    """
-    kernel = RelationKernel(u, enum_budget)
-    shared = kernel.tables() if kernel.n * kernel.n <= _SHARED_TABLE_PAIRS else None
-
-    def decide(statement: terms.Statement | str, mode: Mode = Exhaustive()) -> CheckReport:
-        return check_on(kernel, shared or kernel.tables(), statement, mode)
-    return decide
-
-
-def check_on(kernel: RelationKernel, tables: Sequence, statement: terms.Statement | str,
-             mode: Mode = Exhaustive()) -> CheckReport:
-    """`check` over the universe of `kernel`, with tables from its `tables()`.
-
-    Filled table entries and the kernel's orbits carry over from earlier
-    checks; the report does not depend on them.
-    """
-    if isinstance(statement, str):
-        statement = terms.parse_statement(statement)
+    kernel = kernel or RelationKernel(u, enum_budget)
     relations: dict[int, Relation] = {}  # the witness, decoded by `render`
-    report = run_check(statement, kernel.n, tables=tables, leaf=kernel.leaf,
+    report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
                        render=lambda code: terms.format_relation(
                            relations.setdefault(code, kernel.decode(code))), mode=mode,
                        symmetry=kernel)

@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import suites as suites_mod
-from .checker import CheckReport, Exhaustive, Sample, Verdict, checker_for, enumerate_relations, count_relations
+from .checker import CheckReport, Exhaustive, Sample, Verdict, check, enumerate_relations, count_relations
+from .kernel import RelationKernel
 from .models import (
     format_model,
     load_model,
@@ -152,9 +153,10 @@ def cmd_check(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             statements = parse_statement_file(fh.read())
     mode = Exhaustive() if args.mode == "exhaustive" else Sample(args.seed, args.samples)
-    if statements:  # an empty file builds no kernel, so it passes on any universe
-        decide = checker_for(u)
-    reports = [decide(s, mode) for s in statements]
+    # One kernel for all the statements; none for an empty file, which
+    # therefore passes on any universe.
+    kernel = RelationKernel(u) if statements else None
+    reports = [check(u, s, mode, kernel=kernel) for s in statements]
     if args.format == "structured":
         doc = {"reports": [r.document(timing=args.timing) for r in reports]}
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)

@@ -28,8 +28,9 @@ bits, again through tables built lazily per header, and decode nothing.
 increasing order, for the checker's symmetry-reduced walk.
 
 `RelationKernel.tables` hands the checker operation tables whose entries
-are computed on first use, so a check computes each pair it reaches
-once; `bridge_tables` fills every entry for `models.model_from_universe`.
+are computed on first use, so the checks on one kernel compute each pair
+they reach once; `bridge_tables` fills every entry for
+`models.model_from_universe`.
 The relation-level functions in `rlattice.universe` are the reference
 these operations are tested against.
 """
@@ -40,6 +41,7 @@ from bisect import bisect_right
 from collections import Counter
 from operator import pos
 from typing import Callable, Iterator, Sequence
+from weakref import proxy
 
 from .terms import Const, Lit
 from .universe import ConstantKind, LatticeError, Relation, Universe
@@ -74,12 +76,12 @@ class RelationKernel:
     a tuple space of `s` tuples costs image tables of about `32 * s`
     entries, each as wide as the target space: small for every universe
     whose relations can be enumerated, but growing with the square of
-    the space beyond that.  The image tables, symmetry maps and orbits are
-    kept per kernel and shared by every check that uses it:
-    `checker.checker_for` keeps one kernel per universe across a run's
-    checks.  The operation tables of `tables` are not kept on the kernel
-    (they hold its methods, so that would be a reference cycle): they
-    live as long as whoever asked for them.
+    the space beyond that.  The image tables, symmetry maps, orbits and
+    operation tables are kept per kernel and shared by every check handed
+    it (`checker.check`'s `kernel`): a suite run, the reading harness and
+    `check -f FILE` keep one kernel per universe for all their checks.
+    Nothing the kernel keeps refers back to it, so it is freed, with all
+    of that, as soon as its last user drops it.
     """
 
     def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
@@ -110,6 +112,7 @@ class RelationKernel:
         # slows every other attribute lookup on it, in every table fill.
         self._symmetries: list[Callable[[int], int]] | None = None
         self.orbit_least: dict[int, int] = {}  # filled by `least_codes`
+        self._tables: tuple[dict[int, int], ...] | None = None
 
     # ----- codes and relations
 
@@ -304,13 +307,18 @@ class RelationKernel:
         """The meet, join, star, plus and complement tables of `checker.Compiled`.
 
         Entries are computed on first use, entry `a * n + b` of a binary
-        table by the operation on codes `a` and `b`, so a check pays only
-        for the pairs it reaches and each of them once.
+        table by the operation on codes `a` and `b`, so the checks given
+        this kernel pay only for the pairs they reach and each of them
+        once.  The tables are made on the first call and kept; they reach
+        the kernel through a weak proxy, so they must not be used after
+        it is gone.
         """
-        n = self.n
-        binary = [_Table(lambda key, op=op: op(*divmod(key, n)))
-                  for op in (self.meet, self.join, self.star, self.plus)]
-        return (*binary, _Table(self.comp))
+        if self._tables is None:
+            me, n = proxy(self), self.n
+            binary = [_Table(lambda key, op=op: getattr(me, op)(*divmod(key, n)))
+                      for op in ("meet", "join", "star", "plus")]
+            self._tables = (*binary, _Table(lambda a: me.comp(a)))
+        return self._tables
 
     def bridge_tables(self) -> tuple[Rows, Rows, tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as rows of codes.

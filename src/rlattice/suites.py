@@ -26,9 +26,10 @@ from .checker import (
     Exhaustive,
     Sample,
     Verdict,
-    checker_for,
+    check,
     count_relations,
 )
+from .kernel import RelationKernel
 from .universe import DEFAULT_FD_READING, FdReading, LatticeError, Universe, JOIN, MEET, OUTER
 
 DEFAULT_SEED = 20110604
@@ -132,12 +133,13 @@ def discriminate_fd_reading(universes: Mapping[str, Universe] | None = None) -> 
     """Exhaustively test every candidate reading against the three laws."""
     if universes is None:
         universes = {"u1": standard_universes()["u1"]}
-    deciders = {uid: checker_for(u) for uid, u in universes.items()}
+    kernels = {uid: RelationKernel(u) for uid, u in universes.items()}
     rows = []
     for reading in ALL_FD_READINGS:
         verdicts: dict[str, dict[str, Verdict]] = {}
         for law, text in fd_law_texts(reading).items():
-            verdicts[law] = {uid: decide(text).verdict for uid, decide in deciders.items()}
+            verdicts[law] = {uid: check(u, text, kernel=kernels[uid]).verdict
+                             for uid, u in universes.items()}
         rows.append(ReadingVerdicts(reading, verdicts))
     return FdDiscrimination(tuple(rows))
 
@@ -377,7 +379,7 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
 
     Entries whose assignment space exceeds `exhaustive_limit` run in
     sampling mode instead, which can refute but never confirms.  The
-    checks on one universe share a kernel (`checker.checker_for`).
+    checks on one universe share a kernel, built at its first check.
     """
     catalog = suite_catalog(reading)
     if name not in catalog:
@@ -389,7 +391,7 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
                                 f"its universe ids are {', '.join(known)}")
     if universes is None:
         universes = standard_universes()
-    deciders = {uid: checker_for(u) for uid, u in universes.items()}
+    kernels: dict[str, RelationKernel] = {}
     results = []
     for entry in catalog[name]:
         stmt = entry.statement
@@ -398,9 +400,12 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
         for uid in entry.universes:
             if uid not in universes:
                 continue
-            space = count_relations(universes[uid]) ** nvars
+            u = universes[uid]
+            if uid not in kernels:
+                kernels[uid] = RelationKernel(u)
+            space = count_relations(u) ** nvars
             mode = Exhaustive() if space <= exhaustive_limit else Sample(seed, samples)
-            reports.append((uid, deciders[uid](stmt, mode)))
+            reports.append((uid, check(u, stmt, mode, kernel=kernels[uid])))
         results.append(EntryResult(entry, tuple(reports)))
     return SuiteReport(name, tuple(results))
 

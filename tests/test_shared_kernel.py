@@ -1,12 +1,13 @@
 """One kernel per universe across a run of checks.
 
 `run_suite`, `discriminate_fd_reading` and the command line's
-`check -f` decide their statements with `checker.checker_for`, which
-shares one kernel per universe, and on small universes one set of lazy
-operation tables.  Their reports must be byte-identical to those of a
-one-shot `check` with a kernel of its own, whatever earlier checks left
-in the shared tables and orbits; and no kernel may outlive its run
-waiting for the cyclic garbage collector.
+`check -f` hand `checker.check` one kernel per universe, and with it one
+set of lazy operation tables.  Their reports must be byte-identical to
+those of a one-shot `check` with a kernel of its own, whatever earlier
+checks left in the shared tables and orbits; every check must still be
+a call of `check`, the function that profilers and the benchmark's
+tracer wrap; and no kernel may outlive its run waiting for the cyclic
+garbage collector.
 """
 
 import gc
@@ -29,7 +30,8 @@ from rlattice import (
     standard_universes,
     suite_catalog,
 )
-from rlattice.checker import _REDUCE_FROM, _SHARED_TABLE_PAIRS, check_on, checker_for
+from rlattice import checker, cli, suites
+from rlattice.checker import _REDUCE_FROM
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 from rlattice.suites import DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES
@@ -51,15 +53,28 @@ def kernels(monkeypatch):
 
 
 @pytest.fixture
-def tables_calls(monkeypatch):
-    """How often `RelationKernel.tables` is called while the test runs."""
-    calls = []
+def tables_made(monkeypatch):
+    """The distinct sets of operation tables handed out while the test runs."""
+    made = {}
     tables = RelationKernel.tables
 
     def spy(self):
-        calls.append(self.n)
-        return tables(self)
+        got = tables(self)
+        made[id(got)] = got
+        return got
     monkeypatch.setattr(RelationKernel, "tables", spy)
+    return made
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The number of calls of `check` through each module's own name for it."""
+    calls = {}
+    for module in (checker, suites, cli):
+        def counted(*args, _check=module.check, _name=module.__name__, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(module, "check", counted)
     return calls
 
 
@@ -80,28 +95,28 @@ def reduced(text, u):
 
 
 class TestSharing:
-    def test_run_suite_builds_one_kernel_and_tables_per_universe(self, kernels, tables_calls):
+    def test_run_suite_builds_one_kernel_and_tables_per_universe(self, kernels, tables_made):
         report = run_suite("bilattice")
         assert report.ok
-        assert len(kernels) == 2 and len(tables_calls) == 2  # u1 and u2
+        assert len(kernels) == 2 and len(tables_made) == 2  # u1 and u2
 
-    def test_fd_discrimination_shares_per_universe(self, kernels, tables_calls):
+    def test_fd_discrimination_shares_per_universe(self, kernels, tables_made):
         discriminate_fd_reading(standard_universes())
-        assert len(kernels) == 2 and len(tables_calls) == 2
+        assert len(kernels) == 2 and len(tables_made) == 2
 
-    def test_large_kernels_get_fresh_tables_per_check(self, kernels, tables_calls):
-        assert 318 * 318 > _SHARED_TABLE_PAIRS
-        decide = checker_for(THREE_BINARY)
+    def test_large_kernels_share_their_tables_too(self, kernels, tables_made):
+        kernel = RelationKernel(THREE_BINARY)
+        assert kernel.n == 318
         for text in ("x ^ y = y ^ x", "x'' = x", "x @ x = x v R11"):
-            assert decide(text).verdict is Verdict.HOLDS
-        assert len(kernels) == 1 and tables_calls == [318] * 3
+            assert check(THREE_BINARY, text, kernel=kernel).verdict is Verdict.HOLDS
+        assert len(kernels) == 1 and len(tables_made) == 1
 
-    def test_cli_check_file_shares_one_kernel(self, tmp_path, kernels, tables_calls, capsys):
+    def test_cli_check_file_shares_one_kernel(self, tmp_path, kernels, tables_made, capsys):
         (tmp_path / "u2.univ").write_text("t : a, b\ns : 1, 2\n")
         (tmp_path / "laws.stmt").write_text("x ^ y = y ^ x\nx ^ (y ^ z) = (x ^ y) ^ z\nx'' = x\n")
         assert main(["check", "-u", str(tmp_path / "u2.univ"),
                      "-f", str(tmp_path / "laws.stmt")]) == 0
-        assert len(kernels) == 1 and len(tables_calls) == 1
+        assert len(kernels) == 1 and len(tables_made) == 1
 
     def test_cli_empty_file_builds_no_kernel(self, tmp_path, kernels, capsys):
         # Past the enumeration budget, but there is nothing to check.
@@ -111,6 +126,24 @@ class TestSharing:
                      "-f", str(tmp_path / "empty.stmt"), "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out) == {"reports": []}
         assert kernels == []
+
+
+class TestEveryCheckIsACallOfCheck:
+    def test_run_suite(self, check_calls):
+        report = run_suite("bilattice")
+        assert check_calls == {"rlattice.suites": sum(len(r.reports) for r in report.results)}
+
+    def test_fd_discrimination(self, check_calls):
+        report = discriminate_fd_reading(standard_universes())
+        assert check_calls == {"rlattice.suites": sum(
+            len(by_uid) for row in report.rows for by_uid in row.verdicts.values())}
+
+    def test_cli_check_file(self, tmp_path, check_calls, capsys):
+        (tmp_path / "u2.univ").write_text("t : a, b\ns : 1, 2\n")
+        (tmp_path / "laws.stmt").write_text("x ^ y = y ^ x\nx'' = x\n")
+        assert main(["check", "-u", str(tmp_path / "u2.univ"),
+                     "-f", str(tmp_path / "laws.stmt")]) == 0
+        assert check_calls == {"rlattice.cli": 2}
 
 
 class TestNoCycles:
@@ -161,13 +194,12 @@ class TestSharedEqualsFresh:
 
     def test_reduced_checks_after_partial_orbits(self, u2):
         kernel = RelationKernel(u2)
-        tables = kernel.tables()
-        early = check_on(kernel, tables, "x ^ (y v z) = (x ^ y) v (x ^ z)")
+        early = check(u2, "x ^ (y v z) = (x ^ y) v (x ^ z)", kernel=kernel)
         assert early.verdict is Verdict.REFUTED
         assert 0 < len(kernel.orbit_least) < kernel.n  # the walk stopped partway
         texts = sorted({e.text for entries in suite_catalog().values() for e in entries
                         if "u2" in e.universes and reduced(e.text, u2)})
         assert any("->" in text for text in texts)  # premise counts of skipped values
         for text in texts:
-            assert check_on(kernel, tables, text).to_json() == check(u2, text).to_json(), text
+            assert check(u2, text, kernel=kernel).to_json() == check(u2, text).to_json(), text
         assert len(kernel.orbit_least) == kernel.n
