@@ -432,11 +432,14 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
     of the witness is decoded into its relation once.  A `kernel` over
     `u` is used instead of a new one, with the image maps, orbits and
     table entries that earlier checks left in it; the report does not
-    depend on them.
+    depend on them.  A kernel over another universe is an error.
     """
     if isinstance(statement, str):  # a parse error comes before a budget error
         statement = terms.parse_statement(statement)
-    kernel = kernel or RelationKernel(u, enum_budget)
+    if kernel is None:
+        kernel = RelationKernel(u, enum_budget)
+    elif kernel.u != u:
+        raise LatticeError("the kernel is over another universe than the check")
     relations: dict[int, Relation] = {}  # the witness, decoded by `render`
     report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
                        render=lambda code: terms.format_relation(

@@ -18,6 +18,7 @@ import pytest
 
 from rlattice import (
     Exhaustive,
+    LatticeError,
     Sample,
     Universe,
     Verdict,
@@ -117,6 +118,10 @@ class TestSharing:
         assert main(["check", "-u", str(tmp_path / "u2.univ"),
                      "-f", str(tmp_path / "laws.stmt")]) == 0
         assert len(kernels) == 1 and len(tables_made) == 1
+
+    def test_kernel_of_another_universe_is_rejected(self, u1, u2):
+        with pytest.raises(LatticeError, match="another universe"):
+            check(u1, "x = x", kernel=RelationKernel(u2))
 
     def test_cli_empty_file_builds_no_kernel(self, tmp_path, kernels, capsys):
         # Past the enumeration budget, but there is nothing to check.
