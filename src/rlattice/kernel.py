@@ -29,8 +29,10 @@ increasing order, for the checker's symmetry-reduced walk.
 
 `RelationKernel.tables` hands the checker operation tables whose entries
 are computed on first use, so the checks on one kernel compute each pair
-they reach once; `bridge_tables` fills every entry for
-`models.model_from_universe`.
+they reach once; `bridge_tables` fills every meet, join and complement
+entry for `models.model_from_universe`, moving each right operand's body
+once per pair of headers and taking every entry from one list of the
+codes.
 The relation-level functions in `rlattice.universe` are the reference
 these operations are tested against.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from operator import pos
 from typing import Callable, Iterator, Sequence
 from weakref import proxy
@@ -323,27 +326,35 @@ class RelationKernel:
     def bridge_tables(self) -> tuple[Rows, Rows, tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as rows of codes.
 
-        A row is filled one block of equal-header right operands at a
-        time: one target header and two image maps per block, then one
-        AND or OR per entry.
+        For each header of left operands, every block of equal-header
+        right operands gets its target header, the left image map and
+        the right bodies moved onto the target once; each row then takes
+        one AND or OR per entry.  Every entry is an item of one list of
+        the `n` codes, so the tables hold one int object per code.
         """
-        blocks = list(enumerate(self._sizes))  # (header mask, tuple-space size)
+        codes = list(range(self.n))
+        off, sizes = self._offset, self._sizes
+        # The codes over each header, by body: complementing a body reverses its block.
+        blocks = [codes[base:base + (1 << s)] for base, s in zip(off, sizes)]
 
-        def rows(union: bool, combine: Callable[[int, int], int]) -> Rows:
-            out = []
-            for ha, size_a in blocks:
+        def rows(union: bool) -> Rows:
+            out: list[tuple[int, ...]] = []
+            for ha, size_a in enumerate(sizes):
+                targets = []  # per right header: target codes, left image, moved right bodies
+                for hb, size_b in enumerate(sizes):
+                    h = ha | hb if union else ha & hb
+                    targets.append((blocks[h], self._image(ha, h),
+                                    list(map(self._image(hb, h), range(1 << size_b)))))
                 for body in range(1 << size_a):
                     row: list[int] = []
-                    for hb, size_b in blocks:
-                        h = ha | hb if union else ha & hb
-                        left, base = self._image(ha, h)(body), self._offset[h]
-                        row.extend(base + combine(left, right)
-                                   for right in map(self._image(hb, h), range(1 << size_b)))
+                    for block, image, rights in targets:
+                        left = image(body)
+                        row += ([block[left & right] for right in rights] if union
+                                else [block[left | right] for right in rights])
                     out.append(tuple(row))
             return tuple(out)
 
-        return (rows(True, int.__and__), rows(False, int.__or__),
-                tuple(map(self.comp, range(self.n))))
+        return rows(True), rows(False), tuple(chain.from_iterable(b[::-1] for b in blocks))
 
 
 def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | None = None,

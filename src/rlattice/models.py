@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
-from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel
+from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table
 from .terms import Bin, Const, Eq, Imp, Lit, Lt, Ne, Neg, Or, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
@@ -47,11 +47,12 @@ class FiniteModel:
         if n <= 0:
             raise ModelError("carrier must be nonempty")
         for name, table in (("meet", self.meet), ("join", self.join)):
-            if len(table) != n or any(len(row) != n for row in table):
+            if len(table) != n or set(map(len, table)) != {n}:
                 raise ModelError(f"{name} table must be {n}x{n}")
-            if any(not (0 <= x < n) for row in table for x in row):
+            entries = set().union(*table)
+            if min(entries) < 0 or max(entries) >= n:
                 raise ModelError(f"{name} table entry out of carrier range")
-        if len(self.comp) != n or any(not (0 <= x < n) for x in self.comp):
+        if len(self.comp) != n or min(self.comp) < 0 or max(self.comp) >= n:
             raise ModelError("complement table must map the carrier into itself")
         if not (0 <= self.r00 < n and 0 <= self.r11 < n):
             raise ModelError("constant out of carrier range")
@@ -85,18 +86,28 @@ class FiniteModel:
         )
 
 
-def _model_tables(m: FiniteModel) -> tuple[tuple[int, ...], ...]:
+def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
     """Flat meet, join, star, plus and complement tables of `checker.Compiled`.
 
-    Star and plus are derived once per call from their definitions.
+    Star and plus are derived from their definitions, entry `a * n + b`
+    on its first read: a check computes only the entries it reaches,
+    each once per call.
     """
-    n, r00, r11 = m.size, m.r00, m.r11
+    n = m.size
     M = tuple(chain.from_iterable(m.meet))
     J = tuple(chain.from_iterable(m.join))
-    rows = range(0, n * n, n)  # a * n for every element a
-    S = tuple(M[J[an + M[bn + r00]] * n + J[bn + M[an + r00]]] for an in rows for bn in rows)
-    P = tuple(J[M[an + J[bn + r11]] * n + M[bn + J[an + r11]]] for an in rows for bn in rows)
-    return M, J, S, P, m.comp
+    low = M[m.r00::n]  # a ^ R00 for every element a
+    high = J[m.r11::n]  # a v R11 for every element a
+
+    def star(key: int) -> int:  # (a v (b ^ R00)) ^ (b v (a ^ R00))
+        a, b = divmod(key, n)
+        return M[J[a * n + low[b]] * n + J[b * n + low[a]]]
+
+    def plus(key: int) -> int:  # (a ^ (b v R11)) v (b ^ (a v R11))
+        a, b = divmod(key, n)
+        return J[M[a * n + high[b]] * n + M[b * n + high[a]]]
+
+    return M, J, _Table(star), _Table(plus), m.comp
 
 
 def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
@@ -122,14 +133,29 @@ def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str,
     return report.witness if report.verdict is Verdict.REFUTED else None
 
 
+BRIDGE_PAIR_LIMIT = 1_000_000
+"""Most relation pairs, `n * n` for `n` relations, that `model_from_universe`
+fills tables for: 1,000 relations.  Three binary attributes (318) and a
+3x3 universe (530) bridge; four binary attributes (66,674) would fill
+4.4 G entries per table."""
+
+
+class BridgeSizeError(LatticeError):
+    """The universe has more relation pairs than `BRIDGE_PAIR_LIMIT`."""
+
+
 def model_from_universe(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteModel:
     """Abstract the concrete semantics of `u` into operation tables.
 
     The carrier is the canonical relation enumeration, so element `i` is
-    relation code `i`; the kernel fills every table entry and raises
-    `EnumerationBudgetError` past `budget`.
+    relation code `i`; the kernel fills every table entry.  It raises
+    `EnumerationBudgetError` past `budget` relations, and `BridgeSizeError`
+    past `BRIDGE_PAIR_LIMIT` pairs, before filling any entry.
     """
     k = RelationKernel(u, budget)
+    if k.n * k.n > BRIDGE_PAIR_LIMIT:
+        raise BridgeSizeError(f"universe has {k.n} relations, and bridging more than "
+                              f"{BRIDGE_PAIR_LIMIT} relation pairs is refused")
     meet, join, comp = k.bridge_tables()
     return FiniteModel(size=k.n, meet=meet, join=join, comp=comp,
                        r00=k.const(ConstantKind.R00), r11=k.r11)

@@ -158,6 +158,16 @@ class TestBridgeAndVerify:
                      "-e", "x ^ (y v z) = (x ^ y) v (x ^ z)"])
         assert code == 1
 
+    def test_too_many_pairs_exit_three(self, tmp_path, capsys):
+        universe = tmp_path / "u4.univ"
+        universe.write_text("".join(f"{name} : 0, 1\n" for name in "abcd"))
+        model_file = tmp_path / "m.model"
+        start = time.perf_counter()
+        assert main(["bridge", "-u", str(universe), "-o", str(model_file)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "66674 relations" in capsys.readouterr().err
+        assert not model_file.exists()
+
 
 class TestSearch:
     def test_find_and_write_model(self, tmp_path, capsys):

@@ -132,6 +132,29 @@ class TestBridge:
         assert rels2[m.r00] == constant(u2, ConstantKind.R00)
         assert rels2[m.r11] == constant(u2, ConstantKind.R11)
 
+    def test_two_by_three_tables_cell_for_cell(self):
+        u = Universe.make({"t": ("a", "b"), "s": ("1", "2", "3")})
+        rels = enumerate_relations(u)
+        m = model_from_universe(u)
+        index = {r: i for i, r in enumerate(rels)}
+        assert m.size == len(rels) == 78
+        assert m.meet == tuple(tuple(index[natural_join(u, r, s)] for s in rels) for r in rels)
+        assert m.join == tuple(tuple(index[inner_union(u, r, s)] for s in rels) for r in rels)
+        assert m.comp == tuple(index[complement(u, r)] for r in rels)
+        assert rels[m.r00] == constant(u, ConstantKind.R00)
+        assert rels[m.r11] == constant(u, ConstantKind.R11)
+
+    def test_three_binary_attributes_against_kernel(self):
+        u = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
+        k, m = RelationKernel(u), model_from_universe(u)
+        codes = range(k.n)
+        assert m.size == k.n == 318
+        assert m.meet == tuple(tuple(k.meet(a, b) for b in codes) for a in codes)
+        assert m.join == tuple(tuple(k.join(a, b) for b in codes) for a in codes)
+        assert m.comp == tuple(map(k.comp, codes))
+        # Every entry is one of n shared int objects, not an int of its own.
+        assert len({id(x) for row in m.meet + m.join for x in row}) <= m.size
+
 
 def catalog_laws(max_vars):
     texts = {e.text for entries in suite_catalog().values() for e in entries}

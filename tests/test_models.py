@@ -1,8 +1,14 @@
 """Abstract models: the universe bridge, verification, files, and search."""
 
+import time
+from itertools import chain
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlattice import (
+    BridgeSizeError,
     FiniteModel,
     ModelError,
     ModelSearchError,
@@ -19,6 +25,8 @@ from rlattice import (
     search_model,
     verify_model,
 )
+from rlattice.kernel import RelationKernel
+from rlattice.models import _model_tables
 
 # The canonical six-element countermodel tables, frozen from the universe
 # bridge followed by the element relabeling below; the bridge is the
@@ -63,6 +71,36 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             FiniteModel(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), (1, 0), 0, 5)
 
+    # One wrong entry in an otherwise valid model, each a case the
+    # validation must see: the last cell of a table, and each side of the
+    # carrier's range.
+    @pytest.mark.parametrize("field, cell, value", [
+        ("meet", (2, 2), 3),
+        ("join", (2, 2), 3),
+        ("meet", (1, 0), -1),
+        ("join", (0, 1), -1),
+        ("comp", 1, 3),
+        ("comp", 2, -1),
+    ], ids=["meet-last-cell", "join-last-cell", "meet-negative", "join-negative",
+            "comp-n", "comp-negative"])
+    def test_one_bad_entry(self, field, cell, value):
+        # The three-element chain 0 < 1 < 2, then one entry changed.
+        tables = {"meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                  "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}
+        comp = [2, 1, 0]
+
+        def model():
+            return FiniteModel(3, tuple(map(tuple, tables["meet"])),
+                               tuple(map(tuple, tables["join"])), tuple(comp), 0, 2)
+
+        model()
+        if field == "comp":
+            comp[cell] = value
+        else:
+            tables[field][cell[0]][cell[1]] = value
+        with pytest.raises(ModelError):
+            model()
+
 
 class TestBridge:
     def test_six_element_tables(self, m6):
@@ -98,10 +136,79 @@ class TestBridge:
         for rep in verify_model(m, minimal_axioms()):
             assert rep.verdict is Verdict.HOLDS, rep.statement
 
+    def test_pair_limit_refused_before_filling(self, tmp_path, capsys):
+        # 66,674 relations: 4.4 G entries per table.
+        u = Universe.make({name: ("0", "1") for name in "abcd"})
+        start = time.perf_counter()
+        with pytest.raises(BridgeSizeError, match="66674 relations"):
+            model_from_universe(u)
+        assert time.perf_counter() - start < 1.0
+        # 530 relations, the largest universe of two attributes that bridges.
+        assert model_from_universe(Universe.make({"a": "012", "b": "xyz"})).size == 530
+
     def test_verdicts_match_concrete_checks(self, u1, m6):
         for text in ["x ^ y = y ^ x", "x ^ (y v z) = (x ^ y) v (x ^ z)",
                      "x + (x * y) = x", "x * (x + y) = x"]:
             assert verify_model(m6, [text])[0].verdict == check(u1, text).verdict
+
+
+def eager_star_plus(m):
+    """Every star and plus entry, derived up front from the definitions."""
+    n, r00, r11 = m.size, m.r00, m.r11
+    M = tuple(chain.from_iterable(m.meet))
+    J = tuple(chain.from_iterable(m.join))
+    rows = range(0, n * n, n)  # a * n for every element a
+    S = tuple(M[J[an + M[bn + r00]] * n + J[bn + M[an + r00]]] for an in rows for bn in rows)
+    P = tuple(J[M[an + J[bn + r11]] * n + M[bn + J[an + r11]]] for an in rows for bn in rows)
+    return S, P
+
+
+@st.composite
+def arbitrary_models(draw):
+    """Tables with arbitrary entries: mostly not lattices at all."""
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    table = st.lists(st.lists(element, min_size=n, max_size=n).map(tuple),
+                     min_size=n, max_size=n).map(tuple)
+    return FiniteModel(n, draw(table), draw(table),
+                       tuple(draw(st.lists(element, min_size=n, max_size=n))),
+                       draw(element), draw(element))
+
+
+class TestModelTables:
+    """Star and plus are filled on first read; every entry must be what the
+    eager derivation gives, and what the kernel computes on codes."""
+
+    def assert_lazy_matches_eager(self, m):
+        M, J, S, P, C = _model_tables(m)
+        assert len(S) == len(P) == 0  # nothing derived before a read
+        keys = range(m.size * m.size)
+        assert (M, J, C) == (tuple(chain.from_iterable(m.meet)),
+                             tuple(chain.from_iterable(m.join)), m.comp)
+        # Backwards, so that no entry is read in the order it was derived.
+        assert ([S[i] for i in reversed(keys)][::-1],
+                [P[i] for i in reversed(keys)][::-1]) == tuple(map(list, eager_star_plus(m)))
+
+    def test_six_element_model(self, m6):
+        self.assert_lazy_matches_eager(m6)
+        self.assert_lazy_matches_eager(m6.relabel(RELABEL6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arbitrary_models())
+    def test_arbitrary_models(self, m):
+        self.assert_lazy_matches_eager(m)
+
+    @pytest.mark.parametrize("domains", [{"t": "ab", "s": "12"}, {"t": "ab", "s": "123"}])
+    def test_bridged_models_against_kernel(self, domains):
+        u = Universe.make(domains)
+        k, m = RelationKernel(u), model_from_universe(u)
+        _, _, S, P, _ = _model_tables(m)
+        n = m.size
+        for a in range(n):
+            for b in range(n):
+                assert S[a * n + b] == k.star(a, b), (a, b)
+                assert P[a * n + b] == k.plus(a, b), (a, b)
+        assert len(S) == len(P) == n * n
 
 
 class TestFindCounterexample:
