@@ -31,8 +31,8 @@ increasing order, for the checker's symmetry-reduced walk.
 are computed on first use, so the checks on one kernel compute each pair
 they reach once; `bridge_tables` fills every meet, join and complement
 entry for `models.model_from_universe`, moving each right operand's body
-once per pair of headers and taking every entry from one list of the
-codes.
+once per pair of headers and taking every entry from one list of each
+header's codes.
 The relation-level functions in `rlattice.universe` are the reference
 these operations are tested against.
 """
@@ -329,13 +329,12 @@ class RelationKernel:
         For each header of left operands, every block of equal-header
         right operands gets its target header, the left image map and
         the right bodies moved onto the target once; each row then takes
-        one AND or OR per entry.  Every entry is an item of one list of
-        the `n` codes, so the tables hold one int object per code.
+        one AND or OR per entry.  Every entry is taken from one list per
+        header of its codes, so the tables hold one int object per code.
         """
-        codes = list(range(self.n))
-        off, sizes = self._offset, self._sizes
+        sizes = self._sizes
         # The codes over each header, by body: complementing a body reverses its block.
-        blocks = [codes[base:base + (1 << s)] for base, s in zip(off, sizes)]
+        blocks = [list(range(base, base + (1 << s))) for base, s in zip(self._offset, sizes)]
 
         def rows(union: bool) -> Rows:
             out: list[tuple[int, ...]] = []
