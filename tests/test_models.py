@@ -136,14 +136,14 @@ class TestBridge:
         for rep in verify_model(m, minimal_axioms()):
             assert rep.verdict is Verdict.HOLDS, rep.statement
 
-    def test_pair_limit_refused_before_filling(self, tmp_path, capsys):
+    def test_pair_limit_refused_before_filling(self):
         # 66,674 relations: 4.4 G entries per table.
         u = Universe.make({name: ("0", "1") for name in "abcd"})
         start = time.perf_counter()
         with pytest.raises(BridgeSizeError, match="66674 relations"):
             model_from_universe(u)
         assert time.perf_counter() - start < 1.0
-        # 530 relations, the largest universe of two attributes that bridges.
+        # A 3x3 universe, 530 relations, still bridges.
         assert model_from_universe(Universe.make({"a": "012", "b": "xyz"})).size == 530
 
     def test_verdicts_match_concrete_checks(self, u1, m6):
@@ -185,7 +185,7 @@ class TestModelTables:
         keys = range(m.size * m.size)
         assert (M, J, C) == (tuple(chain.from_iterable(m.meet)),
                              tuple(chain.from_iterable(m.join)), m.comp)
-        # Backwards, so that no entry is read in the order it was derived.
+        # Read backwards: an entry must not depend on which entries were read before it.
         assert ([S[i] for i in reversed(keys)][::-1],
                 [P[i] for i in reversed(keys)][::-1]) == tuple(map(list, eager_star_plus(m)))
 
