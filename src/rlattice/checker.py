@@ -19,7 +19,10 @@ over the assignments they are handed.  `run_check` runs that code over
 any carrier `range(n)` that supplies such tables: `check` over relation
 codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
-`models.verify_model` over a model's flat tables.  `check` builds no
+`models.verify_model` over a model's flat tables.  The compiled form is
+kept per statement, with the statement's printed text for its reports,
+and a statement keeps its hash (see `terms`), so checking a statement
+again costs one dictionary probe before its loop runs.  `check` builds no
 enumeration: its kernel enforces the budget and decodes the witness
 codes into relations.  A run of checks on one universe (a suite, a
 statement file) hands `check` one kernel for all of them, so they share
@@ -157,12 +160,15 @@ class Compiled(NamedTuple):
     loop.  `M J S P` are the meet, join, star and plus tables indexed
     `a * N + b` and `C` the complement table; `leaf_values` are the
     elements of the constants and literals in `leaves`, supplied anew by
-    every caller and universe.
+    every caller and universe.  `text` is the statement as
+    `terms.format_statement` prints it, the name of the generated code
+    and the `statement` of every report.
     """
 
     variables: tuple[str, ...]
     leaves: tuple[terms.Term, ...]
     run: Callable
+    text: str
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
@@ -289,9 +295,9 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     source += ["        " + line for line in innermost("i")]
     source.append("    return premise, i, None")
     namespace: dict[str, Any] = {"product": product}
-    exec(compile("\n".join(source) + "\n", f"<{terms.format_statement(statement)}>", "exec"),
-         namespace)
-    return Compiled(variables, tuple(leaves), namespace["run"])
+    text = terms.format_statement(statement)
+    exec(compile("\n".join(source) + "\n", f"<{text}>", "exec"), namespace)
+    return Compiled(variables, tuple(leaves), namespace["run"], text)
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
@@ -368,7 +374,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     else:  # a sampled pass is not a proof, so never HOLDS
         verdict = Verdict.BUDGET_EXHAUSTED
     return CheckReport(
-        statement=terms.format_statement(statement),
+        statement=code.text,
         verdict=verdict,
         witness=witness,
         witness_text=None if witness is None else {v: render(e) for v, e in witness.items()},

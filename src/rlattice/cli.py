@@ -8,6 +8,7 @@ Structured output is deterministic JSON (timings only with --timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,7 +61,10 @@ def _output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", metavar="FILE", help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rlattice` parser, built once per process: parsing leaves it as
+    it is (an `append` option copies its default list before appending)."""
     top = _Parser(prog="rlattice", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

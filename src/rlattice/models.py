@@ -307,6 +307,27 @@ def _core_term(t: Term) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+GROUND_TERM_LIMIT = 1_000_000
+"""Most nodes that `search_model` grounds per axiom or goal, counted after
+`*`, `+` and `@` are rewritten (`_core_term`).  The rewriting copies each
+operand twice, so a chain of k such operators has about 2^k nodes: 16
+`+` operands give 327,671, 18 give 1,310,711."""
+
+
+def _core_size(t: Term) -> int:
+    """Node count of `_core_term(t)`, without building it."""
+    if isinstance(t, Const):
+        return 3 if t.kind in (ConstantKind.R10, ConstantKind.R01) else 1
+    if isinstance(t, Neg):
+        return 1 + _core_size(t.item)
+    if isinstance(t, Bin):
+        a, b = _core_size(t.left), _core_size(t.right)
+        if t.op in ("^", "v"):
+            return 1 + a + b
+        return (11 if t.op == "@" else 7) + 2 * (a + b)  # each operand twice
+    return 1
+
+
 # postfix opcodes
 _PUSH_ELEM, _PUSH_CELL, _APPLY, _COMP = 0, 1, 2, 3
 # evaluation outcomes
@@ -645,6 +666,12 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
             )
         parsed_axioms.append(stmt)
     parsed_goals = [_as_statement(g, goal=True) for g in goals]
+    for stmt in (*parsed_axioms, *parsed_goals):
+        nodes = sum(_core_size(a.lhs) + _core_size(a.rhs) for a in terms._atoms(stmt))
+        if nodes > GROUND_TERM_LIMIT:
+            raise ModelSearchError(
+                f"{nodes} nodes once `*`, `+` and `@` are rewritten, more than the "
+                f"{GROUND_TERM_LIMIT} grounded per statement: {terms.format_statement(stmt)}")
 
     start = time.monotonic()
     deadline = start + budget if budget is not None else None

@@ -19,6 +19,9 @@ operators (binary or `'`) on any path from the root to a leaf, and at
 most that many parentheses open at once.  Deeper input is a `ParseError`,
 so no later recursive walk over a term (evaluating, hashing, printing)
 runs out of stack.
+
+A statement (but not a term) computes its hash once and keeps it, out
+of its pickled and copied state (see `_hash_once`).
 """
 
 from __future__ import annotations
@@ -95,18 +98,46 @@ Term = Var | Const | Lit | Neg | Bin
 
 # --- statements ------------------------------------------------------------
 
+def _hash_once(cls):
+    """Make a statement class keep its structural hash after the first use.
+
+    A statement is a dictionary key wherever it is compiled or looked up,
+    and its dataclass hash walks the whole term tree each time; this one
+    walks it once per object.  The kept value is left out of the pickled
+    and copied state: it is built from `str` and `Enum` hashes, which
+    differ from one process to the next.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", structural(self))
+            return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Eq:
     lhs: Term
     rhs: Term
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Ne:
     lhs: Term
     rhs: Term
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Lt:
     """Order assertion lhs < rhs in the lattice order."""
@@ -118,6 +149,7 @@ class Lt:
 Atom = Eq | Ne | Lt
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Imp:
     """Horn implication: a conjunction of atoms entails one atom."""
@@ -126,6 +158,7 @@ class Imp:
     conclusion: Atom
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or:
     """Goal-only disjunction of atoms (model search falsifies all branches)."""

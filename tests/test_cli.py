@@ -189,6 +189,15 @@ class TestSearch:
         code = main(["search", "-f", str(axiom_file), "-e", "x = x", "--sizes", "2..3"])
         assert code == 2
 
+    def test_runaway_grounding_exit_three(self, tmp_path, capsys):
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("x ^ y = y ^ x\n")
+        start = time.perf_counter()
+        assert main(["search", "-f", str(axiom_file), "-e", " + ".join(["x"] * 40) + " = x",
+                     "--sizes", "2..3"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "nodes once" in capsys.readouterr().err
+
     def test_bad_sizes_exit_three(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"
         axiom_file.write_text("x ^ y = y ^ x\n")
@@ -213,3 +222,30 @@ class TestWideUniverses:
         assert main(argv) == 3
         assert time.perf_counter() - start < 2.0
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRepeatedCalls:
+    def test_same_output_twice_in_one_process(self, u1_file, u2_file, capsys):
+        # The parser is built once per process; nothing one call parses may
+        # leak into the next.  Were the `-u` default list shared, the
+        # second round's `-u u1` suite would also run on u2.
+        scenarios = [
+            ["suite", "nand"],
+            ["suite", "nand", "-u", u1_file],
+            ["suite", "broken-laws", "-u", u1_file, "-u", u2_file, "--format", "structured"],
+            ["--help"],
+            ["check", "--mode", "nope"],
+        ]
+        rounds = []
+        for _ in range(2):
+            outcome = []
+            for argv in scenarios:
+                code = main(argv)
+                captured = capsys.readouterr()
+                outcome.append((code, captured.out, captured.err))
+            rounds.append(outcome)
+        assert rounds[0] == rounds[1]
+        assert [code for code, _, _ in rounds[0]] == [0, 0, 0, 0, 3]
+        assert "u1=HOLDS, u2=HOLDS" in rounds[0][0][1]
+        assert "u2" not in rounds[0][1][1]
+        assert "usage: rlattice" in rounds[0][3][1] and "usage:" in rounds[0][4][2]

@@ -38,16 +38,20 @@ from rlattice import (
     check,
     enumerate_relations,
     evaluate,
+    format_statement,
     free_variables,
     leq,
+    minimal_axioms,
     model_from_universe,
     parse_goal,
     parse_statement,
+    run_suite,
     suite_catalog,
     verify_model,
 )
 from rlattice.checker import compile_statement, run_check
 from rlattice.kernel import RelationKernel
+from rlattice.suites import SUITE_NAMES
 from rlattice.terms import BINARY_OPS
 
 U1 = Universe.make({"t": ("a", "b")})
@@ -160,6 +164,11 @@ FEATURES = [
 GOALS = ["x ^ R00 = R10 | x v R01 = R01 | x' != x", "x @ y < x | x = {(t=a), (t=b)}"]
 
 
+# Every catalog statement; the minimal axioms are among them.
+CATALOG = sorted({e.text for entries in suite_catalog().values() for e in entries}
+                 | set(minimal_axioms()))
+
+
 class TestAgainstRelations:
     @pytest.mark.parametrize("u", [U1, U2], ids=["u1", "u2"])
     @pytest.mark.parametrize("text", FEATURES + GOALS)
@@ -184,6 +193,22 @@ class TestCompiled:
         text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
         assert compile_statement(parse_statement(text)) is compile_statement(
             parse_statement(text))
+
+    def test_text_is_the_printed_statement(self):
+        for text in CATALOG:
+            statement = parse_statement(text)
+            assert compile_statement(statement).text == format_statement(statement)
+
+    def test_reports_name_their_statement(self):
+        mode = Exhaustive(max_assignments=100)
+        statements = [parse_statement(text) for text in CATALOG]
+        expected = [format_statement(s) for s in statements]
+        assert [check(U1, s, mode).statement for s in statements] == expected
+        assert [r.statement for r in verify_model(model_of(U1), statements, mode)] == expected
+        for name in SUITE_NAMES:
+            for res in run_suite(name).results:
+                for _, rep in res.reports:
+                    assert rep.statement == format_statement(res.entry.statement)
 
 
 # --- the generated loop against a reference loop ------------------------------

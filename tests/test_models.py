@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlattice import (
+    Bin,
     BridgeSizeError,
+    Const,
+    ConstantKind,
     FiniteModel,
     ModelError,
     ModelSearchError,
+    Neg,
     Universe,
+    Var,
     Verdict,
     check,
     find_counterexample,
@@ -20,13 +25,15 @@ from rlattice import (
     minimal_axioms,
     model_from_universe,
     parse_model,
+    parse_term,
     pretty_model,
     refutes,
     search_model,
     verify_model,
 )
 from rlattice.kernel import RelationKernel
-from rlattice.models import _model_tables
+from rlattice.models import GROUND_TERM_LIMIT, _core_size, _core_term, _model_tables
+from rlattice.terms import BINARY_OPS
 
 # The canonical six-element countermodel tables, frozen from the universe
 # bridge followed by the element relabeling below; the bridge is the
@@ -331,3 +338,59 @@ class TestSearch:
         # refute transitivity-of-equality premise chain: impossible, so exhaust
         out = search_model(["x ^ y = y ^ x"], ["x = y -> x = y"], [2])
         assert not out.found
+
+
+
+def plus_chain(operands):
+    """`x + x + ... + x` with `operands` operands."""
+    return " + ".join(["x"] * operands)
+
+
+def node_count(t):
+    if isinstance(t, Neg):
+        return 1 + node_count(t.item)
+    if isinstance(t, Bin):
+        return 1 + node_count(t.left) + node_count(t.right)
+    return 1
+
+
+def operator_count(t):
+    if isinstance(t, Neg):
+        return 1 + operator_count(t.item)
+    if isinstance(t, Bin):
+        return 1 + operator_count(t.left) + operator_count(t.right)
+    return 0
+
+
+search_terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), *(Const(kind) for kind in ConstantKind)]),
+    lambda sub: st.one_of(st.builds(Neg, sub), st.builds(Bin, st.sampled_from(BINARY_OPS), sub, sub)),
+    max_leaves=8,
+).filter(lambda t: operator_count(t) <= 10)
+
+
+class TestGroundingLimit:
+    """Rewriting `*`, `+` and `@` copies each operand twice, so a long
+    chain of them is refused before any size is searched."""
+
+    def test_long_chain_refused_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(ModelSearchError, match=f"more than the {GROUND_TERM_LIMIT}"):
+            search_model(minimal_axioms(), [plus_chain(40) + " = x"], range(2, 3))
+        with pytest.raises(ModelSearchError, match="nodes once"):
+            search_model([plus_chain(40) + " = x"], [], range(2, 3))
+        assert time.perf_counter() - start < 1.0
+
+    def test_sixteen_operands_still_search(self):
+        out = search_model([], [plus_chain(16) + " = x"], range(2, 3))
+        assert (out.found, out.size, out.sizes_excluded, out.nodes) == (True, 2, (), 13)
+        assert out.model == FiniteModel(2, ((0, 0), (0, 0)), ((1, 0), (0, 0)), (0, 0), 0, 0)
+
+    def test_chain_sizes(self):
+        assert _core_size(parse_term(plus_chain(16))) == 327_671
+        assert _core_size(parse_term(plus_chain(18))) > GROUND_TERM_LIMIT
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_terms)
+    def test_count_equals_rewritten_nodes(self, t):
+        assert _core_size(t) == node_count(_core_term(t))

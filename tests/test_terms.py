@@ -1,9 +1,15 @@
 """Parser, printer, and statement syntax."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rlattice
 from rlattice import (
     Bin,
     Const,
@@ -33,6 +39,7 @@ from rlattice import (
     search_model,
     verify_model,
 )
+from rlattice.checker import compile_statement
 from rlattice.terms import MAX_TERM_DEPTH
 
 
@@ -256,6 +263,11 @@ def statements(draw):
     return Or(tuple(draw(st.lists(atom, min_size=2, max_size=3))))
 
 
+def reparse(s):
+    text = format_statement(s)
+    return parse_goal(text) if isinstance(s, Or) else parse_statement(text)
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(terms_strategy())
@@ -265,9 +277,66 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(statements())
     def test_statements(self, s):
-        text = format_statement(s)
-        reparsed = parse_goal(text) if isinstance(s, Or) else parse_statement(text)
-        assert reparsed == s
+        assert reparse(s) == s
+
+
+# One of each statement class, with variables, constants and a literal,
+# whose hashes all depend on the process's string hash seed.
+HASHED_TEXTS = [
+    "x ^ (y v z) = (x ^ y) v (x ^ z)",
+    "{(t=a)} ^ x != R10",
+    "x < x v (y @ z)",
+    "x ^ y = x & y ^ x = y -> x = y",
+    "x v R00 = R00 | x v R00 = R00'",
+]
+
+# Run under two hash seeds: the first pickles each statement, after
+# hashing and compiling it, and a deep copy of it; the second loads
+# both and requires them to act as a fresh parse would.
+DUMP = """
+import copy, pickle, sys
+from rlattice import parse_goal
+from rlattice.checker import compile_statement
+stmts = [parse_goal(t) for t in sys.argv[1:]]
+for s in stmts:
+    compile_statement(s)
+sys.stdout.buffer.write(pickle.dumps((stmts, [copy.deepcopy(s) for s in stmts])))
+"""
+LOAD = """
+import pickle, sys
+from rlattice import parse_goal
+from rlattice.checker import compile_statement
+plain, copied = pickle.loads(sys.stdin.buffer.read())
+for text, a, b in zip(sys.argv[1:], plain, copied):
+    fresh = parse_goal(text)
+    code = compile_statement(fresh)
+    assert a == b == fresh and hash(a) == hash(b) == hash(fresh), text
+    assert compile_statement(a) is code and compile_statement(b) is code, text
+print(len(plain))
+"""
+
+
+class TestStatementHash:
+    @settings(max_examples=100, deadline=None)
+    @given(statements())
+    def test_equal_statements_hash_and_compile_alike(self, s):
+        again = reparse(s)
+        assert hash(s) == hash(again)
+        # the dataclass's structural hash, over every field
+        assert hash(s) == hash(tuple(getattr(s, f.name) for f in dataclasses.fields(s)))
+        assert compile_statement(reparse(s)) is compile_statement(again)
+
+    def test_hash_not_pickled_or_copied(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rlattice.__file__)))
+
+        def run(script, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script, *HASHED_TEXTS], input=data,
+                                  env=env, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        assert run(LOAD, 2, run(DUMP, 1)) == b"5\n"
 
 
 class TestFormatRelation:
