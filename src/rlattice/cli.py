@@ -22,9 +22,10 @@ from .models import (
     model_from_universe,
     pretty_model,
     search_model,
+    table_rows,
     verify_model,
 )
-from .terms import format_relation, parse_goal, parse_statement, parse_statement_file
+from .terms import Statement, format_relation, parse_goal, parse_statement, parse_statement_file
 from .universe import LatticeError, Universe
 
 EXIT_OK = 0
@@ -141,32 +142,37 @@ def _report_human(rep: CheckReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _exit_for(verdicts: list[Verdict]) -> int:
-    if any(v is Verdict.REFUTED for v in verdicts):
+def _statements(args) -> list[Statement]:
+    """The `-e` statement, or every statement of the `-f` file."""
+    if args.statement is not None:
+        return [parse_statement(args.statement)]
+    with open(args.file, encoding="utf-8") as fh:
+        return parse_statement_file(fh.read())
+
+
+def _write_reports(reports: list[CheckReport], args) -> int:
+    """Write the reports of `check` or `verify-model`; returns the exit code."""
+    if args.format == "structured":
+        doc = {"reports": [r.document(timing=args.timing) for r in reports]}
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+    else:
+        _emit("\n".join(_report_human(r) for r in reports), args.output)
+    verdicts = [r.verdict for r in reports]
+    if Verdict.REFUTED in verdicts:
         return EXIT_REFUTED
-    if any(v is Verdict.BUDGET_EXHAUSTED for v in verdicts):
+    if Verdict.BUDGET_EXHAUSTED in verdicts:
         return EXIT_BUDGET
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     u = Universe.load(args.universe)
-    if args.statement is not None:
-        statements = [parse_statement(args.statement)]
-    else:
-        with open(args.file, encoding="utf-8") as fh:
-            statements = parse_statement_file(fh.read())
+    statements = _statements(args)
     mode = Exhaustive() if args.mode == "exhaustive" else Sample(args.seed, args.samples)
     # One kernel for all the statements; none for an empty file, which
     # therefore passes on any universe.
     kernel = RelationKernel(u) if statements else None
-    reports = [check(u, s, mode, kernel=kernel) for s in statements]
-    if args.format == "structured":
-        doc = {"reports": [r.document(timing=args.timing) for r in reports]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        _emit("\n".join(_report_human(r) for r in reports), args.output)
-    return _exit_for([r.verdict for r in reports])
+    return _write_reports([check(u, s, mode, kernel=kernel) for s in statements], args)
 
 
 def _parse_sizes(text: str) -> range:
@@ -195,8 +201,8 @@ def cmd_search(args) -> int:
         }
         if outcome.model:
             doc["model"] = {
-                "meet": [list(r) for r in outcome.model.meet],
-                "join": [list(r) for r in outcome.model.join],
+                "meet": [list(r) for r in table_rows(outcome.model.meet, outcome.size)],
+                "join": [list(r) for r in table_rows(outcome.model.join, outcome.size)],
                 "complement": list(outcome.model.comp),
                 "R00": outcome.model.r00,
                 "R11": outcome.model.r11,
@@ -222,18 +228,7 @@ def cmd_search(args) -> int:
 
 def cmd_verify_model(args) -> int:
     m = load_model(args.model)
-    if args.statement is not None:
-        statements = [parse_statement(args.statement)]
-    else:
-        with open(args.file, encoding="utf-8") as fh:
-            statements = parse_statement_file(fh.read())
-    reports = verify_model(m, statements)
-    if args.format == "structured":
-        doc = {"reports": [r.document(timing=args.timing) for r in reports]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        _emit("\n".join(_report_human(r) for r in reports), args.output)
-    return _exit_for([r.verdict for r in reports])
+    return _write_reports(verify_model(m, _statements(args)), args)
 
 
 def cmd_enumerate(args) -> int:

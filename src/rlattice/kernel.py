@@ -30,9 +30,9 @@ increasing order, for the checker's symmetry-reduced walk.
 `RelationKernel.tables` hands the checker operation tables whose entries
 are computed on first use, so the checks on one kernel compute each pair
 they reach once; `bridge_tables` fills every meet, join and complement
-entry for `models.model_from_universe`, moving each right operand's body
-once per pair of headers and taking every entry from one list of each
-header's codes.
+entry for `models.model_from_universe`, in its flat layout, moving each
+right operand's body once per pair of headers and taking every entry from
+one list of each header's codes.
 The relation-level functions in `rlattice.universe` are the reference
 these operations are tested against.
 """
@@ -53,8 +53,6 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 
 _CHUNK = 8  # body bits per image-table lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
-
-Rows = tuple[tuple[int, ...], ...]
 
 
 class EnumerationBudgetError(LatticeError):
@@ -323,21 +321,23 @@ class RelationKernel:
             self._tables = (*binary, _Table(lambda a: me.comp(a)))
         return self._tables
 
-    def bridge_tables(self) -> tuple[Rows, Rows, tuple[int, ...]]:
-        """Every entry of the meet, join and complement tables, as rows of codes.
+    def bridge_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Every entry of the meet, join and complement tables, as flat tuples
+        of codes: entry `a * n + b` of a binary table is the operation on
+        codes `a` and `b`, the layout of `models.FiniteModel`.
 
         For each header of left operands, every block of equal-header
         right operands gets its target header, the left image map and
-        the right bodies moved onto the target once; each row then takes
-        one AND or OR per entry.  Every entry is taken from one list per
-        header of its codes, so the tables hold one int object per code.
+        the right bodies moved onto the target once; each left code then
+        takes one AND or OR per entry.  Every entry is taken from one list
+        per header of its codes, so the tables hold one int object per code.
         """
         sizes = self._sizes
         # The codes over each header, by body: complementing a body reverses its block.
         blocks = [list(range(base, base + (1 << s))) for base, s in zip(self._offset, sizes)]
 
-        def rows(union: bool) -> Rows:
-            out: list[tuple[int, ...]] = []
+        def flat(union: bool) -> tuple[int, ...]:
+            out: list[int] = []
             for ha, size_a in enumerate(sizes):
                 targets = []  # per right header: target codes, left image, moved right bodies
                 for hb, size_b in enumerate(sizes):
@@ -345,15 +345,13 @@ class RelationKernel:
                     targets.append((blocks[h], self._image(ha, h),
                                     list(map(self._image(hb, h), range(1 << size_b)))))
                 for body in range(1 << size_a):
-                    row: list[int] = []
                     for block, image, rights in targets:
                         left = image(body)
-                        row += ([block[left & right] for right in rights] if union
+                        out += ([block[left & right] for right in rights] if union
                                 else [block[left | right] for right in rights])
-                    out.append(tuple(row))
             return tuple(out)
 
-        return rows(True), rows(False), tuple(chain.from_iterable(b[::-1] for b in blocks))
+        return flat(True), flat(False), tuple(chain.from_iterable(b[::-1] for b in blocks))
 
 
 def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | None = None,

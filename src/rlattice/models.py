@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from . import terms
@@ -33,11 +33,17 @@ class ModelError(LatticeError):
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """Carrier {0..size-1} with meet/join/complement tables and two constants."""
+    """Carrier {0..size-1} with meet/join/complement tables and two constants.
+
+    `meet` and `join` are flat tuples of `size * size` entries: entry
+    `a * size + b` is `a ^ b` (`a v b`).  That is the layout the checker
+    reads (`checker.Compiled`) and the search fills; rows exist only in
+    the text forms (`format_model`, `pretty_model`).
+    """
 
     size: int
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
+    meet: tuple[int, ...]
+    join: tuple[int, ...]
     comp: tuple[int, ...]
     r00: int
     r11: int
@@ -47,9 +53,9 @@ class FiniteModel:
         if n <= 0:
             raise ModelError("carrier must be nonempty")
         for name, table in (("meet", self.meet), ("join", self.join)):
-            if len(table) != n or set(map(len, table)) != {n}:
+            if len(table) != n * n:
                 raise ModelError(f"{name} table must be {n}x{n}")
-            entries = set().union(*table)
+            entries = set(table)
             if min(entries) < 0 or max(entries) >= n:
                 raise ModelError(f"{name} table entry out of carrier range")
         if len(self.comp) != n or min(self.comp) < 0 or max(self.comp) >= n:
@@ -59,11 +65,11 @@ class FiniteModel:
 
     @property
     def r10(self) -> int:
-        return self.meet[self.r11][self.r00]
+        return self.meet[self.r11 * self.size + self.r00]
 
     @property
     def r01(self) -> int:
-        return self.join[self.r11][self.r00]
+        return self.join[self.r11 * self.size + self.r00]
 
     def relabel(self, perm: Sequence[int]) -> "FiniteModel":
         """Apply a carrier permutation: element i becomes perm[i]."""
@@ -73,29 +79,32 @@ class FiniteModel:
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old
-        remap2 = lambda t: tuple(
-            tuple(perm[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
-        )
+        # New entry i * n + j is old entry inv[i] * n + inv[j], relabeled.
+        remap2 = lambda t: tuple(perm[t[a * n + b]] for a in inv for b in inv)
         return FiniteModel(
             size=n,
             meet=remap2(self.meet),
             join=remap2(self.join),
-            comp=tuple(perm[self.comp[inv[i]]] for i in range(n)),
+            comp=tuple(perm[self.comp[a]] for a in inv),
             r00=perm[self.r00],
             r11=perm[self.r11],
         )
 
 
+def table_rows(table: Sequence[int], n: int) -> list[Sequence[int]]:
+    """The rows of a flat `n * n` table: row `a` holds entries `a * n + b`."""
+    return [table[a:a + n] for a in range(0, n * n, n)]
+
+
 def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
     """Flat meet, join, star, plus and complement tables of `checker.Compiled`.
 
+    Meet, join and complement are the model's own tuples, not copies.
     Star and plus are derived from their definitions, entry `a * n + b`
     on its first read: a check computes only the entries it reaches,
     each once per call.
     """
-    n = m.size
-    M = tuple(chain.from_iterable(m.meet))
-    J = tuple(chain.from_iterable(m.join))
+    n, M, J = m.size, m.meet, m.join
     low = M[m.r00::n]  # a ^ R00 for every element a
     high = J[m.r11::n]  # a v R11 for every element a
 
@@ -166,9 +175,9 @@ def model_from_universe(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> Finit
 def format_model(m: FiniteModel) -> str:
     """Bit-exact text format: size, meet/join/complement blocks, constants."""
     lines = [f"size {m.size}", "meet:"]
-    lines += [" ".join(str(x) for x in row) for row in m.meet]
+    lines += [" ".join(map(str, row)) for row in table_rows(m.meet, m.size)]
     lines.append("join:")
-    lines += [" ".join(str(x) for x in row) for row in m.join]
+    lines += [" ".join(map(str, row)) for row in table_rows(m.join, m.size)]
     lines.append("complement:")
     lines.append(" ".join(str(x) for x in m.comp))
     lines.append(f"R00 = {m.r00}")
@@ -207,9 +216,10 @@ def parse_model(text: str) -> FiniteModel:
     expect("size")
     n = number()
     expect("meet:")
-    meet = tuple(tuple(number() for _ in range(n)) for _ in range(n))
+    cells = range(max(n, 0) ** 2)  # none for a carrier that `FiniteModel` refuses
+    meet = tuple(number() for _ in cells)
     expect("join:")
-    join = tuple(tuple(number() for _ in range(n)) for _ in range(n))
+    join = tuple(number() for _ in cells)
     expect("complement:")
     comp = tuple(number() for _ in range(n))
     expect("R00")
@@ -234,9 +244,9 @@ def pretty_model(m: FiniteModel) -> str:
     w = max(2, len(str(n - 1)) + 1)
     header = " ".join(f"{j:>{w}}" for j in range(n))
 
-    def grid(sym: str, table) -> list[str]:
+    def grid(sym: str, table: Sequence[int]) -> list[str]:
         out = [f"{sym:>{w}} |{header}", f"{'-' * w}-+{'-' * (len(header) + 1)}"]
-        for i, row in enumerate(table):
+        for i, row in enumerate(table_rows(table, n)):
             out.append(f"{i:>{w}} | " + " ".join(f"{x:>{w}}" for x in row).lstrip())
         out.append("")
         return out
@@ -337,8 +347,7 @@ _VALUE, _BLOCK_ROOT, _BLOCK = 0, 1, 2
 class _SizeSearch:
     """Backtracking table search at one fixed carrier size."""
 
-    def __init__(self, size: int, axioms: Sequence[terms.Atom],
-                 goals: Sequence[Statement], symmetry: bool):
+    def __init__(self, size: int, goals: Sequence[Statement], symmetry: bool):
         self.n = n = size
         self.symmetry = symmetry
         self.cell_r00 = 0
@@ -375,17 +384,21 @@ class _SizeSearch:
         self.trivially_unsat = False
         self._seen_instances: set = set()
 
-        for ax in axioms:
-            self._ground_atom(ax, positive=True)
-        for gi, g in enumerate(goals):
-            self._add_negated_goal(gi, g)
-
         self.order = self._branch_order()
         self.trail: list[tuple] = []
         self.max_seen = -1
         self.nodes = 0
 
     # ----- compilation
+
+    def ground(self, axioms: Sequence[terms.Atom], goals: Sequence[Statement],
+               deadline: float | None) -> None:
+        """Add the instances of every axiom, and the negation of every goal
+        (the goals given to the constructor), checking `deadline` after each atom."""
+        for ax in axioms:
+            self._ground_atom(ax, positive=True, deadline=deadline)
+        for gi, g in enumerate(goals):
+            self._add_negated_goal(gi, g, deadline)
 
     def _branch_order(self) -> list[int]:
         order = [self.cell_r00, self.cell_r11] + list(self.skolems)
@@ -436,7 +449,7 @@ class _SizeSearch:
         self.inst_rhs.append(rhs)
         self.inst_eq.append(is_eq)
 
-    def _ground_atom(self, atom: terms.Atom, positive: bool,
+    def _ground_atom(self, atom: terms.Atom, positive: bool, deadline: float | None,
                      fixed_env: Mapping[str, tuple] | None = None) -> None:
         """Add the instances of `atom`: one under `fixed_env`, or one per
         assignment of carrier elements to its variables.  `a < b` is the
@@ -454,19 +467,20 @@ class _SizeSearch:
                     for combo in product(range(self.n), repeat=len(names)))
         for env in envs:
             self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
+        _check_deadline(deadline)
 
-    def _add_negated_goal(self, gi: int, g: Statement) -> None:
+    def _add_negated_goal(self, gi: int, g: Statement, deadline: float | None) -> None:
         env = {name: (_PUSH_CELL, self.skolem_of[(gi, name)])
                for name in terms.free_variables(g)}
         if isinstance(g, (Eq, Ne, Lt)):
-            self._ground_atom(g, positive=False, fixed_env=env)
+            self._ground_atom(g, False, deadline, env)
         elif isinstance(g, Or):
             for alt in g.alts:
-                self._ground_atom(alt, positive=False, fixed_env=env)
+                self._ground_atom(alt, False, deadline, env)
         elif isinstance(g, Imp):
             for p in g.premises:
-                self._ground_atom(p, positive=True, fixed_env=env)
-            self._ground_atom(g.conclusion, positive=False, fixed_env=env)
+                self._ground_atom(p, True, deadline, env)
+            self._ground_atom(g.conclusion, False, deadline, env)
         else:
             raise ModelSearchError(f"unsupported goal: {g!r}")
 
@@ -495,8 +509,14 @@ class _SizeSearch:
             stack.append(x)
         return _VALUE, stack[-1]
 
-    def _check_instance(self, i: int):
-        """Returns None (fine), ('conflict',), ('unit', cell, v) or ('forbid', cell, v)."""
+    def _check_instance(self, i: int, queue: list[int]) -> bool:
+        """Re-evaluate instance `i`, watch every cell it read, and act on it.
+
+        When one side has a value and the other is blocked only at its
+        root cell, an equation assigns that value to the cell (queued for
+        propagation) and a disequation forbids it there.  False on a
+        conflict: the instance is false, or that assignment or forbid fails.
+        """
         reads: list[int] = []
         ls, lv = self._eval(self.inst_lhs[i], reads)
         rs, rv = self._eval(self.inst_rhs[i], reads)
@@ -505,16 +525,14 @@ class _SizeSearch:
             watch[c].add(i)
         is_eq = self.inst_eq[i]
         if ls == _VALUE and rs == _VALUE:
-            if (lv == rv) != is_eq:
-                return ("conflict",)
-            return None
+            return (lv == rv) == is_eq
         if ls == _VALUE and rs == _BLOCK_ROOT:
-            return ("unit", rv, lv) if is_eq else ("forbid", rv, lv)
-        if rs == _VALUE and ls == _BLOCK_ROOT:
-            return ("unit", lv, rv) if is_eq else ("forbid", lv, rv)
-        if ls == _BLOCK_ROOT and rs == _BLOCK_ROOT and lv == rv and not is_eq:
-            return ("conflict",)  # same cell on both sides of a disequation
-        return None
+            cell, value = rv, lv
+        elif rs == _VALUE and ls == _BLOCK_ROOT:
+            cell, value = lv, rv
+        else:  # a disequation fails with the same cell at the root of both sides
+            return is_eq or not (ls == _BLOCK_ROOT and rs == _BLOCK_ROOT and lv == rv)
+        return self._assign(cell, value, queue) if is_eq else self._forbid_value(cell, value)
 
     def _assign(self, cell: int, value: int, queue: list[int]) -> bool:
         cur = self.val[cell]
@@ -542,16 +560,7 @@ class _SizeSearch:
         while queue:
             cell = queue.pop()
             for i in list(self.watch[cell]):
-                got = self._check_instance(i)
-                if got is None:
-                    continue
-                kind = got[0]
-                if kind == "conflict":
-                    return False
-                if kind == "unit":
-                    if not self._assign(got[1], got[2], queue):
-                        return False
-                elif not self._forbid_value(got[1], got[2]):
+                if not self._check_instance(i, queue):
                     return False
         return True
 
@@ -570,17 +579,8 @@ class _SizeSearch:
         if self.trivially_unsat:
             return None
         queue: list[int] = []
-        for i in range(len(self.inst_lhs)):
-            got = self._check_instance(i)
-            if got is not None:
-                if got[0] == "conflict":
-                    return None
-                if got[0] == "unit":
-                    if not self._assign(got[1], got[2], queue):
-                        return None
-                elif not self._forbid_value(got[1], got[2]):
-                    return None
-        if not self._propagate(queue):
+        if not (all(self._check_instance(i, queue) for i in range(len(self.inst_lhs)))
+                and self._propagate(queue)):
             return None
         return self._dfs(0, deadline)
 
@@ -592,8 +592,7 @@ class _SizeSearch:
             return self._extract()
         cell = order[pos]
         self.nodes += 1
-        if deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline:
-            raise _Timeout()
+        _check_deadline(deadline)
         if self.symmetry:
             seen = self.max_seen if self.max_seen > self.args_max[cell] else self.args_max[cell]
             bound = min(seen + 1, self.n - 1)
@@ -613,14 +612,12 @@ class _SizeSearch:
         return None
 
     def _extract(self) -> FiniteModel:
-        n, val = self.n, self.val
+        val = self.val
         return FiniteModel(
-            size=n,
-            meet=tuple(tuple(val[self.meet_base + i * n + j] for j in range(n))
-                       for i in range(n)),
-            join=tuple(tuple(val[self.join_base + i * n + j] for j in range(n))
-                       for i in range(n)),
-            comp=tuple(val[self.comp_base + i] for i in range(n)),
+            size=self.n,
+            meet=tuple(val[self.meet_base:self.join_base]),
+            join=tuple(val[self.join_base:]),
+            comp=tuple(val[self.comp_base:self.meet_base]),
             r00=val[self.cell_r00],
             r11=val[self.cell_r11],
         )
@@ -628,6 +625,11 @@ class _SizeSearch:
 
 class _Timeout(Exception):
     pass
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout()
 
 
 def _as_statement(s: Statement | str, goal: bool = False) -> Statement:
@@ -680,8 +682,9 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     model = None
     timed_out = False
     for n in size_list:
-        search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry)
+        search = _SizeSearch(n, parsed_goals, symmetry)
         try:
+            search.ground(parsed_axioms, parsed_goals, deadline)
             model = search.run(deadline)
         except _Timeout:
             timed_out = True

@@ -7,8 +7,8 @@ sampling above the limit; sampling can refute but never promotes to
 HOLDS, so an expected-HOLDS entry passes a sampled run only by producing
 no witness.
 
-The dependency-law entries are generated from a configurable reading of
-the dependency predicate (see FdReading); discriminate_fd_reading is the
+The dependency-law entries are written under the shipped reading of the
+dependency predicate (see FdReading); discriminate_fd_reading is the
 harness that decides which readings are tenable, and the shipped default
 must be one of its survivors.
 """
@@ -27,7 +27,6 @@ from .checker import (
     Sample,
     Verdict,
     check,
-    count_relations,
 )
 from .kernel import RelationKernel
 from .universe import DEFAULT_FD_READING, FdReading, LatticeError, Universe, JOIN, MEET, OUTER
@@ -147,18 +146,12 @@ def discriminate_fd_reading(universes: Mapping[str, Universe] | None = None) -> 
 # --- the catalog -------------------------------------------------------------
 
 def _entries(*rows: tuple) -> tuple[SuiteEntry, ...]:
-    out = []
-    for row in rows:
-        id_, text, expected = row[:3]
-        note = row[3] if len(row) > 3 else ""
-        universes = row[4] if len(row) > 4 else ("u1", "u2")
-        out.append(SuiteEntry(id_, text, expected, note, universes))
-    return tuple(out)
+    return tuple(SuiteEntry(*row) for row in rows)
 
 
-def suite_catalog(reading: FdReading = DEFAULT_FD_READING) -> dict[str, tuple[SuiteEntry, ...]]:
-    fd = lambda r, x, y: fd_text(r, x, y, reading)
-    laws = fd_law_texts(reading)
+def suite_catalog() -> dict[str, tuple[SuiteEntry, ...]]:
+    """Every suite, its dependency laws written under `DEFAULT_FD_READING`."""
+    laws = fd_law_texts(DEFAULT_FD_READING)
 
     outer_inner = _entries(
         ("plus-associative", "(x + y) + z = x + (y + z)", HOLDS),
@@ -281,8 +274,7 @@ def suite_catalog(reading: FdReading = DEFAULT_FD_READING) -> dict[str, tuple[Su
         ("cyl-associative", "x @ (y @ z) = (x @ y) @ z", HOLDS),
     )
 
-    c = reading.combine
-    g = reading.augment
+    c, g = DEFAULT_FD_READING.combine, DEFAULT_FD_READING.augment
     xz = _paren(f"x {g} z")
     base = f"r {c} {xz} {c} y"
     appendix_a = _entries(
@@ -290,7 +282,7 @@ def suite_catalog(reading: FdReading = DEFAULT_FD_READING) -> dict[str, tuple[Su
          "R00 ^ (z' ^ (y' v R11)) = R00 ^ (y' ^ (z' v R11))", HOLDS,
          "the two expansion pieces share a header"),
         ("aug-split-first",
-         f"{fd('r', 'x', 'y')} -> {base} < r {c} {xz} {c} (z' ^ (y' v R11))", HOLDS),
+         f"{fd_text('r', 'x', 'y')} -> {base} < r {c} {xz} {c} (z' ^ (y' v R11))", HOLDS),
         ("aug-split-immediate",
          f"{base} < r {c} {xz} {c} y' -> {base} < r {c} {xz} {c} (y' ^ (z' v R11))", HOLDS,
          "widening the complement's header cannot shrink the right side"),
@@ -371,7 +363,6 @@ class SuiteReport:
 
 
 def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
-              reading: FdReading = DEFAULT_FD_READING,
               exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
               samples: int = DEFAULT_SAMPLES,
               seed: int = DEFAULT_SEED) -> SuiteReport:
@@ -381,7 +372,7 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
     sampling mode instead, which can refute but never confirms.  The
     checks on one universe share a kernel, built at its first check.
     """
-    catalog = suite_catalog(reading)
+    catalog = suite_catalog()
     if name not in catalog:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(catalog)}")
     known = sorted({uid for entry in catalog[name] for uid in entry.universes})
@@ -400,17 +391,16 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
         for uid in entry.universes:
             if uid not in universes:
                 continue
-            u = universes[uid]
             if uid not in kernels:
-                kernels[uid] = RelationKernel(u)
-            space = count_relations(u) ** nvars
-            mode = Exhaustive() if space <= exhaustive_limit else Sample(seed, samples)
-            reports.append((uid, check(u, stmt, mode, kernel=kernels[uid])))
+                kernels[uid] = RelationKernel(universes[uid])
+            kernel = kernels[uid]
+            mode = Exhaustive() if kernel.n ** nvars <= exhaustive_limit else Sample(seed, samples)
+            reports.append((uid, check(kernel.u, stmt, mode, kernel=kernel)))
         results.append(EntryResult(entry, tuple(reports)))
     return SuiteReport(name, tuple(results))
 
 
-def export_suites(directory: str, reading: FdReading = DEFAULT_FD_READING) -> list[str]:
+def export_suites(directory: str) -> list[str]:
     """Write each suite as a plain statement file; returns the paths.
 
     Also writes `minimal12-axioms.stmt` holding just the twelve axioms,
@@ -419,7 +409,7 @@ def export_suites(directory: str, reading: FdReading = DEFAULT_FD_READING) -> li
     """
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for name, entries in suite_catalog(reading).items():
+    for name, entries in suite_catalog().items():
         path = os.path.join(directory, f"{name}.stmt")
         lines = [f"# suite {name}: one statement per line"]
         for e in entries:

@@ -431,7 +431,7 @@ def parse_goal(source: str) -> Statement:
     return node
 
 
-def parse_statement_file(text: str, parse=parse_statement) -> list[Statement]:
+def parse_statement_file(text: str) -> list[Statement]:
     """One statement per line; `#` starts a comment; blank lines ignored."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -439,7 +439,7 @@ def parse_statement_file(text: str, parse=parse_statement) -> list[Statement]:
         if not line:
             continue
         try:
-            out.append(parse(line))
+            out.append(parse_statement(line))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}", exc.pos) from None
     return out

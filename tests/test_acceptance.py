@@ -36,7 +36,7 @@ from rlattice import (
 from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
-from test_models import COMP6, JOIN6, MEET6, RELABEL6
+from test_models import COMP6, JOIN6, MEET6, RELABEL6, flat
 
 THEOREM_SUITES = ("outer-inner", "bilattice", "complement", "nand",
                   "minimal12", "cond-dist", "cylindric", "appendixA")
@@ -57,9 +57,9 @@ def test_criterion_01_enumeration_counts(u1, u2):
 
 def test_criterion_02_six_element_model_reproduction(u1):
     m = model_from_universe(u1).relabel(RELABEL6)
-    assert m.meet[5][2] == 4
+    assert m.meet[5 * 6 + 2] == 4
     assert m.r00 == 0 and m.r11 == 1
-    assert (m.meet, m.join, m.comp) == (MEET6, JOIN6, COMP6)
+    assert (m.meet, m.join, m.comp) == (flat(MEET6), flat(JOIN6), COMP6)
     for rep in verify_model(m, minimal_axioms()):
         assert rep.verdict is Verdict.HOLDS, rep.statement
     assert verify_model(m, [DISTRIBUTIVITY])[0].verdict is Verdict.REFUTED

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from rlattice import load_model, parse_model
+from rlattice import ConstantKind, Universe, load_model, minimal_axioms, parse_model
 from rlattice.cli import main
+from rlattice.kernel import RelationKernel
 
 U1_TEXT = "t : a, b\n"
 U2_TEXT = "t : a, b\ns : 1, 2\n"
@@ -147,9 +148,24 @@ class TestBridgeAndVerify:
         assert load_model(model_file).size == 6
 
         stmt_file = tmp_path / "minimal12.stmt"
-        from rlattice import minimal_axioms
         stmt_file.write_text("\n".join(minimal_axioms()) + "\n")
         assert main(["verify-model", "-m", model_file, "-f", str(stmt_file)]) == 0
+
+    @pytest.mark.parametrize("text", [U1_TEXT, U2_TEXT, "t : a, b\ns : 1, 2, 3\n"],
+                             ids=["u1", "u2", "2x3"])
+    def test_bridge_file_rows(self, text, tmp_path, capsys):
+        universe, model_file = tmp_path / "u.univ", tmp_path / "m.model"
+        universe.write_text(text)
+        assert main(["bridge", "-u", str(universe), "-o", str(model_file)]) == 0
+        # The file as rows of codes, rebuilt from the kernel's operations.
+        k = RelationKernel(Universe.load(str(universe)))
+        codes = range(k.n)
+        row = lambda op, a: " ".join(str(op(a, b)) for b in codes)
+        expected = [f"size {k.n}", "meet:", *(row(k.meet, a) for a in codes),
+                    "join:", *(row(k.join, a) for a in codes),
+                    "complement:", " ".join(str(k.comp(a)) for a in codes),
+                    f"R00 = {k.const(ConstantKind.R00)}", f"R11 = {k.r11}"]
+        assert model_file.read_text() == "\n".join(expected) + "\n"
 
     def test_verify_refuted_exit_one(self, u1_file, tmp_path, capsys):
         model_file = str(tmp_path / "m6.model")
@@ -188,6 +204,14 @@ class TestSearch:
         # no model can refute reflexive equality
         code = main(["search", "-f", str(axiom_file), "-e", "x = x", "--sizes", "2..3"])
         assert code == 2
+
+    def test_budget_exit_two(self, tmp_path, capsys):
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        code = main(["search", "-f", str(axiom_file), "-e", "x ^ (y v z) = (x ^ y) v (x ^ z)",
+                     "--sizes", "16..16", "--budget", "0.3"])
+        assert code == 2
+        assert capsys.readouterr().out == "budget exhausted; sizes fully excluded: []\n"
 
     def test_runaway_grounding_exit_three(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"

@@ -120,17 +120,26 @@ class TestAgainstRelations:
             assert_matches_oracle(u, k, relation(), relation())
 
 
+def assert_flat_against_kernel(u, m):
+    """Entry `a * n + b` of the bridged tables is the kernel's operation on codes `a` and `b`."""
+    k = RelationKernel(u)
+    codes = range(k.n)
+    assert m.size == k.n
+    assert m.meet == tuple(k.meet(a, b) for a in codes for b in codes)
+    assert m.join == tuple(k.join(a, b) for a in codes for b in codes)
+    assert m.comp == tuple(map(k.comp, codes))
+
+
 class TestBridge:
     def test_u2_tables_cell_for_cell(self, u2, rels2):
         m = model_from_universe(u2)
         index = {r: i for i, r in enumerate(rels2)}
-        assert m.meet == tuple(tuple(index[natural_join(u2, r, s)] for s in rels2)
-                               for r in rels2)
-        assert m.join == tuple(tuple(index[inner_union(u2, r, s)] for s in rels2)
-                               for r in rels2)
+        assert m.meet == tuple(index[natural_join(u2, r, s)] for r in rels2 for s in rels2)
+        assert m.join == tuple(index[inner_union(u2, r, s)] for r in rels2 for s in rels2)
         assert m.comp == tuple(index[complement(u2, r)] for r in rels2)
         assert rels2[m.r00] == constant(u2, ConstantKind.R00)
         assert rels2[m.r11] == constant(u2, ConstantKind.R11)
+        assert_flat_against_kernel(u2, m)
 
     def test_two_by_three_tables_cell_for_cell(self):
         u = Universe.make({"t": ("a", "b"), "s": ("1", "2", "3")})
@@ -138,22 +147,20 @@ class TestBridge:
         m = model_from_universe(u)
         index = {r: i for i, r in enumerate(rels)}
         assert m.size == len(rels) == 78
-        assert m.meet == tuple(tuple(index[natural_join(u, r, s)] for s in rels) for r in rels)
-        assert m.join == tuple(tuple(index[inner_union(u, r, s)] for s in rels) for r in rels)
+        assert m.meet == tuple(index[natural_join(u, r, s)] for r in rels for s in rels)
+        assert m.join == tuple(index[inner_union(u, r, s)] for r in rels for s in rels)
         assert m.comp == tuple(index[complement(u, r)] for r in rels)
         assert rels[m.r00] == constant(u, ConstantKind.R00)
         assert rels[m.r11] == constant(u, ConstantKind.R11)
+        assert_flat_against_kernel(u, m)
 
     def test_three_binary_attributes_against_kernel(self):
         u = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
-        k, m = RelationKernel(u), model_from_universe(u)
-        codes = range(k.n)
-        assert m.size == k.n == 318
-        assert m.meet == tuple(tuple(k.meet(a, b) for b in codes) for a in codes)
-        assert m.join == tuple(tuple(k.join(a, b) for b in codes) for a in codes)
-        assert m.comp == tuple(map(k.comp, codes))
+        m = model_from_universe(u)
+        assert m.size == 318
+        assert_flat_against_kernel(u, m)
         # Every entry is one of n shared int objects, not an int of its own.
-        assert len({id(x) for row in m.meet + m.join for x in row}) <= m.size
+        assert len({id(x) for x in m.meet + m.join}) <= m.size
 
 
 def catalog_laws(max_vars):

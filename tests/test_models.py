@@ -1,6 +1,7 @@
 """Abstract models: the universe bridge, verification, files, and search."""
 
 import time
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -22,18 +23,24 @@ from rlattice import (
     check,
     find_counterexample,
     format_model,
+    free_variables,
     minimal_axioms,
     model_from_universe,
     parse_model,
+    parse_statement,
     parse_term,
     pretty_model,
     refutes,
     search_model,
+    suite_catalog,
     verify_model,
 )
 from rlattice.kernel import RelationKernel
 from rlattice.models import GROUND_TERM_LIMIT, _core_size, _core_term, _model_tables
 from rlattice.terms import BINARY_OPS
+
+DISTRIBUTIVITY = "x ^ (y v z) = (x ^ y) v (x ^ z)"
+ZERO_ARY_GOAL = "x v R00 = R00 | x v R00 = R00'"
 
 # The canonical six-element countermodel tables, frozen from the universe
 # bridge followed by the element relabeling below; the bridge is the
@@ -60,6 +67,11 @@ COMP6 = (3, 4, 5, 0, 1, 2)
 RELABEL6 = (0, 3, 4, 5, 2, 1)
 
 
+def flat(rows):
+    """A table written as rows, in `FiniteModel`'s layout: entry `a * n + b`."""
+    return tuple(chain.from_iterable(rows))
+
+
 @pytest.fixture(scope="module")
 def m6(u1):
     return model_from_universe(u1)
@@ -68,15 +80,25 @@ def m6(u1):
 class TestModelValidation:
     def test_table_shape(self):
         with pytest.raises(ModelError):
-            FiniteModel(2, ((0,),), ((0, 1), (1, 1)), (1, 0), 0, 1)
+            FiniteModel(2, (0,), (0, 1, 1, 1), (1, 0), 0, 1)
+
+    # A table one entry short or one entry long is refused, whichever it is.
+    @pytest.mark.parametrize("field", ["meet", "join"])
+    @pytest.mark.parametrize("length", [8, 10])
+    def test_table_length(self, field, length):
+        tables = {"meet": (0, 0, 0, 0, 1, 1, 0, 1, 2), "join": (0, 1, 2, 1, 1, 2, 2, 2, 2)}
+        FiniteModel(3, tables["meet"], tables["join"], (2, 1, 0), 0, 2)
+        tables[field] = (tables[field] + (0,))[:length]
+        with pytest.raises(ModelError, match=f"{field} table must be 3x3"):
+            FiniteModel(3, tables["meet"], tables["join"], (2, 1, 0), 0, 2)
 
     def test_entry_range(self):
         with pytest.raises(ModelError):
-            FiniteModel(2, ((0, 2), (0, 1)), ((0, 1), (1, 1)), (1, 0), 0, 1)
+            FiniteModel(2, (0, 2, 0, 1), (0, 1, 1, 1), (1, 0), 0, 1)
 
     def test_constant_range(self):
         with pytest.raises(ModelError):
-            FiniteModel(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), (1, 0), 0, 5)
+            FiniteModel(2, (0, 0, 0, 1), (0, 1, 1, 1), (1, 0), 0, 5)
 
     # One wrong entry in an otherwise valid model, each a case the
     # validation must see: the last cell of a table, and each side of the
@@ -97,8 +119,7 @@ class TestModelValidation:
         comp = [2, 1, 0]
 
         def model():
-            return FiniteModel(3, tuple(map(tuple, tables["meet"])),
-                               tuple(map(tuple, tables["join"])), tuple(comp), 0, 2)
+            return FiniteModel(3, flat(tables["meet"]), flat(tables["join"]), tuple(comp), 0, 2)
 
         model()
         if field == "comp":
@@ -112,12 +133,12 @@ class TestModelValidation:
 class TestBridge:
     def test_six_element_tables(self, m6):
         relabeled = m6.relabel(RELABEL6)
-        assert relabeled.meet == MEET6
-        assert relabeled.join == JOIN6
+        assert relabeled.meet == flat(MEET6)
+        assert relabeled.join == flat(JOIN6)
         assert relabeled.comp == COMP6
         assert relabeled.r00 == 0
         assert relabeled.r11 == 1
-        assert relabeled.meet[5][2] == 4  # singleton ^ other singleton = empty
+        assert relabeled.meet[5 * 6 + 2] == 4  # singleton ^ other singleton = empty
 
     def test_derived_constants(self, m6):
         relabeled = m6.relabel(RELABEL6)
@@ -135,7 +156,7 @@ class TestBridge:
     def test_zero_attribute_universe_chain(self):
         m0 = model_from_universe(Universe.make({}))
         assert m0.size == 2
-        assert m0.meet[m0.r00][m0.r01] == m0.r00  # R00 below R01
+        assert m0.meet[m0.r00 * m0.size + m0.r01] == m0.r00  # R00 below R01
 
     def test_u2_model_satisfies_axioms(self, u2):
         m = model_from_universe(u2)
@@ -161,9 +182,7 @@ class TestBridge:
 
 def eager_star_plus(m):
     """Every star and plus entry, derived up front from the definitions."""
-    n, r00, r11 = m.size, m.r00, m.r11
-    M = tuple(chain.from_iterable(m.meet))
-    J = tuple(chain.from_iterable(m.join))
+    n, r00, r11, M, J = m.size, m.r00, m.r11, m.meet, m.join
     rows = range(0, n * n, n)  # a * n for every element a
     S = tuple(M[J[an + M[bn + r00]] * n + J[bn + M[an + r00]]] for an in rows for bn in rows)
     P = tuple(J[M[an + J[bn + r11]] * n + M[bn + J[an + r11]]] for an in rows for bn in rows)
@@ -175,8 +194,7 @@ def arbitrary_models(draw):
     """Tables with arbitrary entries: mostly not lattices at all."""
     n = draw(st.integers(1, 5))
     element = st.integers(0, n - 1)
-    table = st.lists(st.lists(element, min_size=n, max_size=n).map(tuple),
-                     min_size=n, max_size=n).map(tuple)
+    table = st.lists(element, min_size=n * n, max_size=n * n).map(tuple)
     return FiniteModel(n, draw(table), draw(table),
                        tuple(draw(st.lists(element, min_size=n, max_size=n))),
                        draw(element), draw(element))
@@ -190,8 +208,7 @@ class TestModelTables:
         M, J, S, P, C = _model_tables(m)
         assert len(S) == len(P) == 0  # nothing derived before a read
         keys = range(m.size * m.size)
-        assert (M, J, C) == (tuple(chain.from_iterable(m.meet)),
-                             tuple(chain.from_iterable(m.join)), m.comp)
+        assert M is m.meet and J is m.join and C is m.comp  # the model's own tables, no copies
         # Read backwards: an entry must not depend on which entries were read before it.
         assert ([S[i] for i in reversed(keys)][::-1],
                 [P[i] for i in reversed(keys)][::-1]) == tuple(map(list, eager_star_plus(m)))
@@ -218,13 +235,40 @@ class TestModelTables:
         assert len(S) == len(P) == n * n
 
 
+def test_verify_model_copies_no_table():
+    """`verify_model` reads the model's own meet and join: on the 318-element
+    model, whose tables are 101,124 entries each, the laws of the `scale`
+    benchmark workload allocate less than one copy of one table."""
+    u = Universe.make({"a": "01", "b": "01", "c": "01"})
+    m = model_from_universe(u)
+    laws = {"x ^ (x v y) = x"}
+    for entries in suite_catalog().values():
+        for e in entries:
+            nvars = len(free_variables(parse_statement(e.text)))
+            if nvars <= 1 or (nvars == 2 and e.expected is Verdict.REFUTED):
+                laws.add(e.text)
+    statements = [parse_statement(text) for text in sorted(laws)]
+    assert len(statements) == 26
+    verify_model(m, statements)  # compiles and caches every statement
+    tracemalloc.start()
+    try:
+        reports = verify_model(m, statements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 26
+    assert peak < 1 << 20
+
+
 class TestFindCounterexample:
     def test_distributivity_witness(self, m6):
         got = find_counterexample(m6, "x ^ (y v z) = (x ^ y) v (x ^ z)")
         assert got == {"x": 3, "y": 0, "z": 4}
         # re-evaluate through the tables
-        lhs = m6.meet[3][m6.join[0][4]]
-        rhs = m6.join[m6.meet[3][0]][m6.meet[3][4]]
+        meet = lambda a, b: m6.meet[a * 6 + b]
+        join = lambda a, b: m6.join[a * 6 + b]
+        lhs = meet(3, join(0, 4))
+        rhs = join(meet(3, 0), meet(3, 4))
         assert lhs != rhs
 
     def test_broken_absorption_witness(self, m6):
@@ -265,6 +309,36 @@ class TestModelFiles:
         with pytest.raises(ModelError):
             parse_model(format_model(m6) + "\n7 7 7\n")
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_carrier_rejected(self, size):
+        text = f"size {size}\nmeet:\njoin:\ncomplement:\n\nR00 = 0\nR11 = 0\n"
+        with pytest.raises(ModelError, match="carrier must be nonempty"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("domains", [{}, {"t": "ab"}, {"t": "ab", "s": "12"},
+                                         {"t": "ab", "s": "123"}])
+    def test_roundtrip_bridged(self, domains):
+        m = model_from_universe(Universe.make(domains))
+        assert parse_model(format_model(m)) == m
+
+    # The second search finds a meet table that is not symmetric.
+    @pytest.mark.parametrize("axioms, goal, sizes", [(minimal_axioms(), ZERO_ARY_GOAL, range(2, 5)),
+                                                     ([], "x ^ y = y ^ x", [2])])
+    def test_roundtrip_found(self, axioms, goal, sizes):
+        m = search_model(axioms, [goal], sizes).model
+        assert parse_model(format_model(m)) == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(arbitrary_models())
+    def test_roundtrip_drawn(self, m):
+        assert parse_model(format_model(m)) == m
+
+    def test_rows_of_the_flat_tables(self, m6):
+        # Row a of the text is entries a * n to a * n + n - 1 of the table.
+        lines = format_model(m6.relabel(RELABEL6)).splitlines()
+        assert lines[2:8] == [" ".join(map(str, row)) for row in MEET6]
+        assert lines[9:15] == [" ".join(map(str, row)) for row in JOIN6]
+
     def test_pretty_output_mentions_constants(self, m6):
         text = pretty_model(m6)
         assert "R00 = 0" in text
@@ -285,6 +359,21 @@ class TestRelabel:
     def test_rejects_non_permutation(self, m6):
         with pytest.raises(ModelError):
             m6.relabel((0, 0, 1, 2, 3, 4))
+
+    # Lattice tables are symmetric; arbitrary ones also show a transposed relabeling.
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_relabel_moves_every_entry(self, data):
+        m = data.draw(arbitrary_models())
+        n = m.size
+        perm = data.draw(st.permutations(range(n)))
+        r = m.relabel(perm)
+        for a in range(n):
+            assert r.comp[perm[a]] == perm[m.comp[a]]
+            for b in range(n):
+                assert r.meet[perm[a] * n + perm[b]] == perm[m.meet[a * n + b]]
+                assert r.join[perm[a] * n + perm[b]] == perm[m.join[a * n + b]]
+        assert (r.r00, r.r11) == (perm[m.r00], perm[m.r11])
 
 
 class TestSearch:
@@ -323,6 +412,14 @@ class TestSearch:
                            range(2, 7), budget=0.0)
         assert out.budget_exhausted
         assert not out.found
+
+    def test_budget_holds_while_grounding_and_searching(self):
+        # The deadline holds in grounding too: at size 16, grounding the twelve
+        # axioms takes about 0.36 s on a 2-vCPU VM, before the first node.
+        start = time.perf_counter()
+        out = search_model(minimal_axioms(), [DISTRIBUTIVITY], [16], budget=0.3)
+        assert time.perf_counter() - start < 0.8
+        assert out.budget_exhausted and not out.found and out.sizes_excluded == ()
 
     def test_unsatisfiable_axiom(self):
         out = search_model(["x != x"], [], [2, 3])
@@ -384,7 +481,8 @@ class TestGroundingLimit:
     def test_sixteen_operands_still_search(self):
         out = search_model([], [plus_chain(16) + " = x"], range(2, 3))
         assert (out.found, out.size, out.sizes_excluded, out.nodes) == (True, 2, (), 13)
-        assert out.model == FiniteModel(2, ((0, 0), (0, 0)), ((1, 0), (0, 0)), (0, 0), 0, 0)
+        assert out.model == FiniteModel(2, flat(((0, 0), (0, 0))), flat(((1, 0), (0, 0))),
+                                        (0, 0), 0, 0)
 
     def test_chain_sizes(self):
         assert _core_size(parse_term(plus_chain(16))) == 327_671
