@@ -43,9 +43,15 @@ outcome, so a refutation whose first value is not orbit-least has an
 image that refutes too and comes earlier: the first witness, and with
 it the assignment count, is the same.  A skipped first value below the
 witness satisfies as many premises as its orbit's least code, walked
-earlier, and that count is added.  `evaluate` instead applies the
-relation-level operations of `rlattice.universe` directly, for any
-universe.
+earlier, and that count is added.  With three or more variables, and at
+most `_GROUP_CAP` entries in the group's maps on codes, each first value
+is followed only by the second values least in their orbit under the
+automorphisms that fix it, for the same reason one level down: a skipped
+second value counts the premises of its orbit's least one, walked
+earlier with the same first value.  For two variables the group costs
+about as much as a whole check that refutes early.  `evaluate` instead
+applies the relation-level operations of `rlattice.universe` directly,
+for any universe.
 """
 
 from __future__ import annotations
@@ -148,21 +154,24 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 class Compiled(NamedTuple):
     """A statement compiled into one generated loop over operation tables.
 
-    `run(M, J, S, P, C, N, envs, firsts, starts, *leaf_values)` decides
-    the statement over the carrier `range(N)` and returns
-    `(premise_satisfying, assignments_tested, witness)`, the witness being
-    the first refuting assignment as a tuple of elements for `variables`,
-    or None.  With `envs=None` it walks in nested loops, last variable
+    `run(M, J, S, P, C, N, envs, firsts, starts, *leaf_values,
+    seconds=None)` decides the statement over the carrier `range(N)` and
+    returns `(premise_satisfying, assignments_tested, witness)`, the
+    witness being the first refuting assignment as a tuple of elements for
+    `variables`, or None.  With `envs=None` it walks in nested loops, last variable
     fastest, every assignment whose first variable is one of `firsts`
-    (increasing; `range(N)` for all of them), and an implication appends
-    its premise count so far to the list `starts` as it begins each first
-    value; otherwise it walks the assignments `envs` yields in one flat
-    loop.  `M J S P` are the meet, join, star and plus tables indexed
-    `a * N + b` and `C` the complement table; `leaf_values` are the
-    elements of the constants and literals in `leaves`, supplied anew by
-    every caller and universe.  `text` is the statement as
-    `terms.format_statement` prints it, the name of the generated code
-    and the `statement` of every report.
+    (increasing; `range(N)` for all of them) and, for three or more
+    variables and a keyword `seconds`, whose second is one of
+    `seconds(first)` (increasing); an implication appends to the list
+    `starts` a list of its premise count so far as it begins each first
+    value, and appends the count to that list as it begins each second
+    value of three or more variables.  Otherwise it walks the assignments
+    `envs` yields in one flat loop.  `M J S P` are the meet, join, star
+    and plus tables indexed `a * N + b` and `C` the complement table;
+    `leaf_values` are the elements of the constants and literals in
+    `leaves`, supplied anew by every caller and universe.  `text` is the
+    statement as `terms.format_statement` prints it, the name of the
+    generated code and the `statement` of every report.
     """
 
     variables: tuple[str, ...]
@@ -181,6 +190,10 @@ _NESTED = 10
 # only.  Finding the orbits costs up to N map applications per generator,
 # about as much as a check this short (under a millisecond on u1 or u2).
 _REDUCE_FROM = 4096
+# Most entries, |G| * N, of the automorphism maps `run_check` builds to
+# try only stabilizer-least second values (checks of three or more
+# variables); past it only the first variable is reduced.
+_GROUP_CAP = 1 << 20
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
 
@@ -265,7 +278,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         return [*count, f"if {fails}: return premise, {position}, ({env})"]
 
     params = "".join(f", k{i}" for i in range(len(leaves)))
-    source = [f"def run(M, J, S, P, C, N, envs, firsts, starts{params}):"]
+    source = [f"def run(M, J, S, P, C, N, envs, firsts, starts{params}, *, seconds=None):"]
     source += ["    " + line for level, line in lines if level < 0]
     source.append("    premise = 0")
     if arity:
@@ -274,6 +287,8 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         for level in range(min(arity, _NESTED + 1)):
             if level == 0:
                 source.append(f"{indent}for v0 in firsts:")
+            elif level == 1 and arity >= 3:
+                source.append(f"{indent}for v1 in (range(N) if seconds is None else seconds(v0)):")
             elif level < _NESTED:
                 source.append(f"{indent}for v{level} in range(N):")
             else:
@@ -281,7 +296,9 @@ def compile_statement(statement: terms.Statement) -> Compiled:
                 source.append(f"{indent}for {rest}in product(range(N), repeat={arity - _NESTED}):")
             indent += "    "
             if level == 0 and count:
-                source.append(f"{indent}starts.append(premise)")
+                source += [f"{indent}block = [premise]", f"{indent}starts.append(block)"]
+            elif level == 1 and count and arity >= 3:
+                source.append(f"{indent}block.append(premise)")
             source += [indent + line for lv, line in lines if lv == level]
         position = "v0"
         for i in range(1, arity):
@@ -342,7 +359,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     3.10-3.13 (see `_draws`).
     Implications count vacuous and premise-satisfying assignments
     separately.  A `symmetry` kernel over the carrier's codes lets the
-    nested loops skip first values that are not orbit-least (see the
+    nested loops skip first values that are not orbit-least, and second
+    values that are not least under the first's stabilizer (see the
     module docstring).
     """
     start = time.perf_counter()
@@ -359,13 +377,14 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     reduced = (symmetry is not None and envs is None and arity >= 2
                and n ** arity >= _REDUCE_FROM
                and not any(isinstance(t, terms.Lit) for t in code.leaves))
-    starts: list[int] = []
+    two = reduced and arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP
+    starts: list[list[int]] = []
     premise_sat, tested, found = code.run(*tables, n, envs,
                                           symmetry.least_codes() if reduced else range(n),
-                                          starts, *map(leaf, code.leaves))
+                                          starts, *map(leaf, code.leaves),
+                                          seconds=symmetry.least_seconds if two else None)
     if reduced and isinstance(statement, terms.Imp):
-        premise_sat += _skipped_premises(symmetry.orbit_least, starts, premise_sat,
-                                         n if found is None else found[0])
+        premise_sat += _skipped_premises(symmetry, starts, premise_sat, found, two)
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
@@ -407,31 +426,45 @@ def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
         for _ in repeat(None))
 
 
-def _skipped_premises(least: Mapping[int, int], starts: list[int], premise: int,
-                      end: int) -> int:
-    """Premise count of the first values below `end` that were skipped.
+def _skipped_premises(kernel: RelationKernel, starts: list[list[int]], premise: int,
+                      found: tuple[int, ...] | None, two: bool) -> int:
+    """Premise count of the skipped assignments before the witness.
 
-    `starts` holds the running count as each walked first value began,
-    and `premise` the count at the end; so walked value `i` contributed
-    `starts[i + 1] - starts[i]`, and a skipped value as much as its
-    orbit's least code.
+    `starts` holds, per walked first value, the running count as it began
+    and, with `two`, as each of its walked second values began; `premise`
+    is the count at the end.  A skipped second value counts as much as its
+    orbit's least code under the stabilizer of the first value, and a
+    skipped first value as much as its orbit's least code, both walked
+    earlier, a first value's skipped second values included.
     """
-    steps = map(int.__sub__, [*starts[1:], premise], starts)
-    walked: dict[int, int] = {}
+    n = kernel.n
+    last, stop = (n - 1, n) if found is None else found[:2]
+    blocks = zip(starts, [block[0] for block in starts[1:]] + [premise])
+    whole: dict[int, int] = {}  # walked first value -> its block's count
     skipped = 0
-    for code in range(end):
-        first = least[code]
-        if first == code:
-            walked[code] = next(steps)
-        else:
-            skipped += walked[first]
+    for v0 in range(last + 1):
+        first = kernel.orbit_least[v0]
+        if first != v0:
+            skipped += whole[first]
+            continue
+        block, end = next(blocks)
+        count = end - block[0]
+        if two and count:
+            walked = dict(zip(kernel.least_seconds(v0),
+                              map(int.__sub__, [*block[2:], end], block[1:])))
+            ends = range(stop if v0 == last else n)
+            extra = sum(walked[m] for v1, m in zip(ends, kernel.stabilizer_least(v0)) if m != v1)
+            count += extra
+            skipped += extra
+        whole[v0] = count
     return skipped
 
 
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),
           enum_budget: int = DEFAULT_ENUM_BUDGET, kernel: RelationKernel | None = None
           ) -> CheckReport:
-    """Decide a statement over all relations of `u`.
+    """Decide a statement over all relations of `u`; a string is read by
+    `terms.parse_goal`, so `atom | atom` too.
 
     Assignments range over relation codes (`rlattice.kernel`), whose
     kernel raises `EnumerationBudgetError` past `enum_budget`; each code
@@ -441,7 +474,7 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
     depend on them.  A kernel over another universe is an error.
     """
     if isinstance(statement, str):  # a parse error comes before a budget error
-        statement = terms.parse_statement(statement)
+        statement = terms.parse_goal(statement)
     if kernel is None:
         kernel = RelationKernel(u, enum_budget)
     elif kernel.u != u:

@@ -25,7 +25,7 @@ from .models import (
     table_rows,
     verify_model,
 )
-from .terms import Statement, format_relation, parse_goal, parse_statement, parse_statement_file
+from .terms import Statement, format_relation, parse_goal, parse_statement_file
 from .universe import LatticeError, Universe
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def _report_human(rep: CheckReport) -> str:
 def _statements(args) -> list[Statement]:
     """The `-e` statement, or every statement of the `-f` file."""
     if args.statement is not None:
-        return [parse_statement(args.statement)]
+        return [parse_goal(args.statement)]
     with open(args.file, encoding="utf-8") as fh:
         return parse_statement_file(fh.read())
 

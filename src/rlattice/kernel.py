@@ -25,7 +25,10 @@ pays only for the header pairs its terms reach.
 automorphism group as maps on codes: they permute header masks and body
 bits, again through tables built lazily per header, and decode nothing.
 `least_codes` yields the least code of each orbit, lazily and in
-increasing order, for the checker's symmetry-reduced walk.
+increasing order, for the checker's symmetry-reduced walk;
+`least_seconds` gives, per first value, the codes least in their orbit
+under the automorphisms that fix it, from the whole group closed once
+from the generators as maps on codes.
 
 `RelationKernel.tables` hands the checker operation tables whose entries
 are computed on first use, so the checks on one kernel compute each pair
@@ -42,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
+from math import factorial, prod
 from operator import pos
 from typing import Callable, Iterator, Sequence
 from weakref import proxy
@@ -77,8 +81,9 @@ class RelationKernel:
     a tuple space of `s` tuples costs image tables of about `32 * s`
     entries, each as wide as the target space: small for every universe
     whose relations can be enumerated, but growing with the square of
-    the space beyond that.  The image tables, symmetry maps, orbits and
-    operation tables are kept per kernel and shared by every check handed
+    the space beyond that.  The image tables, symmetry maps, orbits,
+    automorphism group, stabilizer-least codes and operation tables are
+    kept per kernel and shared by every check handed
     it (`checker.check`'s `kernel`): a suite run, the reading harness and
     `check -f FILE` keep one kernel per universe for all their checks.
     Nothing the kernel keeps refers back to it, so it is freed, with all
@@ -113,6 +118,8 @@ class RelationKernel:
         # slows every other attribute lookup on it, in every table fill.
         self._symmetries: list[Callable[[int], int]] | None = None
         self.orbit_least: dict[int, int] = {}  # filled by `least_codes`
+        self._group: list[tuple[int, ...]] | None = None
+        self._seconds: dict[int, Sequence[int]] = {}  # filled by `least_seconds`
         self._tables: tuple[dict[int, int], ...] | None = None
 
     # ----- codes and relations
@@ -263,6 +270,46 @@ class RelationKernel:
                             todo.append(y)
             if least[code] == code:
                 yield code
+
+    def group_order(self) -> int:
+        """The number of automorphisms: the product of `d!` over the domain
+        sizes `d` and of `c!` over the numbers `c` of attributes sharing one."""
+        return prod(map(factorial, [*self._dims, *Counter(self._dims).values()]))
+
+    def stabilizer_least(self, first: int) -> Sequence[int]:
+        """For each code, the least code of its orbit under the automorphisms
+        fixing `first`.  The first call closes `symmetries` into the whole
+        group, `group_order()` maps on codes of `n` entries each, and keeps it."""
+        if self._group is None:
+            n = self.n
+            moves = [tuple(map(move, range(n))) for move in self.symmetries()]
+            self._group = group = [tuple(range(n))]
+            seen = set(group)
+            for g in group:  # grows as the closure finds new maps
+                for move in moves:
+                    h = tuple(map(move.__getitem__, g))
+                    if h not in seen:
+                        seen.add(h)
+                        group.append(h)
+        fixing = [g for g in self._group if g[first] == first]
+        if len(fixing) == 1:
+            return range(self.n)
+        least = [-1] * self.n
+        for code in range(self.n):
+            if least[code] < 0:  # the least of an orbit not met yet
+                for g in fixing:
+                    least[g[code]] = code
+        return least
+
+    def least_seconds(self, first: int) -> Sequence[int]:
+        """The codes least in their orbit under the automorphisms fixing
+        `first`, in increasing order, kept per `first`."""
+        got = self._seconds.get(first)
+        if got is None:
+            least = self.stabilizer_least(first)
+            got = self._seconds[first] = least if isinstance(least, range) else [
+                code for code, m in enumerate(least) if code == m]
+        return got
 
     # ----- operations on codes
 

@@ -121,7 +121,8 @@ def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
 
 def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
                  mode: Mode = Exhaustive()) -> list[CheckReport]:
-    """Check each statement over all carrier assignments of `m`."""
+    """Check each statement over all carrier assignments of `m`; a string
+    is read by `terms.parse_goal`, so `atom | atom` too."""
     tables = _model_tables(m)
     constants = {ConstantKind.R00: m.r00, ConstantKind.R11: m.r11,
                  ConstantKind.R10: m.r10, ConstantKind.R01: m.r01}
@@ -131,7 +132,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
             raise ModelError("relation literals have no interpretation in an abstract model")
         return constants[t.kind]
 
-    return [run_check(terms.parse_statement(s) if isinstance(s, str) else s, m.size,
+    return [run_check(terms.parse_goal(s) if isinstance(s, str) else s, m.size,
                       tables=tables, leaf=leaf, render=str, mode=mode)
             for s in statements]
 
@@ -465,8 +466,10 @@ class _SizeSearch:
             names = terms.free_variables(atom)
             envs = ({name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
                     for combo in product(range(self.n), repeat=len(names)))
-        for env in envs:
+        for i, env in enumerate(envs, 1):
             self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
+            if not i % _DEADLINE_EVERY:
+                _check_deadline(deadline)
         _check_deadline(deadline)
 
     def _add_negated_goal(self, gi: int, g: Statement, deadline: float | None) -> None:
@@ -579,8 +582,12 @@ class _SizeSearch:
         if self.trivially_unsat:
             return None
         queue: list[int] = []
-        if not (all(self._check_instance(i, queue) for i in range(len(self.inst_lhs)))
-                and self._propagate(queue)):
+        for i in range(len(self.inst_lhs)):
+            if not i % _DEADLINE_EVERY:
+                _check_deadline(deadline)
+            if not self._check_instance(i, queue):
+                return None
+        if not self._propagate(queue):
             return None
         return self._dfs(0, deadline)
 
@@ -625,6 +632,11 @@ class _SizeSearch:
 
 class _Timeout(Exception):
     pass
+
+
+# Ground instances between two deadline checks while grounding an atom
+# and in `_SizeSearch.run`'s first pass over every instance.
+_DEADLINE_EVERY = 1024
 
 
 def _check_deadline(deadline: float | None) -> None:

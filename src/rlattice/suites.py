@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from . import terms
@@ -51,7 +51,7 @@ class SuiteEntry:
     note: str = ""
     universes: tuple[str, ...] = ("u1", "u2")
 
-    @property
+    @cached_property  # parsed on first use, once per entry
     def statement(self) -> terms.Statement:
         return terms.parse_statement(self.text)
 
@@ -149,8 +149,11 @@ def _entries(*rows: tuple) -> tuple[SuiteEntry, ...]:
     return tuple(SuiteEntry(*row) for row in rows)
 
 
+@lru_cache(maxsize=1)
 def suite_catalog() -> dict[str, tuple[SuiteEntry, ...]]:
-    """Every suite, its dependency laws written under `DEFAULT_FD_READING`."""
+    """Every suite, its dependency laws written under `DEFAULT_FD_READING`;
+    built once per process, so every caller shares its entries and their
+    parsed statements."""
     laws = fd_law_texts(DEFAULT_FD_READING)
 
     outer_inner = _entries(

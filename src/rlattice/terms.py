@@ -432,14 +432,15 @@ def parse_goal(source: str) -> Statement:
 
 
 def parse_statement_file(text: str) -> list[Statement]:
-    """One statement per line; `#` starts a comment; blank lines ignored."""
+    """One statement per line, read by `parse_goal`, so `atom | atom` too;
+    `#` starts a comment; blank lines ignored."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            out.append(parse_statement(line))
+            out.append(parse_goal(line))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}", exc.pos) from None
     return out

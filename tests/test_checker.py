@@ -113,6 +113,11 @@ class TestCheckExhaustive:
         assert check(u1, "x ^ y < x").verdict is Verdict.HOLDS
         assert check(u1, "x < x ^ y").verdict is Verdict.REFUTED
 
+    def test_disjunction_text(self, u1, rels1):
+        rep = check(u1, "x = R00 | x = R11")
+        assert (rep.statement, rep.verdict, rep.witness) == (
+            "x = R00 | x = R11", Verdict.REFUTED, {"x": rels1[1]})
+
     def test_implication_counts_premises(self, u1):
         rep = check(u1, "R00 ^ (x v y) = R00 ^ (x v z) -> x ^ (y v z) = (x ^ y) v (x ^ z)")
         assert rep.verdict is Verdict.HOLDS

@@ -228,6 +228,48 @@ class TestSearch:
         assert main(["search", "-f", str(axiom_file), "--sizes", "nope"]) == 3
 
 
+class TestDisjunctions:
+    """`|` goals are read wherever statements are, except as search axioms."""
+
+    GOAL = "x v R00 = R00 | x v R00 = R00'"
+
+    def test_check_inline(self, u1_file, capsys):
+        assert main(["check", "-u", u1_file, "-e", self.GOAL]) == 0  # u1 is no countermodel
+        capsys.readouterr()
+        assert main(["check", "-u", u1_file, "-e", "x = R00 | x = R11",
+                     "--format", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert (report["statement"], report["witness"]) == ("x = R00 | x = R11", {"x": "{()}"})
+
+    def test_statement_file(self, u1_file, tmp_path, capsys):
+        stmt = tmp_path / "goals.stmt"
+        stmt.write_text(f"x ^ y = y ^ x\n{self.GOAL}  # the zero-ary goal\nx = R00 | x = R11\n")
+        assert main(["check", "-u", u1_file, "-f", str(stmt), "--format", "structured"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [(r["statement"], r["verdict"]) for r in reports] == [
+            ("x ^ y = y ^ x", "HOLDS"), (self.GOAL, "HOLDS"), ("x = R00 | x = R11", "REFUTED")]
+
+    def test_search_goal_refuted_on_its_model(self, tmp_path, capsys):
+        axiom_file, goal_file = tmp_path / "ax.stmt", tmp_path / "goal.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        goal_file.write_text(self.GOAL + "\n")
+        model_file = str(tmp_path / "found.model")
+        assert main(["search", "-f", str(axiom_file), "-e", self.GOAL, "--sizes", "2..4",
+                     "-o", model_file]) == 0
+        assert main(["verify-model", "-m", model_file, "-f", str(axiom_file)]) == 0
+        capsys.readouterr()
+        assert main(["verify-model", "-m", model_file, "-e", self.GOAL]) == 1
+        out = capsys.readouterr().out
+        assert f"statement: {self.GOAL}\nverdict: REFUTED\n" in out
+        assert main(["verify-model", "-m", model_file, "-f", str(goal_file)]) == 1
+
+    def test_search_axiom_exit_three(self, tmp_path, capsys):
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("x ^ y = y ^ x\n" + self.GOAL + "\n")
+        assert main(["search", "-f", str(axiom_file), "-e", "x = y", "--sizes", "2..3"]) == 3
+        assert "axioms must be equations" in capsys.readouterr().err
+
+
 class TestWideUniverses:
     """Binary attributes: 14 give a count of 4,933 digits, 20 the full
     tuple-space cap; past the enumeration budget both are input errors."""

@@ -3,6 +3,8 @@
 import time
 import tracemalloc
 from itertools import chain
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +37,13 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
+from rlattice import models
 from rlattice.kernel import RelationKernel
 from rlattice.models import GROUND_TERM_LIMIT, _core_size, _core_term, _model_tables
 from rlattice.terms import BINARY_OPS
 
 DISTRIBUTIVITY = "x ^ (y v z) = (x ^ y) v (x ^ z)"
+ASSOCIATIVITY = "x ^ (y ^ z) = (x ^ y) ^ z"
 ZERO_ARY_GOAL = "x v R00 = R00 | x v R00 = R00'"
 
 # The canonical six-element countermodel tables, frozen from the universe
@@ -421,6 +425,41 @@ class TestSearch:
         assert time.perf_counter() - start < 0.8
         assert out.budget_exhausted and not out.found and out.sizes_excluded == ()
 
+    @pytest.fixture
+    def clock(self):
+        """A clock for the search that advances one second per reading."""
+        ticks = iter(range(10 ** 6))
+        fake = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        with mock.patch.object(models, "time", fake):
+            yield
+
+    @staticmethod
+    def counted(name):
+        """Patch `_SizeSearch.<name>` to count its calls in the returned list."""
+        calls, real = [], getattr(models._SizeSearch, name)
+
+        def spy(self, *args):
+            calls.append(None)
+            return real(self, *args)
+        return calls, mock.patch.object(models._SizeSearch, name, spy)
+
+    def test_deadline_inside_one_atom(self, clock):
+        # Read at the start (0), then every 1,024 instances of the 4,096:
+        # the third reading, 3, is past the deadline of 2.5.
+        added, spy = self.counted("_add_instance")
+        with spy:
+            out = search_model([ASSOCIATIVITY], [], [16], budget=2.5)
+        assert out.budget_exhausted and out.sizes_excluded == ()
+        assert len(added) == 3 * models._DEADLINE_EVERY
+
+    def test_deadline_inside_the_first_pass(self, clock):
+        search = models._SizeSearch(16, [], symmetry=True)
+        search.ground([parse_statement(ASSOCIATIVITY)], [], None)
+        checked, spy = self.counted("_check_instance")
+        with spy, pytest.raises(models._Timeout):
+            search.run(1.5)  # readings 0 and 1 (before instances 0 and 1,024), then 2
+        assert len(checked) == 2 * models._DEADLINE_EVERY < len(search.inst_lhs)
+
     def test_unsatisfiable_axiom(self):
         out = search_model(["x != x"], [], [2, 3])
         assert not out.found and out.sizes_excluded == (2, 3)
@@ -430,6 +469,7 @@ class TestSearch:
                            range(2, 5))
         assert out.found and out.size == 4
         assert refutes(out.model, "x v R00 = R00 | x v R00 = R00'")
+        assert verify_model(out.model, [ZERO_ARY_GOAL])[0].verdict is Verdict.REFUTED
 
     def test_implication_goal(self):
         # refute transitivity-of-equality premise chain: impossible, so exhaust

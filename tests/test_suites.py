@@ -1,7 +1,10 @@
 """Law catalog: registered suites, the reading harness, and coverage."""
 
+from unittest import mock
+
 import pytest
 
+from rlattice import terms
 from rlattice import (
     Verdict,
     check,
@@ -167,6 +170,14 @@ class TestRunSuite:
         report = run_suite("complement")
         assert report.ok
         assert len(report.results) == 8
+
+    def test_catalog_parsed_once(self):
+        first = run_suite("complement")
+        with mock.patch.object(terms, "parse_statement", side_effect=AssertionError("parsed")):
+            again = run_suite("complement")
+        assert suite_catalog() is suite_catalog()
+        assert [r.entry.statement for r in again.results] == [
+            parse_statement(r.entry.text) for r in first.results]
 
     def test_broken_laws_all_refuted(self):
         report = run_suite("broken-laws")

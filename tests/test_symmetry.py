@@ -6,7 +6,11 @@ generators of that group must commute with every operation and fix the
 four constants; their orbits must be those of the whole group applied to
 relations with `rlattice.universe`; and `check`, which tries only
 orbit-least values for the first variable, must report exactly what
-`verify_model` reports after walking every assignment.
+`verify_model` reports after walking every assignment.  With three or
+more variables it also tries only the second values least under the
+automorphisms fixing the first; those must be the whole group's too,
+and the two-level walk must report exactly what `run_check` reports
+without a symmetry kernel.
 """
 
 from itertools import permutations, product
@@ -30,7 +34,7 @@ from rlattice import (
     verify_model,
 )
 from rlattice import checker
-from rlattice.checker import Exhaustive
+from rlattice.checker import Exhaustive, run_check
 from rlattice.kernel import RelationKernel
 from rlattice.terms import BINARY_OPS, Bin, Const, Eq, Imp, Lt, Ne, Neg, Or, Var
 
@@ -38,6 +42,7 @@ U1 = Universe.make({"t": ("a", "b")})
 U2 = Universe.make({"t": ("a", "b"), "s": ("1", "2")})
 U3 = Universe.make({"a": ("0", "1"), "b": ("1", "0"), "c": ("0", "1")})  # 318 relations
 U23 = Universe.make({"a": ("y", "x"), "b": ("3", "1", "2")})  # unequal domains, 78 relations
+U13 = Universe.make({"t": ("c", "a", "b")})  # 10 relations
 # Equal-size attributes with another one between them, and singleton domains.
 GAPPED = Universe.make({"a": ("q", "p"), "b": ("x",), "c": ("2", "1")})
 SINGLETONS = Universe.make({"a": ("x",), "b": ("1", "2"), "c": ("p",)})
@@ -120,6 +125,27 @@ class TestOrbits:
         assert first == 0 and k.orbit_least == {0: 0}
         assert list(k.least_codes()) == list(k.least_codes())
         assert len(k.orbit_least) == k.n
+
+    @pytest.mark.parametrize("u, order", [(U1, 2), (U2, 8), (U3, 48), (U13, 6), (U23, 12),
+                                          (GAPPED, 8), (SINGLETONS, 4)])
+    def test_group_order(self, u, order):
+        k = RelationKernel(u)
+        assert k.group_order() == order == len(list(automorphisms(u)))
+        k.stabilizer_least(0)
+        assert len(set(k._group)) == order
+
+    @pytest.mark.parametrize("u", [U2, U13, U23, GAPPED, SINGLETONS])
+    def test_stabilizers_against_the_whole_group(self, u):
+        """Per first code, each code's least image under the automorphisms fixing it."""
+        k = RelationKernel(u)
+        rels = enumerate_relations(u)
+        group = list(automorphisms(u))
+        for first in k.least_codes():
+            fixing = [g for g in group if g(rels[first]) == rels[first]]
+            least = [min(k.encode(g(r)) for g in fixing) for r in rels]
+            assert list(k.stabilizer_least(first)) == least
+            assert list(k.least_seconds(first)) == [c for c, m in enumerate(least) if c == m]
+            assert k.least_seconds(first) is k.least_seconds(first)
 
 
 # --- the reduced walk against the unreduced one ------------------------------
@@ -227,3 +253,93 @@ class TestWhenReduced:
             tab = verify_model(model_from_universe(U23), [parse_statement(text)], mode)[0]
             assert (rep.verdict, rep.assignments_tested, rep.witness_text is None) == (
                 tab.verdict, tab.assignments_tested, tab.witness is None)
+
+
+# --- the two-level walk against the unreduced one ----------------------------
+
+_kernels = {}
+
+
+def assert_as_one_level(u, statement):
+    """`run_check` with the kernel as `symmetry` reports what it reports
+    without one: verdict, witness, assignment and premise counts."""
+    if u not in _kernels:
+        _kernels[u] = RelationKernel(u)
+    k = _kernels[u]
+    kw = dict(tables=k.tables(), leaf=k.leaf, render=str)
+    got = run_check(statement, k.n, symmetry=k, **kw)
+    want = run_check(statement, k.n, symmetry=None, **kw)
+    assert (got.verdict, got.witness, got.assignments_tested, got.premise_satisfying) == (
+        want.verdict, want.witness, want.assignments_tested, want.premise_satisfying)
+    return k, got
+
+
+def catalog_texts(fewest, most, universe="u2"):
+    """The literal-free catalog laws on `universe` with `fewest` to `most` variables."""
+    return sorted({e.text for entries in suite_catalog().values() for e in entries
+                   if universe in e.universes and "{" not in e.text
+                   and fewest <= len(free_variables(e.statement)) <= most})
+
+
+@pytest.fixture
+def seconds_walked():
+    """The first values whose second values a check asked the kernel for."""
+    calls = []
+    real = RelationKernel.least_seconds
+
+    def spy(kernel, first):
+        calls.append(first)
+        return real(kernel, first)
+    with mock.patch.object(RelationKernel, "least_seconds", spy):
+        yield calls
+
+
+class TestSecondLevel:
+    @pytest.mark.parametrize("text", catalog_texts(3, 4))
+    def test_catalog_on_u2(self, seconds_walked, text):
+        assert_as_one_level(U2, parse_statement(text))
+        assert seconds_walked
+
+    @pytest.mark.parametrize("text", catalog_texts(3, 3))
+    def test_catalog_on_1x3(self, reduce_every_check, text):
+        assert_as_one_level(U13, parse_statement(text))
+
+    @pytest.mark.parametrize("text", [
+        "x ^ (y v z) = (x ^ y) v (x ^ z)",
+        "(x * y) * z = x * (y * z)",
+        "x < y & y < z -> z < x",
+        "y ^ z = R00 -> y < z v x",
+        "x ^ z = R10 -> x ^ y != z v R11",
+        "R11 ^ y = R11 ^ z -> x ^ (y v z) = (x ^ y) v (x ^ z)",
+    ])
+    def test_three_variables_on_2x3(self, text):
+        assert_as_one_level(U23, parse_statement(text))
+
+    @pytest.mark.parametrize("u, witness", [(U2, (0, 25, 0)), (U23, (0, 77, 0))],
+                             ids=["u2", "2x3"])
+    def test_witness_after_skipped_seconds(self, u, witness):
+        k, rep = assert_as_one_level(u, parse_statement("((x + y) v z) ^ y != R11"))
+        assert tuple(rep.witness.values()) == witness
+        assert len(k.least_seconds(0)) < witness[1]  # second values below it were skipped
+
+    @pytest.mark.parametrize("u", [U2, U23], ids=["u2", "2x3"])
+    def test_implication_witness_mid_block(self, u):
+        """Second values below the witness's were skipped after its first
+        value, and the witness is not the first assignment of its second
+        value's block, so both levels' skipped premises are counted."""
+        k, rep = assert_as_one_level(u, parse_statement("x ^ z = R10 -> x ^ y != z v R11"))
+        first, second, third = rep.witness.values()
+        seconds = k.least_seconds(first)
+        assert third > 0 and second in seconds and seconds.index(second) < second
+        assert rep.premise_satisfying > 0
+
+    def test_two_variables_one_level(self, seconds_walked):
+        check(U23, "x < y -> y ^ x = x")
+        assert seconds_walked == []
+
+    def test_one_level_past_the_cap(self, seconds_walked):
+        k = RelationKernel(U23)
+        with mock.patch.object(checker, "_GROUP_CAP", k.group_order() * k.n - 1):
+            assert_as_one_level(U23, parse_statement("x ^ z = R10 -> x ^ y != z v R11"))
+            assert_as_one_level(U23, parse_statement("(x * y) * z = x * (y * z)"))
+        assert seconds_walked == []
