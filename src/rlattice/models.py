@@ -8,7 +8,10 @@ searched signature minimal.
 
 The searcher is a Mace4-style backtracking search over table cells with
 ground-instance constraint propagation and first-available-value
-ordering.  Goals follow countermodel semantics: a returned model must
+ordering.  Each side of a ground instance is a postfix program over the
+stored tables; a `*` or `+` is one step after its operands that reads
+the cells of its definition, so a program is linear in the size of its
+term.  Goals follow countermodel semantics: a returned model must
 *falsify* every goal, so goal variables are skolemized into fresh
 constant cells and the negated goal becomes ground constraints.
 """
@@ -285,62 +288,8 @@ class SearchOutcome:
         return self.model is not None
 
 
-_R00_TERM = Const(ConstantKind.R00)
-_R11_TERM = Const(ConstantKind.R11)
-
-
-def _core_term(t: Term) -> Term:
-    """Rewrite a term into the stored signature {^, v, ', R00, R11}."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Const):
-        if t.kind is ConstantKind.R10:
-            return Bin("^", _R11_TERM, _R00_TERM)
-        if t.kind is ConstantKind.R01:
-            return Bin("v", _R11_TERM, _R00_TERM)
-        return t
-    if isinstance(t, Lit):
-        raise ModelSearchError("relation literals are outside the search signature")
-    if isinstance(t, Neg):
-        return Neg(_core_term(t.item))
-    if isinstance(t, Bin):
-        a, b = _core_term(t.left), _core_term(t.right)
-        if t.op == "^" or t.op == "v":
-            return Bin(t.op, a, b)
-        if t.op == "*":
-            return Bin("^", Bin("v", a, Bin("^", b, _R00_TERM)),
-                       Bin("v", b, Bin("^", a, _R00_TERM)))
-        if t.op == "+":
-            return Bin("v", Bin("^", a, Bin("v", b, _R11_TERM)),
-                       Bin("^", b, Bin("v", a, _R11_TERM)))
-        # y @ x = (y v R11) + x
-        return _core_term(Bin("+", Bin("v", t.left, _R11_TERM), t.right))
-    raise TypeError(f"not a term: {t!r}")
-
-
-GROUND_TERM_LIMIT = 1_000_000
-"""Most nodes that `search_model` grounds per axiom or goal, counted after
-`*`, `+` and `@` are rewritten (`_core_term`).  The rewriting copies each
-operand twice, so a chain of k such operators has about 2^k nodes: 16
-`+` operands give 327,671, 18 give 1,310,711."""
-
-
-def _core_size(t: Term) -> int:
-    """Node count of `_core_term(t)`, without building it."""
-    if isinstance(t, Const):
-        return 3 if t.kind in (ConstantKind.R10, ConstantKind.R01) else 1
-    if isinstance(t, Neg):
-        return 1 + _core_size(t.item)
-    if isinstance(t, Bin):
-        a, b = _core_size(t.left), _core_size(t.right)
-        if t.op in ("^", "v"):
-            return 1 + a + b
-        return (11 if t.op == "@" else 7) + 2 * (a + b)  # each operand twice
-    return 1
-
-
 # postfix opcodes
-_PUSH_ELEM, _PUSH_CELL, _APPLY, _COMP = 0, 1, 2, 3
+_PUSH_ELEM, _PUSH_CELL, _APPLY, _COMP, _DERIVED = 0, 1, 2, 3, 4
 # evaluation outcomes
 _VALUE, _BLOCK_ROOT, _BLOCK = 0, 1, 2
 
@@ -414,27 +363,37 @@ class _SizeSearch:
         return order
 
     def _compile(self, t: Term, env: Mapping[str, tuple], out: list) -> None:
+        """Append the postfix program of `t`.  A `*` or `+` is one
+        `_DERIVED` step after its operands; `y @ x` is `(y v R11) + x`."""
         if isinstance(t, Var):
             out.append(env[t.name])
         elif isinstance(t, Const):
-            # R10/R01 were rewritten away by _core_term
-            cell = {ConstantKind.R00: self.cell_r00,
-                    ConstantKind.R11: self.cell_r11}[t.kind]
-            out.append((_PUSH_CELL, cell))
+            r00, r11 = (_PUSH_CELL, self.cell_r00), (_PUSH_CELL, self.cell_r11)
+            out += {ConstantKind.R00: (r00,), ConstantKind.R11: (r11,),
+                    ConstantKind.R10: (r11, r00, (_APPLY, self.meet_base)),
+                    ConstantKind.R01: (r11, r00, (_APPLY, self.join_base))}[t.kind]
+        elif isinstance(t, Lit):
+            raise ModelSearchError("relation literals are outside the search signature")
         elif isinstance(t, Neg):
             self._compile(t.item, env, out)
             out.append((_COMP, self.comp_base))
         elif isinstance(t, Bin):
             self._compile(t.left, env, out)
+            if t.op == "@":
+                out += ((_PUSH_CELL, self.cell_r11), (_APPLY, self.join_base))
             self._compile(t.right, env, out)
-            base = self.meet_base if t.op == "^" else self.join_base
-            out.append((_APPLY, base))
+            if t.op == "^" or t.op == "v":
+                out.append((_APPLY, self.meet_base if t.op == "^" else self.join_base))
+            elif t.op == "*":  # a * b = (a v (b ^ R00)) ^ (b v (a ^ R00))
+                out.append((_DERIVED, (self.meet_base, self.join_base, self.cell_r00)))
+            else:  # a + b = (a ^ (b v R11)) v (b ^ (a v R11))
+                out.append((_DERIVED, (self.join_base, self.meet_base, self.cell_r11)))
         else:
             raise ModelSearchError(f"term {t!r} is outside the search signature")
 
     def _program(self, t: Term, env: Mapping[str, tuple]) -> tuple:
         out: list = []
-        self._compile(_core_term(t), env, out)
+        self._compile(t, env, out)
         return tuple(out)
 
     def _add_instance(self, lhs: tuple, rhs: tuple, is_eq: bool) -> None:
@@ -503,8 +462,30 @@ class _SizeSearch:
             elif op == _APPLY:
                 b = stack.pop()
                 cell = arg + stack.pop() * n + b
-            else:  # _COMP
+            elif op == _COMP:
                 cell = arg + stack.pop()
+            else:  # _DERIVED: the cells its definition reads, in order, root last
+                inner, outer, k = arg
+                b = stack.pop()
+                a = stack.pop()
+                reads.append(k)
+                kv = val[k]
+                if kv < 0:
+                    return _BLOCK, k
+                halves = []
+                for u, v in ((a, b), (b, a)):  # outer[u, inner[v, k]]
+                    cell = inner + v * n + kv
+                    reads.append(cell)
+                    x = val[cell]
+                    if x < 0:
+                        return _BLOCK, cell
+                    cell = outer + u * n + x
+                    reads.append(cell)
+                    x = val[cell]
+                    if x < 0:
+                        return _BLOCK, cell
+                    halves.append(x)
+                cell = inner + halves[0] * n + halves[1]
             reads.append(cell)
             x = val[cell]
             if x < 0:
@@ -680,12 +661,6 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
             )
         parsed_axioms.append(stmt)
     parsed_goals = [_as_statement(g, goal=True) for g in goals]
-    for stmt in (*parsed_axioms, *parsed_goals):
-        nodes = sum(_core_size(a.lhs) + _core_size(a.rhs) for a in terms._atoms(stmt))
-        if nodes > GROUND_TERM_LIMIT:
-            raise ModelSearchError(
-                f"{nodes} nodes once `*`, `+` and `@` are rewritten, more than the "
-                f"{GROUND_TERM_LIMIT} grounded per statement: {terms.format_statement(stmt)}")
 
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
@@ -716,9 +691,10 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
 def _validate_found(m: FiniteModel, axioms: Sequence[terms.Atom],
                     goals: Sequence[Statement]) -> None:
     """Independent re-verification of a search result via the table engine."""
-    for report in verify_model(m, list(axioms)):
+    reports = verify_model(m, [*axioms, *goals])
+    for report in reports[:len(axioms)]:
         if report.verdict is not Verdict.HOLDS:
             raise RuntimeError(f"search produced a model violating an axiom: {report.statement}")
-    for g in goals:
-        if not refutes(m, g):
+    for g, report in zip(goals, reports[len(axioms):]):
+        if report.verdict is not Verdict.REFUTED:
             raise RuntimeError(f"search produced a model that fails to refute: {terms.format_statement(g)}")

@@ -30,7 +30,6 @@ from rlattice import (
     model_from_universe,
     parse_model,
     parse_statement,
-    parse_term,
     pretty_model,
     refutes,
     search_model,
@@ -39,7 +38,8 @@ from rlattice import (
 )
 from rlattice import models
 from rlattice.kernel import RelationKernel
-from rlattice.models import GROUND_TERM_LIMIT, _core_size, _core_term, _model_tables
+from rlattice.checker import enumerate_relations, evaluate
+from rlattice.models import _model_tables
 from rlattice.terms import BINARY_OPS
 
 DISTRIBUTIVITY = "x ^ (y v z) = (x ^ y) v (x ^ z)"
@@ -476,19 +476,30 @@ class TestSearch:
         out = search_model(["x ^ y = y ^ x"], ["x = y -> x = y"], [2])
         assert not out.found
 
+    # Goals through the derived operators: outcomes and node counts as
+    # when `*`, `+`, `@`, `R10` and `R01` were unfolded before grounding.
+    @pytest.mark.parametrize("goal, sizes, size, excluded, nodes", [
+        ("x @ x = x v R11", range(2, 4), None, (2, 3), 56),
+        ("x @ y = y @ x", range(2, 4), None, (2, 3), 173),
+        ("x * R00 = R00", range(2, 5), None, (2, 3, 4), 99),
+        ("x + R10 = x", range(2, 5), 2, (), 16),
+        ("x * R01 = x", range(2, 5), 2, (), 19),
+    ])
+    def test_derived_operator_node_counts(self, goal, sizes, size, excluded, nodes):
+        out = search_model(minimal_axioms(), [goal], sizes)
+        assert (out.size, out.sizes_excluded, out.nodes) == (size, excluded, nodes)
+
+    def test_definition_as_goal_is_searched(self):
+        # The sides differ until `*` is unfolded, so the search, not the
+        # grounding, excludes each size.
+        out = search_model(minimal_axioms(), ["x * y = (x v (y ^ R00)) ^ (y v (x ^ R00))"],
+                           range(2, 4))
+        assert (out.found, out.sizes_excluded) == (False, (2, 3))
 
 
 def plus_chain(operands):
     """`x + x + ... + x` with `operands` operands."""
     return " + ".join(["x"] * operands)
-
-
-def node_count(t):
-    if isinstance(t, Neg):
-        return 1 + node_count(t.item)
-    if isinstance(t, Bin):
-        return 1 + node_count(t.left) + node_count(t.right)
-    return 1
 
 
 def operator_count(t):
@@ -506,16 +517,52 @@ search_terms = st.recursive(
 ).filter(lambda t: operator_count(t) <= 10)
 
 
-class TestGroundingLimit:
-    """Rewriting `*`, `+` and `@` copies each operand twice, so a long
-    chain of them is refused before any size is searched."""
+def unfolded(t):
+    """`t` with `*`, `+`, `@`, `R10` and `R01` replaced by their definitions
+    in `^`, `v`, `R00` and `R11`, each operand copied as often as it is read."""
+    r00, r11 = Const(ConstantKind.R00), Const(ConstantKind.R11)
+    if isinstance(t, Const):
+        return {ConstantKind.R10: Bin("^", r11, r00),
+                ConstantKind.R01: Bin("v", r11, r00)}.get(t.kind, t)
+    if isinstance(t, Neg):
+        return Neg(unfolded(t.item))
+    if not isinstance(t, Bin):
+        return t
+    if t.op == "@":
+        return unfolded(Bin("+", Bin("v", t.left, r11), t.right))
+    a, b = unfolded(t.left), unfolded(t.right)
+    if t.op == "*":
+        return Bin("^", Bin("v", a, Bin("^", b, r00)), Bin("v", b, Bin("^", a, r00)))
+    if t.op == "+":
+        return Bin("v", Bin("^", a, Bin("v", b, r11)), Bin("^", b, Bin("v", a, r11)))
+    return Bin(t.op, a, b)
 
-    def test_long_chain_refused_promptly(self):
+
+def filled_search(m):
+    """A size-`m.size` search whose cells hold the tables of `m`."""
+    search = models._SizeSearch(m.size, [], symmetry=True)
+    search.val[search.cell_r00], search.val[search.cell_r11] = m.r00, m.r11
+    search.val[search.comp_base:] = m.comp + m.meet + m.join
+    return search
+
+
+@pytest.fixture(scope="module")
+def bridged(u1, u2):
+    """Per universe: the universe, its relations, and a search holding its model."""
+    return {uid: (u, enumerate_relations(u), filled_search(model_from_universe(u)))
+            for uid, u in (("u1", u1), ("u2", u2))}
+
+
+class TestGroundingLimit:
+    """`*` and `+` compile to one step after their operands, so grounding
+    is linear in term size and a long chain of them searches promptly."""
+
+    def test_long_chain_searched_promptly(self):
         start = time.perf_counter()
-        with pytest.raises(ModelSearchError, match=f"more than the {GROUND_TERM_LIMIT}"):
-            search_model(minimal_axioms(), [plus_chain(40) + " = x"], range(2, 3))
-        with pytest.raises(ModelSearchError, match="nodes once"):
-            search_model([plus_chain(40) + " = x"], [], range(2, 3))
+        out = search_model(minimal_axioms(), [plus_chain(40) + " = x"], range(2, 5))
+        assert (out.found, out.sizes_excluded, out.nodes) == (False, (2, 3, 4), 98)
+        out = search_model([], [plus_chain(40) + " = x"], range(2, 5))
+        assert (out.found, out.size, out.sizes_excluded, out.nodes) == (True, 2, (), 13)
         assert time.perf_counter() - start < 1.0
 
     def test_sixteen_operands_still_search(self):
@@ -524,11 +571,30 @@ class TestGroundingLimit:
         assert out.model == FiniteModel(2, flat(((0, 0), (0, 0))), flat(((1, 0), (0, 0))),
                                         (0, 0), 0, 0)
 
-    def test_chain_sizes(self):
-        assert _core_size(parse_term(plus_chain(16))) == 327_671
-        assert _core_size(parse_term(plus_chain(18))) > GROUND_TERM_LIMIT
+    @settings(max_examples=300, deadline=None)
+    @given(t=search_terms, uid=st.sampled_from(["u1", "u2"]), data=st.data())
+    def test_program_matches_evaluate(self, bridged, t, uid, data):
+        u, rels, search = bridged[uid]
+        codes = {name: data.draw(st.integers(0, len(rels) - 1), label=name) for name in "xy"}
+        env = {name: (models._PUSH_ELEM, code) for name, code in codes.items()}
+        status, code = search._eval(search._program(t, env), [])
+        assert status == models._VALUE
+        assert rels[code] == evaluate(u, t, {name: rels[c] for name, c in codes.items()})
 
     @settings(max_examples=300, deadline=None)
-    @given(search_terms)
-    def test_count_equals_rewritten_nodes(self, t):
-        assert _core_size(t) == node_count(_core_term(t))
+    @given(t=search_terms, data=st.data())
+    def test_blocks_where_the_unfolded_term_blocks(self, bridged, t, data):
+        """With some of the cells it reads unknown, a program stops at the
+        cell, and reads the cells, that the program of the unfolded term does."""
+        full = bridged["u1"][2]
+        env = {name: (models._PUSH_ELEM, data.draw(st.integers(0, full.n - 1), label=name))
+               for name in "xy"}
+        program, unfolded_program = full._program(t, env), full._program(unfolded(t), env)
+        cells = []
+        full._eval(unfolded_program, cells)
+        unknown = data.draw(st.sets(st.sampled_from(cells))) if cells else set()
+        search = models._SizeSearch(full.n, [], symmetry=True)
+        search.val = [-1 if cell in unknown else v for cell, v in enumerate(full.val)]
+        reads, unfolded_reads = [], []
+        assert search._eval(program, reads) == search._eval(unfolded_program, unfolded_reads)
+        assert set(reads) == set(unfolded_reads)
