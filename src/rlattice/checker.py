@@ -66,8 +66,7 @@ from itertools import chain, islice, product, repeat
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import terms
-# The budget names and `count_relations` are re-exported from here.
-from .kernel import DEFAULT_ENUM_BUDGET, EnumerationBudgetError, RelationKernel, count_relations  # noqa: F401
+from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel
 from .universe import (
     ConstantKind,
     LatticeError,

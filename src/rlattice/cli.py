@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import suites as suites_mod
-from .checker import CheckReport, Exhaustive, Sample, Verdict, check, enumerate_relations, count_relations
-from .kernel import RelationKernel
+from .checker import CheckReport, Exhaustive, Sample, Verdict, check, enumerate_relations
+from .kernel import RelationKernel, count_relations
 from .models import (
     format_model,
     load_model,
@@ -55,11 +55,13 @@ def _mode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=suites_mod.DEFAULT_SAMPLES)
 
 
-def _output_args(p: argparse.ArgumentParser) -> None:
+def _output_args(p: argparse.ArgumentParser, timing: bool = True,
+                 output: str = "write output to a file") -> None:
     p.add_argument("--format", choices=("human", "structured"), default="human")
-    p.add_argument("--timing", action="store_true",
-                   help="include elapsed time in structured output")
-    p.add_argument("-o", "--output", metavar="FILE", help="write output to a file")
+    if timing:
+        p.add_argument("--timing", action="store_true",
+                       help="include elapsed time in structured output")
+    p.add_argument("-o", "--output", metavar="FILE", help=output)
 
 
 @functools.cache
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable least-index canonicity pruning")
-    _output_args(p)
+    _output_args(p, output="write a found model to a model file")
     p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("verify-model", help="check statements against a model file")
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count (or list) the relations of a universe")
     _universe_args(p, repeatable=False)
     p.add_argument("--list", action="store_true", help="print every relation")
-    _output_args(p)
+    p.add_argument("-o", "--output", metavar="FILE", help="write output to a file")
     p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("suite", help="run a registered law suite")
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _universe_args(p, repeatable=True)
     p.add_argument("--list-suites", action="store_true")
     p.add_argument("--export", metavar="DIR", help="export all suites as statement files")
-    _output_args(p)
+    _output_args(p, timing=False)
     p.set_defaults(run=cmd_suite)
 
     p = sub.add_parser("bridge", help="abstract a universe into a model file")

@@ -135,7 +135,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
             raise ModelError("relation literals have no interpretation in an abstract model")
         return constants[t.kind]
 
-    return [run_check(terms.parse_goal(s) if isinstance(s, str) else s, m.size,
+    return [run_check(_as_statement(s), m.size,
                       tables=tables, leaf=leaf, render=str, mode=mode)
             for s in statements]
 
@@ -625,15 +625,14 @@ def _check_deadline(deadline: float | None) -> None:
         raise _Timeout()
 
 
-def _as_statement(s: Statement | str, goal: bool = False) -> Statement:
-    if isinstance(s, str):
-        return terms.parse_goal(s) if goal else terms.parse_statement(s)
-    return s
+def _as_statement(s: Statement | str) -> Statement:
+    """`s`, read by `terms.parse_goal` if it is a string."""
+    return terms.parse_goal(s) if isinstance(s, str) else s
 
 
 def refutes(m: FiniteModel, goal: Statement | str) -> bool:
     """True iff some carrier assignment falsifies the goal."""
-    report = verify_model(m, [_as_statement(goal, goal=True)])[0]
+    report = verify_model(m, [goal])[0]
     return report.verdict is Verdict.REFUTED
 
 
@@ -647,7 +646,9 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     its assignment space was exhausted.  `budget` is wall-clock seconds.
     `symmetry` enables least-index canonicity pruning (skipping partial
     models that merely relabel an already-explored one); it is an
-    optimization and must not change outcomes, only speed.
+    optimization and must not change outcomes, only speed.  A string
+    axiom or goal is read by `terms.parse_goal`, so an axiom written
+    `atom | atom` is refused like any other non-atom.
     """
     size_list = list(sizes)
     if any(b <= a for a, b in zip(size_list, size_list[1:])):
@@ -660,7 +661,7 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
                 f"axioms must be equations, disequations or order assertions: {terms.format_statement(stmt)}"
             )
         parsed_axioms.append(stmt)
-    parsed_goals = [_as_statement(g, goal=True) for g in goals]
+    parsed_goals = [_as_statement(g) for g in goals]
 
     start = time.monotonic()
     deadline = start + budget if budget is not None else None

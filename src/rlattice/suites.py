@@ -348,10 +348,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    @property
-    def mismatches(self) -> tuple[EntryResult, ...]:
-        return tuple(r for r in self.results if not r.ok)
-
     def lines(self) -> list[str]:
         out = [f"suite {self.name}: {'ok' if self.ok else 'MISMATCH'}"]
         for res in self.results:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .universe import ConstantKind, LatticeError, Relation, Universe
 
@@ -171,61 +171,38 @@ Statement = Eq | Ne | Lt | Imp | Or
 
 # --- tokenizer -------------------------------------------------------------
 
-_WORD = re.compile(r"[A-Za-z0-9_]+")
+# One alternative per token class, tried in order at each non-space
+# character: a comment ends the input, `->` and `!=` come before the
+# single characters, and any other character is an error at its position.
+_TOKEN = re.compile(r"(?P<COMMENT>#)|(?P<PUNC>->|!=|[(){},=<&|])|(?P<OP>[\^*+@'])"
+                    r"|(?P<WORD>[A-Za-z0-9_]+)|(?P<BAD>\S)")
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _CONSTS = {k.value: k for k in ConstantKind}
+# The kind of a reserved word; any other word is an IDENT if it looks like
+# one, else a WORD.
+_WORD_KINDS = {"v": "OP", **dict.fromkeys(_CONSTS, "CONST"),
+               "empty": "KEYWORD", "full": "KEYWORD"}
 
 
 @dataclass(frozen=True)
 class _Tok:
-    kind: str  # OP, IDENT, CONST, WORD, PUNC, END
+    kind: str  # OP, IDENT, CONST, KEYWORD, WORD, PUNC, END
     text: str
     pos: int
 
 
 def _tokenize(source: str) -> list[_Tok]:
     toks = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            break  # comment to end of input line
-        if source.startswith("->", i):
-            toks.append(_Tok("PUNC", "->", i))
-            i += 2
-            continue
-        if source.startswith("!=", i):
-            toks.append(_Tok("PUNC", "!=", i))
-            i += 2
-            continue
-        if c in "^*+@'":
-            toks.append(_Tok("OP", c, i))
-            i += 1
-            continue
-        if c in "(){},=<&|":
-            toks.append(_Tok("PUNC", c, i))
-            i += 1
-            continue
-        m = _WORD.match(source, i)
-        if m:
-            word = m.group(0)
-            if word == "v":
-                toks.append(_Tok("OP", "v", i))
-            elif word in _CONSTS:
-                toks.append(_Tok("CONST", word, i))
-            elif word in ("empty", "full"):
-                toks.append(_Tok("KEYWORD", word, i))
-            elif _IDENT.match(word):
-                toks.append(_Tok("IDENT", word, i))
-            else:
-                toks.append(_Tok("WORD", word, i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("END", "", n))
+    for m in _TOKEN.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "COMMENT":
+            break
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        if kind == "WORD":
+            kind = _WORD_KINDS.get(text) or ("IDENT" if _IDENT.match(text) else "WORD")
+        toks.append(_Tok(kind, text, pos))
+    toks.append(_Tok("END", "", len(source)))
     return toks
 
 
@@ -261,14 +238,8 @@ class _Parser:
     def term(self) -> tuple[Term, int]:
         """A term and its height, the most operators on a path to a leaf."""
         node, height = self.factor()
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text == "'":
-            return node, height
-        chain_op = tok.text
-        while True:
-            tok = self.peek()
-            if tok.kind != "OP" or tok.text == "'":
-                return node, height
+        chain_op = self.peek().text  # not `'`: factor() took every postfix `'`
+        while (tok := self.peek()).kind == "OP":
             if tok.text != chain_op:
                 raise MixedOperatorError(
                     f"operator {tok.text!r} mixed with {chain_op!r}; parenthesize one side",
@@ -277,6 +248,7 @@ class _Parser:
             self.take()
             right, right_height = self.factor()
             node, height = Bin(chain_op, node, right), self.nest(max(height, right_height), tok)
+        return node, height
 
     def factor(self) -> tuple[Term, int]:
         node, height = self.primary()
@@ -291,8 +263,8 @@ class _Parser:
             return Var(self.take().text), 0
         if tok.kind == "CONST":
             return Const(_CONSTS[self.take().text]), 0
-        if tok.kind == "KEYWORD":
-            return self.header_literal(), 0
+        if tok.kind == "KEYWORD":  # empty(attr, ...) | full(attr, ...)
+            return Lit(self.take().text, tuple(self.items("(", ")", self.attr_name))), 0
         if tok.kind == "PUNC" and tok.text == "{":
             return self.rows_literal(), 0
         if tok.kind == "PUNC" and tok.text == "(":
@@ -303,61 +275,47 @@ class _Parser:
             return inner
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
 
-    def header_literal(self) -> Lit:
-        shape = self.take().text  # empty | full
-        self.expect("PUNC", "(")
-        attrs = []
-        if not (self.peek().kind == "PUNC" and self.peek().text == ")"):
-            attrs.append(self.attr_name())
+    def items(self, open_: str, close: str, item: Callable[[], Any],
+              empty: bool = True) -> list:
+        """`open item, item, ... close`; `open close` only if `empty`."""
+        self.expect("PUNC", open_)
+        out = []
+        if not (empty and self.peek().text == close):
+            out.append(item())
             while self.peek().text == ",":
                 self.take()
-                attrs.append(self.attr_name())
-        self.expect("PUNC", ")")
-        return Lit(shape, tuple(attrs))
+                out.append(item())
+        self.expect("PUNC", close)
+        return out
 
     def rows_literal(self) -> Lit:
-        open_tok = self.expect("PUNC", "{")
-        rows_raw: list[list[tuple[str, str]]] = []
-        rows_raw.append(self.literal_tuple())
-        while self.peek().text == ",":
-            self.take()
-            rows_raw.append(self.literal_tuple())
-        self.expect("PUNC", "}")
+        pos = self.peek().pos  # of the `{`
+        rows_raw = self.items("{", "}", lambda: self.items("(", ")", self.attr_value_pair),
+                              empty=False)
         attrs = tuple(a for a, _ in rows_raw[0])
         if len(set(attrs)) != len(attrs):
-            raise ParseError("duplicate attribute in tuple", open_tok.pos)
+            raise ParseError("duplicate attribute in tuple", pos)
         rows = []
         for pairs in rows_raw:
             bymap = dict(pairs)
             if len(bymap) != len(pairs) or set(bymap) != set(attrs):
-                raise ParseError("tuples of one literal must share one attribute set", open_tok.pos)
+                raise ParseError("tuples of one literal must share one attribute set", pos)
             rows.append(tuple(bymap[a] for a in attrs))
         return Lit("rows", attrs, tuple(rows))
 
-    def literal_tuple(self) -> list[tuple[str, str]]:
-        self.expect("PUNC", "(")
-        pairs: list[tuple[str, str]] = []
-        if not (self.peek().kind == "PUNC" and self.peek().text == ")"):
-            pairs.append(self.attr_value_pair())
-            while self.peek().text == ",":
-                self.take()
-                pairs.append(self.attr_value_pair())
-        self.expect("PUNC", ")")
-        return pairs
-
-    def attr_name(self) -> str:
+    def word(self, what: str) -> str:
         tok = self.peek()
         if tok.kind not in ("IDENT", "WORD"):
-            raise ParseError(f"expected attribute name, found {tok.text!r}", tok.pos)
+            raise ParseError(f"expected {what}, found {tok.text!r}", tok.pos)
         return self.take().text
+
+    def attr_name(self) -> str:
+        return self.word("attribute name")
 
     def attr_value_pair(self) -> tuple[str, str]:
         attr = self.attr_name()
         self.expect("PUNC", "=")
-        tok = self.peek()
-        if tok.kind not in ("IDENT", "WORD"):
-            raise ParseError(f"expected a value, found {tok.text!r}", tok.pos)
-        return attr, self.take().text
+        return attr, self.word("a value")
 
     def atom(self) -> Atom:
         lhs, _ = self.term()
@@ -397,38 +355,30 @@ class _Parser:
             return Or(tuple(alts))
         return first
 
-    def finish(self) -> None:
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+
+def _parse(source: str, rule: Callable[[_Parser], Any]) -> Any:
+    """`rule` read over all of `source`, which must hold more than spaces."""
+    if not source.strip():
+        raise ParseError("empty input", 0)
+    p = _Parser(source)
+    node = rule(p)
+    tok = p.peek()
+    if tok.kind != "END":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    return node
 
 
 def parse_term(source: str) -> Term:
-    if not source.strip():
-        raise ParseError("empty input", 0)
-    p = _Parser(source)
-    node, _ = p.term()
-    p.finish()
-    return node
+    return _parse(source, lambda p: p.term()[0])
 
 
 def parse_statement(source: str) -> Statement:
-    if not source.strip():
-        raise ParseError("empty input", 0)
-    p = _Parser(source)
-    node = p.statement()
-    p.finish()
-    return node
+    return _parse(source, _Parser.statement)
 
 
 def parse_goal(source: str) -> Statement:
     """Like parse_statement but admits a top-level `atom | atom` disjunction."""
-    if not source.strip():
-        raise ParseError("empty input", 0)
-    p = _Parser(source)
-    node = p.goal()
-    p.finish()
-    return node
+    return _parse(source, _Parser.goal)
 
 
 def parse_statement_file(text: str) -> list[Statement]:
@@ -448,6 +398,12 @@ def parse_statement_file(text: str) -> list[Statement]:
 
 # --- printing --------------------------------------------------------------
 
+def _rows_literal(attrs: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """`{(a=v,...),...}`: one tuple per row, its values paired with `attrs`."""
+    return "{" + ",".join("(" + ",".join(f"{a}={v}" for a, v in zip(attrs, row)) + ")"
+                          for row in rows) + "}"
+
+
 def format_term(t: Term) -> str:
     """Canonical printer; parse_term(format_term(t)) == t."""
     if isinstance(t, Var):
@@ -456,9 +412,7 @@ def format_term(t: Term) -> str:
         return t.kind.value
     if isinstance(t, Lit):
         if t.shape == "rows":
-            parts = ["(" + ",".join(f"{a}={v}" for a, v in zip(t.attrs, row)) + ")"
-                     for row in t.rows]
-            return "{" + ",".join(parts) + "}"
+            return _rows_literal(t.attrs, t.rows)
         return f"{t.shape}(" + ",".join(t.attrs) + ")"
     if isinstance(t, Neg):
         inner = format_term(t.item)
@@ -495,9 +449,7 @@ def format_relation(r: Relation) -> str:
     """Print a concrete relation in literal syntax."""
     if not r.body:
         return "empty(" + ",".join(r.header) + ")"
-    parts = ["(" + ",".join(f"{a}={v}" for a, v in zip(r.header, row)) + ")"
-             for row in r.body]
-    return "{" + ",".join(parts) + "}"
+    return _rows_literal(r.header, r.body)
 
 
 def _term_vars(t: Term, seen: dict[str, None]) -> None:

@@ -13,7 +13,6 @@ operation result are representation-independent and bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -145,9 +144,6 @@ class Universe:
         if unknown:
             raise RelationError(f"attribute {unknown[0]!r} not in universe")
         return tuple(a for a in self.attributes if a in given)
-
-    def space_size(self, header: Sequence[str]) -> int:
-        return math.prod(len(self.domain(a)) for a in header)
 
     def full_body(self, header: tuple[str, ...]) -> list[tuple[str, ...]]:
         """All tuples over `header`, lexicographically sorted."""

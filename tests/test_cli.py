@@ -101,6 +101,29 @@ class TestEnumerate:
         assert "empty()" in out
 
 
+class TestOptions:
+    """Each subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--format", "structured"],
+        ["enumerate", "--timing"],
+        ["suite", "nand", "--timing"],
+    ])
+    def test_unread_option_exit_three(self, u1_file, capsys, argv):
+        assert main([*argv, "-u", u1_file]) == 3
+        assert capsys.readouterr().err.startswith("usage: rlattice")
+
+    def test_enumerate_output_file(self, u1_file, tmp_path, capsys):
+        out = tmp_path / "count.txt"
+        assert main(["enumerate", "-u", u1_file, "-o", str(out)]) == 0
+        assert out.read_text() == "6\n"
+
+    def test_search_output_help_names_the_model(self, capsys):
+        assert main(["search", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "-o FILE, --output FILE write a found model to a model file" in help_text
+
+
 class TestSuite:
     def test_broken_laws_ok(self, u1_file, u2_file, capsys):
         code = main(["suite", "broken-laws", "-u", u1_file, "-u", u2_file])

@@ -30,6 +30,7 @@ from rlattice import (
     model_from_universe,
     parse_model,
     parse_statement,
+    parse_statement_file,
     pretty_model,
     refutes,
     search_model,
@@ -410,6 +411,14 @@ class TestSearch:
     def test_literals_rejected(self):
         with pytest.raises(ModelSearchError):
             search_model(["x ^ {(t=a)} = x"], [], [2])
+
+    def test_disjunctive_axiom_rejected_from_string_or_file(self):
+        axiom = "x v R00 = R00 | x v R00 = R00'"
+        with pytest.raises(ModelSearchError, match="axioms must be equations") as from_string:
+            search_model([axiom], [], [2])
+        with pytest.raises(ModelSearchError) as from_file:
+            search_model(parse_statement_file(axiom + "\n"), [], [2])
+        assert str(from_string.value) == str(from_file.value)
 
     def test_budget_exhaustion(self):
         out = search_model(minimal_axioms(), ["x ^ (y v z) = (x ^ y) v (x ^ z)"],

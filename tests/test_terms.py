@@ -40,7 +40,42 @@ from rlattice import (
     verify_model,
 )
 from rlattice.checker import compile_statement
-from rlattice.terms import MAX_TERM_DEPTH
+from rlattice.terms import MAX_TERM_DEPTH, _tokenize
+
+
+class TestTokenize:
+    """The token table: each case is the source and either its tokens as
+    `KIND:text@pos` (the END token last) or the error message."""
+
+    @pytest.mark.parametrize("source, expected", [
+        # `->` and `!=` before `-`, `!`, `=` and `<`; a lone `-` or `!` is no token
+        ("a->b", "IDENT:a@0 PUNC:->@1 IDENT:b@3 END:@4"),
+        ("a!=b", "IDENT:a@0 PUNC:!=@1 IDENT:b@3 END:@4"),
+        ("a<-b", "unexpected character '-' (at position 2)"),
+        ("a=<b", "IDENT:a@0 PUNC:=@1 PUNC:<@2 IDENT:b@3 END:@4"),
+        ("!a", "unexpected character '!' (at position 0)"),
+        # `#` ends the input, whatever follows it; END sits at the input's end
+        ("x = y # é -", "IDENT:x@0 PUNC:=@2 IDENT:y@4 END:@11"),
+        ("#", "END:@1"),
+        # `v` alone is an operator; longer words starting with v are identifiers
+        ("v v1 vx", "OP:v@0 IDENT:v1@2 IDENT:vx@5 END:@7"),
+        ("R00'", "CONST:R00@0 OP:'@3 END:@4"),
+        ("R2 A_1 9x", "WORD:R2@0 WORD:A_1@3 WORD:9x@7 END:@9"),
+        ("empty(", "KEYWORD:empty@0 PUNC:(@5 END:@6"),
+        ("full(", "KEYWORD:full@0 PUNC:(@4 END:@5"),
+        ("{(A=b)}", "PUNC:{@0 PUNC:(@1 WORD:A@2 PUNC:=@3 IDENT:b@4 PUNC:)@5 PUNC:}@6 END:@7"),
+        ("x^y*z+w@u", "IDENT:x@0 OP:^@1 IDENT:y@2 OP:*@3 IDENT:z@4 OP:+@5 IDENT:w@6 OP:@@7"
+                      " IDENT:u@8 END:@9"),
+        # Unicode spaces are skipped; other non-ASCII characters are errors
+        ("x\u3000v\ty", "IDENT:x@0 OP:v@2 IDENT:y@4 END:@5"),
+        ("xé", "unexpected character 'é' (at position 1)"),
+    ])
+    def test_table(self, source, expected):
+        try:
+            got = " ".join(f"{t.kind}:{t.text}@{t.pos}" for t in _tokenize(source))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestParseTerm:
