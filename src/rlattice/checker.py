@@ -157,15 +157,15 @@ class Compiled(NamedTuple):
     seconds=None)` decides the statement over the carrier `range(N)` and
     returns `(premise_satisfying, assignments_tested, witness)`, the
     witness being the first refuting assignment as a tuple of elements for
-    `variables`, or None.  With `envs=None` it walks in nested loops, last variable
-    fastest, every assignment whose first variable is one of `firsts`
-    (increasing; `range(N)` for all of them) and, for three or more
-    variables and a keyword `seconds`, whose second is one of
-    `seconds(first)` (increasing); an implication appends to the list
-    `starts` a list of its premise count so far as it begins each first
-    value, and appends the count to that list as it begins each second
-    value of three or more variables.  Otherwise it walks the assignments
-    `envs` yields in one flat loop.  `M J S P` are the meet, join, star
+    `variables`, or None.  With `envs=None` (up to `_NESTED` variables) it
+    walks in nested loops, last variable fastest, every assignment whose
+    first variable is one of `firsts` (increasing; `range(N)` for all of
+    them) and, for three or more variables and a keyword `seconds`, whose
+    second is one of `seconds(first)` (increasing); an implication appends
+    to the list `starts` a list of its premise count so far as it begins
+    each first value, and appends the count to that list as it begins each
+    second value of three or more variables.  Otherwise it walks the
+    assignments `envs` yields in one flat loop.  `M J S P` are the meet, join, star
     and plus tables indexed `a * N + b` and `C` the complement table;
     `leaf_values` are the elements of the constants and literals in
     `leaves`, supplied anew by every caller and universe.  `text` is the
@@ -181,9 +181,9 @@ class Compiled(NamedTuple):
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
 _R11 = terms.Const(ConstantKind.R11)
-# Variables given a loop of their own; the rest come from one `product`
-# loop inside the innermost, since CPython rejects more than 20
-# statically nested blocks.
+# Most variables given nested loops, since CPython rejects more than 20
+# statically nested blocks; `run_check` walks a statement with more in
+# the flat loop.
 _NESTED = 10
 # Fewest assignments for which `run_check` tries orbit-least first values
 # only.  Finding the orbits costs up to N map applications per generator,
@@ -201,10 +201,10 @@ _DRAW_WORDS = 1024
 def compile_statement(statement: terms.Statement) -> Compiled:
     """Compile `statement` once into a generated Python function.
 
-    Variable `i` is the loop at level `min(i, _NESTED)`.  Each distinct
-    subterm is computed once, at the level of its deepest variable, and
-    terms of constants and literals once before the loops; so is `a * N`
-    for a left operand used at a deeper level.  `y @ x` becomes
+    Variable `i` is the loop at level `i`.  Each distinct subterm is
+    computed once, at the level of its deepest variable, and terms of
+    constants and literals once before the loops; so is `a * N` for a left
+    operand used at a deeper level.  `y @ x` becomes
     `(y v R11) + x` and `a < b` becomes `a ^ b = a`.  A premise, or a
     disjunct other than the last, is tested at its own level and skips
     the rest of that level's loop body (`continue`) when it decides the
@@ -214,7 +214,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     variables = terms.free_variables(statement)
     arity = len(variables)
     names: dict[terms.Term, tuple[str, int]] = {
-        terms.Var(v): (f"v{i}", min(i, _NESTED)) for i, v in enumerate(variables)}
+        terms.Var(v): (f"v{i}", i) for i, v in enumerate(variables)}
     rows: dict[str, str] = {}
     leaves: list[terms.Term] = []
     lines: list[tuple[int, str]] = []  # (level, line) in the order they are needed
@@ -280,19 +280,16 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     source = [f"def run(M, J, S, P, C, N, envs, firsts, starts{params}, *, seconds=None):"]
     source += ["    " + line for level, line in lines if level < 0]
     source.append("    premise = 0")
-    if arity:
+    if 0 < arity <= _NESTED:
         source.append("    if envs is None:")
         indent = "        "
-        for level in range(min(arity, _NESTED + 1)):
+        for level in range(arity):
             if level == 0:
                 source.append(f"{indent}for v0 in firsts:")
             elif level == 1 and arity >= 3:
                 source.append(f"{indent}for v1 in (range(N) if seconds is None else seconds(v0)):")
-            elif level < _NESTED:
-                source.append(f"{indent}for v{level} in range(N):")
             else:
-                rest = "".join(f"v{i}, " for i in range(_NESTED, arity))
-                source.append(f"{indent}for {rest}in product(range(N), repeat={arity - _NESTED}):")
+                source.append(f"{indent}for v{level} in range(N):")
             indent += "    "
             if level == 0 and count:
                 source += [f"{indent}block = [premise]", f"{indent}starts.append(block)"]
@@ -304,13 +301,13 @@ def compile_statement(statement: terms.Statement) -> Compiled:
             position = f"({position})*N+v{i}"
         source += [indent + line for line in innermost(f"{position}+1")]
         source.append(f"        return premise, N**{arity}, None")
-    else:  # the one empty assignment, walked by the flat loop
+    elif not arity:  # the one empty assignment, walked by the flat loop
         source.append("    envs = ((),) if envs is None else envs")
     source += ["    i = 0", f"    for i, ({env}) in enumerate(envs, 1):"]
     source += ["        " + line for level, line in lines if level >= 0]
     source += ["        " + line for line in innermost("i")]
     source.append("    return premise, i, None")
-    namespace: dict[str, Any] = {"product": product}
+    namespace: dict[str, Any] = {}
     text = terms.format_statement(statement)
     exec(compile("\n".join(source) + "\n", f"<{text}>", "exec"), namespace)
     return Compiled(variables, tuple(leaves), namespace["run"], text)
@@ -352,10 +349,10 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     index to element; `leaf` gives the element of a constant or literal.
     Exhaustive mode walks assignments in canonical order (itertools.product,
     last variable fastest) and reports the first witness: in the generated
-    nested loops, or, when `max_assignments` stops it short, in the flat
-    loop over the first `max_assignments` of them.  Sampled mode draws
-    each variable as `Random(seed).randrange(n)` does in CPython
-    3.10-3.13 (see `_draws`).
+    nested loops, or, when `max_assignments` stops it short or there are
+    more than `_NESTED` variables, in the flat loop over the first
+    `max_assignments` of them.  Sampled mode draws each variable as
+    `Random(seed).randrange(n)` does in CPython 3.10-3.13 (see `_draws`).
     Implications count vacuous and premise-satisfying assignments
     separately.  A `symmetry` kernel over the carrier's codes lets the
     nested loops skip first values that are not orbit-least, and second
@@ -368,7 +365,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     if isinstance(mode, Exhaustive):
         total = n ** arity
         cap = total if mode.max_assignments is None else max(mode.max_assignments, 0)
-        envs = None if cap >= total else islice(product(range(n), repeat=arity), cap)
+        envs = (None if cap >= total and arity <= _NESTED
+                else islice(product(range(n), repeat=arity), cap))
     else:
         # The draws, grouped `arity` at a time into assignments.
         draws = _draws(random.Random(mode.seed).getrandbits, n)

@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from typing import Any, Callable
 
 from . import suites as suites_mod
 from .checker import CheckReport, Exhaustive, Sample, Verdict, check, enumerate_relations
@@ -37,7 +38,19 @@ EXIT_ERROR = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # keep usage errors above exit code 2
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_ERROR)
+
+
+def _at_least_zero(kind: type) -> Callable[[str], Any]:
+    """An argparse `type=` that reads a `kind` and refuses one below 0, or NaN."""
+    def read(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+        return value
+    read.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return read
 
 
 def _universe_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
@@ -52,7 +65,7 @@ def _universe_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
 def _mode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--seed", type=int, default=suites_mod.DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=suites_mod.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_at_least_zero(int), default=suites_mod.DEFAULT_SAMPLES)
 
 
 def _output_args(p: argparse.ArgumentParser, timing: bool = True,
@@ -85,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-e", "--goal", action="append", default=[], metavar="TEXT",
                    help="goal to falsify (repeatable; admits `atom | atom`)")
     p.add_argument("--sizes", default="2..6", metavar="A..B")
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--budget", type=_at_least_zero(float), default=None, metavar="SECONDS")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable least-index canonicity pruning")
     _output_args(p, output="write a found model to a model file")

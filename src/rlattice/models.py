@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
@@ -295,44 +295,31 @@ _VALUE, _BLOCK_ROOT, _BLOCK = 0, 1, 2
 
 
 class _SizeSearch:
-    """Backtracking table search at one fixed carrier size."""
+    """Backtracking table search at one fixed carrier size.  Cells 0 and 1
+    hold R00 and R11, the next ones the variables of each goal in turn,
+    then come the complement, meet and join tables."""
 
-    def __init__(self, size: int, goals: Sequence[Statement], symmetry: bool):
+    def __init__(self, size: int, axioms: Sequence[terms.Atom],
+                 goals: Sequence[Statement], symmetry: bool):
         self.n = n = size
+        self.axioms, self.goals = axioms, goals
         self.symmetry = symmetry
-        self.cell_r00 = 0
-        self.cell_r11 = 1
-        self.skolems: list[int] = []
-        next_cell = 2
-        self.skolem_of: dict[tuple[int, str], int] = {}
-        for gi, g in enumerate(goals):
-            for name in terms.free_variables(g):
-                self.skolem_of[(gi, name)] = next_cell
-                self.skolems.append(next_cell)
-                next_cell += 1
-        self.comp_base = next_cell
+        self.cell_r00, self.cell_r11 = 0, 1
+        self.comp_base = 2 + sum(len(terms.free_variables(g)) for g in goals)
         self.meet_base = self.comp_base + n
         self.join_base = self.meet_base + n * n
-        self.ncells = self.join_base + n * n
+        ncells = self.join_base + n * n
 
-        self.val = [-1] * self.ncells
-        self.forbid = [0] * self.ncells
+        self.val = [-1] * ncells
+        self.forbid = [0] * ncells
         self.full_mask = (1 << n) - 1
         # largest argument index inherent to each cell (constants: -1)
-        self.args_max = [-1] * self.ncells
-        for a in range(n):
-            self.args_max[self.comp_base + a] = a
-            for b in range(n):
-                m = a if a > b else b
-                self.args_max[self.meet_base + a * n + b] = m
-                self.args_max[self.join_base + a * n + b] = m
+        pair_max = [a if a > b else b for a in range(n) for b in range(n)]
+        self.args_max = [-1] * self.comp_base + list(range(n)) + pair_max + pair_max
 
-        self.watch: list[set[int]] = [set() for _ in range(self.ncells)]
-        self.inst_lhs: list[tuple] = []
-        self.inst_rhs: list[tuple] = []
-        self.inst_eq: list[bool] = []
+        self.watch: list[set[int]] = [set() for _ in range(ncells)]
+        self.instances: list[tuple[tuple, tuple, bool]] = []  # (lhs, rhs, is_eq)
         self.trivially_unsat = False
-        self._seen_instances: set = set()
 
         self.order = self._branch_order()
         self.trail: list[tuple] = []
@@ -341,25 +328,37 @@ class _SizeSearch:
 
     # ----- compilation
 
-    def ground(self, axioms: Sequence[terms.Atom], goals: Sequence[Statement],
-               deadline: float | None) -> None:
-        """Add the instances of every axiom, and the negation of every goal
-        (the goals given to the constructor), checking `deadline` after each atom."""
-        for ax in axioms:
-            self._ground_atom(ax, positive=True, deadline=deadline)
-        for gi, g in enumerate(goals):
-            self._add_negated_goal(gi, g, deadline)
+    def _ground(self, deadline: float | None) -> None:
+        """Fill `instances` from every axiom and the negation of every goal,
+        checking `deadline` after each atom."""
+        found: dict[tuple[tuple, tuple, bool], None] = {}
+        for ax in self.axioms:
+            self._ground_atom(found, ax, True, deadline)
+        cell = 2
+        for g in self.goals:  # the premises hold; the conclusion, or each alternative, fails
+            names = terms.free_variables(g)
+            env = {name: (_PUSH_CELL, cell + i) for i, name in enumerate(names)}
+            cell += len(names)
+            if isinstance(g, (Eq, Ne, Lt)):
+                atoms = [(g, False)]
+            elif isinstance(g, Or):
+                atoms = [(alt, False) for alt in g.alts]
+            elif isinstance(g, Imp):
+                atoms = [(p, True) for p in g.premises] + [(g.conclusion, False)]
+            else:
+                raise ModelSearchError(f"unsupported goal: {g!r}")
+            for atom, positive in atoms:
+                self._ground_atom(found, atom, positive, deadline, env)
+        self.instances = list(found)
 
     def _branch_order(self) -> list[int]:
-        order = [self.cell_r00, self.cell_r11] + list(self.skolems)
+        order = list(range(self.comp_base))
         n = self.n
         for radius in range(n):
             order.append(self.comp_base + radius)
-            pairs = [(i, radius) for i in range(radius)] + \
-                    [(radius, j) for j in range(radius + 1)]
+            pairs = [(i, radius) for i in range(radius)] + [(radius, j) for j in range(radius + 1)]
             for i, j in pairs:
-                order.append(self.meet_base + i * n + j)
-                order.append(self.join_base + i * n + j)
+                order += (self.meet_base + i * n + j, self.join_base + i * n + j)
         return order
 
     def _compile(self, t: Term, env: Mapping[str, tuple], out: list) -> None:
@@ -396,21 +395,17 @@ class _SizeSearch:
         self._compile(t, env, out)
         return tuple(out)
 
-    def _add_instance(self, lhs: tuple, rhs: tuple, is_eq: bool) -> None:
+    def _add_instance(self, found: dict, lhs: tuple, rhs: tuple, is_eq: bool) -> None:
+        """Add an instance to `found`, its sides in one order, so that a
+        repeat in either orientation is added once."""
         if lhs == rhs:
             if not is_eq:
                 self.trivially_unsat = True
             return
-        key = (is_eq, lhs, rhs) if lhs <= rhs else (is_eq, rhs, lhs)
-        if key in self._seen_instances:
-            return
-        self._seen_instances.add(key)
-        self.inst_lhs.append(lhs)
-        self.inst_rhs.append(rhs)
-        self.inst_eq.append(is_eq)
+        found[(lhs, rhs, is_eq) if lhs <= rhs else (rhs, lhs, is_eq)] = None
 
-    def _ground_atom(self, atom: terms.Atom, positive: bool, deadline: float | None,
-                     fixed_env: Mapping[str, tuple] | None = None) -> None:
+    def _ground_atom(self, found: dict, atom: terms.Atom, positive: bool,
+                     deadline: float | None, fixed_env: Mapping[str, tuple] | None = None) -> None:
         """Add the instances of `atom`: one under `fixed_env`, or one per
         assignment of carrier elements to its variables.  `a < b` is the
         equation `a ^ b = a`; a negative atom adds its negation."""
@@ -426,25 +421,10 @@ class _SizeSearch:
             envs = ({name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
                     for combo in product(range(self.n), repeat=len(names)))
         for i, env in enumerate(envs, 1):
-            self._add_instance(self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
+            self._add_instance(found, self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
             if not i % _DEADLINE_EVERY:
                 _check_deadline(deadline)
         _check_deadline(deadline)
-
-    def _add_negated_goal(self, gi: int, g: Statement, deadline: float | None) -> None:
-        env = {name: (_PUSH_CELL, self.skolem_of[(gi, name)])
-               for name in terms.free_variables(g)}
-        if isinstance(g, (Eq, Ne, Lt)):
-            self._ground_atom(g, False, deadline, env)
-        elif isinstance(g, Or):
-            for alt in g.alts:
-                self._ground_atom(alt, False, deadline, env)
-        elif isinstance(g, Imp):
-            for p in g.premises:
-                self._ground_atom(p, True, deadline, env)
-            self._ground_atom(g.conclusion, False, deadline, env)
-        else:
-            raise ModelSearchError(f"unsupported goal: {g!r}")
 
     # ----- evaluation and propagation
 
@@ -501,13 +481,13 @@ class _SizeSearch:
         propagation) and a disequation forbids it there.  False on a
         conflict: the instance is false, or that assignment or forbid fails.
         """
+        lhs, rhs, is_eq = self.instances[i]
         reads: list[int] = []
-        ls, lv = self._eval(self.inst_lhs[i], reads)
-        rs, rv = self._eval(self.inst_rhs[i], reads)
+        ls, lv = self._eval(lhs, reads)
+        rs, rv = self._eval(rhs, reads)
         watch = self.watch
         for c in reads:
             watch[c].add(i)
-        is_eq = self.inst_eq[i]
         if ls == _VALUE and rs == _VALUE:
             return (lv == rv) == is_eq
         if ls == _VALUE and rs == _BLOCK_ROOT:
@@ -559,56 +539,64 @@ class _SizeSearch:
 
     # ----- search driver
 
-    def run(self, deadline: float | None) -> FiniteModel | None:
+    def models(self, deadline: float | None) -> Iterator[FiniteModel]:
+        """Ground, check every instance once, then yield each model that a
+        depth-first search completes; call it once.  The search gives the
+        unassigned cells in branch order their values in ascending order,
+        up to the least-number bound, and undoes through the trail.  Its
+        open branches are a list of (position in `order`, next value, trail
+        mark), not Python frames, so no carrier size meets the recursion limit.
+        """
+        self._ground(deadline)
         if self.trivially_unsat:
-            return None
+            return
         queue: list[int] = []
-        for i in range(len(self.inst_lhs)):
+        for i in range(len(self.instances)):
             if not i % _DEADLINE_EVERY:
                 _check_deadline(deadline)
             if not self._check_instance(i, queue):
-                return None
+                return
         if not self._propagate(queue):
-            return None
-        return self._dfs(0, deadline)
-
-    def _dfs(self, pos: int, deadline: float | None) -> FiniteModel | None:
-        order, val = self.order, self.val
-        while pos < len(order) and val[order[pos]] >= 0:
-            pos += 1
-        if pos == len(order):
-            return self._extract()
-        cell = order[pos]
-        self.nodes += 1
-        _check_deadline(deadline)
-        if self.symmetry:
-            seen = self.max_seen if self.max_seen > self.args_max[cell] else self.args_max[cell]
-            bound = min(seen + 1, self.n - 1)
-        else:
-            bound = self.n - 1
-        forbid = self.forbid[cell]
-        for value in range(bound + 1):
-            if forbid >> value & 1:
-                continue
-            mark = len(self.trail)
-            queue: list[int] = []
-            if self._assign(cell, value, queue) and self._propagate(queue):
-                got = self._dfs(pos + 1, deadline)
-                if got is not None:
-                    return got
-            self._undo_to(mark)
-        return None
+            return
+        order, val, n = self.order, self.val, self.n
+        branches: list[tuple[int, int, int]] = []
+        pos = 0
+        while True:
+            while pos < len(order) and val[order[pos]] >= 0:
+                pos += 1
+            if pos == len(order):
+                yield self._extract()
+            else:
+                self.nodes += 1
+                _check_deadline(deadline)
+                branches.append((pos, 0, len(self.trail)))
+            while branches:  # the next value of the deepest open branch
+                pos, value, mark = branches.pop()
+                self._undo_to(mark)
+                cell = order[pos]
+                bound = (min(max(self.max_seen, self.args_max[cell]) + 1, n - 1)
+                         if self.symmetry else n - 1)
+                for value in range(value, bound + 1):
+                    if self.forbid[cell] >> value & 1:
+                        continue
+                    queue = []
+                    if self._assign(cell, value, queue) and self._propagate(queue):
+                        branches.append((pos, value + 1, mark))
+                        break
+                    self._undo_to(mark)
+                else:
+                    continue
+                pos += 1
+                break
+            else:
+                return
 
     def _extract(self) -> FiniteModel:
         val = self.val
-        return FiniteModel(
-            size=self.n,
-            meet=tuple(val[self.meet_base:self.join_base]),
-            join=tuple(val[self.join_base:]),
-            comp=tuple(val[self.comp_base:self.meet_base]),
-            r00=val[self.cell_r00],
-            r11=val[self.cell_r11],
-        )
+        return FiniteModel(size=self.n, meet=tuple(val[self.meet_base:self.join_base]),
+                           join=tuple(val[self.join_base:]),
+                           comp=tuple(val[self.comp_base:self.meet_base]),
+                           r00=val[self.cell_r00], r11=val[self.cell_r11])
 
 
 class _Timeout(Exception):
@@ -616,7 +604,7 @@ class _Timeout(Exception):
 
 
 # Ground instances between two deadline checks while grounding an atom
-# and in `_SizeSearch.run`'s first pass over every instance.
+# and in the first pass of `_SizeSearch.models` over every instance.
 _DEADLINE_EVERY = 1024
 
 
@@ -670,10 +658,9 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     model = None
     timed_out = False
     for n in size_list:
-        search = _SizeSearch(n, parsed_goals, symmetry)
+        search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry)
         try:
-            search.ground(parsed_axioms, parsed_goals, deadline)
-            model = search.run(deadline)
+            model = next(search.models(deadline), None)
         except _Timeout:
             timed_out = True
         nodes += search.nodes

@@ -113,6 +113,28 @@ class TestOptions:
         assert main([*argv, "-u", u1_file]) == 3
         assert capsys.readouterr().err.startswith("usage: rlattice")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--timing"], "rlattice: error: unrecognized arguments: --timing"),
+        (["check"], "rlattice check: error: one of the arguments -e/--statement -f/--file "
+                    "is required"),
+    ])
+    def test_usage_error_names_what_was_wrong(self, u1_file, capsys, argv, message):
+        assert main([*argv, "-u", u1_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rlattice") and err.endswith(f"\n{message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "-e", "x = x", "--mode", "sample", "--samples", "-5"],
+         "rlattice check: error: argument --samples: must be at least 0, got '-5'"),
+        (["search", "-f", "none.stmt", "-e", "x = y", "--budget", "-1"],
+         "rlattice search: error: argument --budget: must be at least 0, got '-1'"),
+        (["search", "-f", "none.stmt", "-e", "x = y", "--budget", "nan"],
+         "rlattice search: error: argument --budget: must be at least 0, got 'nan'"),
+    ])
+    def test_negative_count_or_budget_exit_three(self, capsys, argv, message):
+        assert main(argv) == 3  # refused as it is read, before any file is opened
+        assert capsys.readouterr().err.endswith(f"\n{message}\n")
+
     def test_enumerate_output_file(self, u1_file, tmp_path, capsys):
         out = tmp_path / "count.txt"
         assert main(["enumerate", "-u", u1_file, "-o", str(out)]) == 0

@@ -2,7 +2,7 @@
 
 import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, permutations, product
 from types import SimpleNamespace
 from unittest import mock
 
@@ -462,12 +462,14 @@ class TestSearch:
         assert len(added) == 3 * models._DEADLINE_EVERY
 
     def test_deadline_inside_the_first_pass(self, clock):
-        search = models._SizeSearch(16, [], symmetry=True)
-        search.ground([parse_statement(ASSOCIATIVITY)], [], None)
+        search = models._SizeSearch(16, [parse_statement(ASSOCIATIVITY)], [], symmetry=True)
         checked, spy = self.counted("_check_instance")
         with spy, pytest.raises(models._Timeout):
-            search.run(1.5)  # readings 0 and 1 (before instances 0 and 1,024), then 2
-        assert len(checked) == 2 * models._DEADLINE_EVERY < len(search.inst_lhs)
+            # Grounding reads 0-4 (after instances 1,024 to 4,096 and after
+            # the atom); the first pass reads 5 and 6 (before instances 0
+            # and 1,024), then 7, which is 1.5 past the grounding's readings.
+            next(search.models(5 + 1.5))
+        assert len(checked) == 2 * models._DEADLINE_EVERY < len(search.instances)
 
     def test_unsatisfiable_axiom(self):
         out = search_model(["x != x"], [], [2, 3])
@@ -504,6 +506,42 @@ class TestSearch:
         out = search_model(minimal_axioms(), ["x * y = (x v (y ^ R00)) ^ (y v (x ^ R00))"],
                            range(2, 4))
         assert (out.found, out.sizes_excluded) == (False, (2, 3))
+
+
+def all_models(size, axioms, symmetry):
+    """Every model that one search at `size` yields, in order."""
+    return list(models._SizeSearch(size, axioms, [], symmetry).models(None))
+
+
+class TestModelsLoop:
+    """`_SizeSearch.models` yields every model the search completes."""
+
+    def test_matches_brute_force_at_size_two(self):
+        axioms = [parse_statement(a) for a in minimal_axioms()]
+        flat_tables = list(product(range(2), repeat=4))
+        every = [FiniteModel(2, *parts) for parts in product(
+            flat_tables, flat_tables, product(range(2), repeat=2), range(2), range(2))]
+        brute = [m for m in every
+                 if all(r.verdict is Verdict.HOLDS for r in verify_model(m, axioms))]
+        assert len(every) == 4096
+        got = all_models(2, axioms, symmetry=False)
+        assert len(got) == len(set(got)) == 4 and set(got) == set(brute)
+
+    @pytest.mark.parametrize("size, reduced, labelled", [(2, 2, 4), (3, 1, 6)])
+    def test_symmetry_yields_every_model_up_to_relabelling(self, size, reduced, labelled):
+        axioms = [parse_statement(a) for a in minimal_axioms()]
+        canonical = all_models(size, axioms, symmetry=True)
+        every = all_models(size, axioms, symmetry=False)
+        assert (len(canonical), len(every), len(set(every))) == (reduced, labelled, labelled)
+        assert {m.relabel(p) for m in canonical for p in permutations(range(size))} == set(every)
+
+    @pytest.mark.parametrize("size, nodes", [(22, 994), (25, 1279)])
+    def test_no_depth_limit(self, size, nodes):
+        # One open branch per assigned cell: a recursive search stopped at
+        # Python's recursion limit from size 22.
+        out = search_model([], ["x = y"], [size])
+        assert (out.found, out.size, out.nodes) == (True, size, nodes)
+        assert refutes(out.model, "x = y")
 
 
 def plus_chain(operands):
@@ -549,7 +587,7 @@ def unfolded(t):
 
 def filled_search(m):
     """A size-`m.size` search whose cells hold the tables of `m`."""
-    search = models._SizeSearch(m.size, [], symmetry=True)
+    search = models._SizeSearch(m.size, [], [], symmetry=True)
     search.val[search.cell_r00], search.val[search.cell_r11] = m.r00, m.r11
     search.val[search.comp_base:] = m.comp + m.meet + m.join
     return search
@@ -602,7 +640,7 @@ class TestGroundingLimit:
         cells = []
         full._eval(unfolded_program, cells)
         unknown = data.draw(st.sets(st.sampled_from(cells))) if cells else set()
-        search = models._SizeSearch(full.n, [], symmetry=True)
+        search = models._SizeSearch(full.n, [], [], symmetry=True)
         search.val = [-1 if cell in unknown else v for cell, v in enumerate(full.val)]
         reads, unfolded_reads = [], []
         assert search._eval(program, reads) == search._eval(unfolded_program, unfolded_reads)
