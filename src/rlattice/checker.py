@@ -68,7 +68,6 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 from . import terms
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel
 from .universe import (
-    ConstantKind,
     LatticeError,
     Relation,
     Universe,
@@ -180,7 +179,6 @@ class Compiled(NamedTuple):
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
-_R11 = terms.Const(ConstantKind.R11)
 # Most variables given nested loops, since CPython rejects more than 20
 # statically nested blocks; `run_check` walks a statement with more in
 # the flat loop.
@@ -204,9 +202,9 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     Variable `i` is the loop at level `i`.  Each distinct subterm is
     computed once, at the level of its deepest variable, and terms of
     constants and literals once before the loops; so is `a * N` for a left
-    operand used at a deeper level.  `y @ x` becomes
-    `(y v R11) + x` and `a < b` becomes `a ^ b = a`.  A premise, or a
-    disjunct other than the last, is tested at its own level and skips
+    operand used at a deeper level.  Each atom is tested as the
+    `terms.sides` of it.  A premise, or a disjunct other than the last
+    (see `terms.clause`), is tested at its own level and skips
     the rest of that level's loop body (`continue`) when it decides the
     assignment; the conclusion is tested innermost.  The flat loop runs
     the same lines, those of every level in one body.
@@ -225,8 +223,6 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         if isinstance(t, (terms.Const, terms.Lit)):
             got = f"k{len(leaves)}", -1
             leaves.append(t)
-        elif isinstance(t, terms.Bin) and t.op == "@":
-            got = term(terms.Bin("+", terms.Bin("v", t.left, _R11), t.right))
         else:
             if isinstance(t, terms.Neg):
                 item, level = term(t.item)
@@ -250,28 +246,17 @@ def compile_statement(statement: terms.Statement) -> Compiled:
 
     def test(a: terms.Atom, holds: bool) -> tuple[str, int]:
         """The test that `a` holds (or fails), and the level to run it at."""
-        if isinstance(a, terms.Lt):
-            (lhs, lv), (rhs, rv) = term(terms.Bin("^", a.lhs, a.rhs)), term(a.lhs)
-        else:
-            (lhs, lv), (rhs, rv) = term(a.lhs), term(a.rhs)
-        equal = holds != isinstance(a, terms.Ne)
-        return f"{lhs} {'==' if equal else '!='} {rhs}", max(lv, rv, 0)
+        lhs, rhs, equal = terms.sides(a)
+        (lhs, lv), (rhs, rv) = term(lhs), term(rhs)
+        return f"{lhs} {'==' if equal == holds else '!='} {rhs}", max(lv, rv, 0)
 
-    if isinstance(statement, terms.Imp):
-        for premise in statement.premises:
-            fails, level = test(premise, holds=False)
-            lines.append((level, f"if {fails}: continue"))
-        last = statement.conclusion
-    elif isinstance(statement, terms.Or):
-        for alt in statement.alts[:-1]:
-            holds, level = test(alt, holds=True)
-            lines.append((level, f"if {holds}: continue"))
-        last = statement.alts[-1]
-    else:
-        last = statement
-    fails, _ = test(last, holds=False)
+    premises, alts = terms.clause(statement)
+    for atom, holds in [*zip(premises, repeat(False)), *zip(alts[:-1], repeat(True))]:
+        decides, level = test(atom, holds)
+        lines.append((level, f"if {decides}: continue"))
+    fails, _ = test(alts[-1], holds=False)
     env = "".join(f"v{i}, " for i in range(arity))
-    count = ["premise += 1"] if isinstance(statement, terms.Imp) else []
+    count = ["premise += 1"] if premises else []
 
     def innermost(position: str) -> list[str]:
         return [*count, f"if {fails}: return premise, {position}, ({env})"]
@@ -380,7 +365,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
                                           symmetry.least_codes() if reduced else range(n),
                                           starts, *map(leaf, code.leaves),
                                           seconds=symmetry.least_seconds if two else None)
-    if reduced and isinstance(statement, terms.Imp):
+    implication = bool(terms.clause(statement)[0])
+    if reduced and implication:
         premise_sat += _skipped_premises(symmetry, starts, premise_sat, found, two)
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
@@ -395,7 +381,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         witness=witness,
         witness_text=None if witness is None else {v: render(e) for v, e in witness.items()},
         assignments_tested=tested,
-        premise_satisfying=premise_sat if isinstance(statement, terms.Imp) else None,
+        premise_satisfying=premise_sat if implication else None,
         mode=mode,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -476,11 +462,10 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
         kernel = RelationKernel(u, enum_budget)
     elif kernel.u != u:
         raise LatticeError("the kernel is over another universe than the check")
-    relations: dict[int, Relation] = {}  # the witness, decoded by `render`
+    decode = lru_cache(maxsize=None)(kernel.decode)  # each witness code once
     report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
-                       render=lambda code: terms.format_relation(
-                           relations.setdefault(code, kernel.decode(code))), mode=mode,
+                       render=lambda code: terms.format_relation(decode(code)), mode=mode,
                        symmetry=kernel)
     if report.witness is not None:
-        report.witness = {name: relations[code] for name, code in report.witness.items()}
+        report.witness = {name: decode(code) for name, code in report.witness.items()}
     return report

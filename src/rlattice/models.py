@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table
-from .terms import Bin, Const, Eq, Imp, Lit, Lt, Ne, Neg, Or, Statement, Term, Var
+from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
 
@@ -316,6 +316,11 @@ class _SizeSearch:
         # largest argument index inherent to each cell (constants: -1)
         pair_max = [a if a > b else b for a in range(n) for b in range(n)]
         self.args_max = [-1] * self.comp_base + list(range(n)) + pair_max + pair_max
+        # The program step after each binary operator's operands; `a * b` is
+        # (a v (b ^ R00)) ^ (b v (a ^ R00)) and `a + b` (a ^ (b v R11)) v (b ^ (a v R11)).
+        self.steps = {"^": (_APPLY, self.meet_base), "v": (_APPLY, self.join_base),
+                      "*": (_DERIVED, (self.meet_base, self.join_base, self.cell_r00)),
+                      "+": (_DERIVED, (self.join_base, self.meet_base, self.cell_r11))}
 
         self.watch: list[set[int]] = [set() for _ in range(ncells)]
         self.instances: list[tuple[tuple, tuple, bool]] = []  # (lhs, rhs, is_eq)
@@ -329,26 +334,23 @@ class _SizeSearch:
     # ----- compilation
 
     def _ground(self, deadline: float | None) -> None:
-        """Fill `instances` from every axiom and the negation of every goal,
-        checking `deadline` after each atom."""
+        """Fill `instances` from every axiom and the negation of every goal:
+        its premises hold and each of its alternatives fails (see
+        `terms.clause`).  `deadline` is checked after each atom."""
         found: dict[tuple[tuple, tuple, bool], None] = {}
-        for ax in self.axioms:
-            self._ground_atom(found, ax, True, deadline)
+        for ax in self.axioms:  # under every assignment of carrier elements
+            names = terms.free_variables(ax)
+            envs = ({name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
+                    for combo in product(range(self.n), repeat=len(names)))
+            self._ground_atom(found, ax, True, envs, deadline)
         cell = 2
-        for g in self.goals:  # the premises hold; the conclusion, or each alternative, fails
+        for g in self.goals:  # under the goal's own cells
             names = terms.free_variables(g)
-            env = {name: (_PUSH_CELL, cell + i) for i, name in enumerate(names)}
+            env = [{name: (_PUSH_CELL, cell + i) for i, name in enumerate(names)}]
             cell += len(names)
-            if isinstance(g, (Eq, Ne, Lt)):
-                atoms = [(g, False)]
-            elif isinstance(g, Or):
-                atoms = [(alt, False) for alt in g.alts]
-            elif isinstance(g, Imp):
-                atoms = [(p, True) for p in g.premises] + [(g.conclusion, False)]
-            else:
-                raise ModelSearchError(f"unsupported goal: {g!r}")
-            for atom, positive in atoms:
-                self._ground_atom(found, atom, positive, deadline, env)
+            premises, alts = terms.clause(g)
+            for atom, positive in [*zip(premises, repeat(True)), *zip(alts, repeat(False))]:
+                self._ground_atom(found, atom, positive, env, deadline)
         self.instances = list(found)
 
     def _branch_order(self) -> list[int]:
@@ -362,8 +364,9 @@ class _SizeSearch:
         return order
 
     def _compile(self, t: Term, env: Mapping[str, tuple], out: list) -> None:
-        """Append the postfix program of `t`.  A `*` or `+` is one
-        `_DERIVED` step after its operands; `y @ x` is `(y v R11) + x`."""
+        """Append the postfix program of `t`, a term without `@` (see
+        `terms.sides`).  A `*` or `+` is one `_DERIVED` step after its
+        operands."""
         if isinstance(t, Var):
             out.append(env[t.name])
         elif isinstance(t, Const):
@@ -378,15 +381,8 @@ class _SizeSearch:
             out.append((_COMP, self.comp_base))
         elif isinstance(t, Bin):
             self._compile(t.left, env, out)
-            if t.op == "@":
-                out += ((_PUSH_CELL, self.cell_r11), (_APPLY, self.join_base))
             self._compile(t.right, env, out)
-            if t.op == "^" or t.op == "v":
-                out.append((_APPLY, self.meet_base if t.op == "^" else self.join_base))
-            elif t.op == "*":  # a * b = (a v (b ^ R00)) ^ (b v (a ^ R00))
-                out.append((_DERIVED, (self.meet_base, self.join_base, self.cell_r00)))
-            else:  # a + b = (a ^ (b v R11)) v (b ^ (a v R11))
-                out.append((_DERIVED, (self.join_base, self.meet_base, self.cell_r11)))
+            out.append(self.steps[t.op])
         else:
             raise ModelSearchError(f"term {t!r} is outside the search signature")
 
@@ -405,23 +401,13 @@ class _SizeSearch:
         found[(lhs, rhs, is_eq) if lhs <= rhs else (rhs, lhs, is_eq)] = None
 
     def _ground_atom(self, found: dict, atom: terms.Atom, positive: bool,
-                     deadline: float | None, fixed_env: Mapping[str, tuple] | None = None) -> None:
-        """Add the instances of `atom`: one under `fixed_env`, or one per
-        assignment of carrier elements to its variables.  `a < b` is the
-        equation `a ^ b = a`; a negative atom adds its negation."""
-        if isinstance(atom, Lt):
-            lhs_t, rhs_t = Bin("^", atom.lhs, atom.rhs), atom.lhs
-        else:
-            lhs_t, rhs_t = atom.lhs, atom.rhs
-        is_eq = isinstance(atom, (Eq, Lt)) == positive
-        if fixed_env is not None:
-            envs = [fixed_env]
-        else:
-            names = terms.free_variables(atom)
-            envs = ({name: (_PUSH_ELEM, e) for name, e in zip(names, combo)}
-                    for combo in product(range(self.n), repeat=len(names)))
+                     envs: Iterable[Mapping[str, tuple]], deadline: float | None) -> None:
+        """Add the instance of `atom`, or of its negation if not `positive`,
+        under each of `envs`."""
+        lhs, rhs, equal = terms.sides(atom)
         for i, env in enumerate(envs, 1):
-            self._add_instance(found, self._program(lhs_t, env), self._program(rhs_t, env), is_eq)
+            self._add_instance(found, self._program(lhs, env), self._program(rhs, env),
+                               equal == positive)
             if not i % _DEADLINE_EVERY:
                 _check_deadline(deadline)
         _check_deadline(deadline)
@@ -631,7 +617,8 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
 
     Sizes are tried in ascending order, so a returned size is minimal
     among the searched sizes; a size is recorded as excluded only after
-    its assignment space was exhausted.  `budget` is wall-clock seconds.
+    its assignment space was exhausted; a size below 1 is refused.
+    `budget` is wall-clock seconds, at least 0.
     `symmetry` enables least-index canonicity pruning (skipping partial
     models that merely relabel an already-explored one); it is an
     optimization and must not change outcomes, only speed.  A string
@@ -639,8 +626,10 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     `atom | atom` is refused like any other non-atom.
     """
     size_list = list(sizes)
-    if any(b <= a for a, b in zip(size_list, size_list[1:])):
-        raise ModelSearchError("sizes must be ascending")
+    if any(b <= a for a, b in zip([0, *size_list], size_list)):
+        raise ModelSearchError("sizes must be at least 1 and ascending")
+    if budget is not None and not budget >= 0:  # NaN too
+        raise ModelSearchError(f"budget must be at least 0 seconds, got {budget}")
     parsed_axioms: list[terms.Atom] = []
     for ax in axioms:
         stmt = _as_statement(ax)

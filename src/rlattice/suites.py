@@ -375,6 +375,8 @@ def run_suite(name: str, universes: Mapping[str, Universe] | None = None,
     if name not in catalog:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(catalog)}")
     known = sorted({uid for entry in catalog[name] for uid in entry.universes})
+    if universes is not None and not universes:
+        raise UnknownSuiteError(f"no universe given; suite {name!r} runs on {', '.join(known)}")
     unused = [uid for uid in universes or () if uid not in known]  # would check nothing
     if unused:
         raise UnknownSuiteError(f"no entry of suite {name!r} runs on universe {unused[0]!r}; "

@@ -12,7 +12,10 @@ Two deliberate strictures keep formulas unambiguous:
 
 Statements are equations (`=`), inequations (`!=`), order assertions
 (`<`), and Horn implications (`a & b -> c`).  Goal syntax for model
-search additionally admits a top-level disjunction (`a | b`).
+search additionally admits a top-level disjunction (`a | b`).  `clause`
+and `sides` are the one reading of a statement's meaning that the
+checker and the model search share: its premises and alternatives, and
+each atom as an equation or inequation of terms without `@`.
 
 A term nests at most `MAX_TERM_DEPTH` levels: at most that many
 operators (binary or `'`) on any path from the root to a leaf, and at
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .universe import ConstantKind, LatticeError, Relation, Universe
 
@@ -167,6 +170,46 @@ class Or:
 
 
 Statement = Eq | Ne | Lt | Imp | Or
+_SYMBOLS = {Eq: "=", Ne: "!=", Lt: "<"}
+_R11 = Const(ConstantKind.R11)
+
+
+def clause(s: Statement) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+    """`(premises, alternatives)`: `s` holds when a premise fails or an
+    alternative holds.  An atom is `((), (atom,))`, an implication
+    `(premises, (conclusion,))` and a disjunction `((), alts)`."""
+    if isinstance(s, Imp):
+        return s.premises, (s.conclusion,)
+    if isinstance(s, Or):
+        return (), s.alts
+    if type(s) in _SYMBOLS:
+        return (), (s,)
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def sides(atom: Atom) -> tuple[Term, Term, bool]:
+    """`(lhs, rhs, equal)`: `atom` holds when `lhs = rhs` is `equal`.
+
+    The terms use `^ v * + '` and constants only: `a < b` becomes
+    `(a ^ b, a, True)`, `a != b` becomes `(a, b, False)`, and every
+    `y @ x` becomes `(y v R11) + x`.
+    """
+    if type(atom) not in _SYMBOLS:
+        raise TypeError(f"not an atom: {atom!r}")
+    lhs, rhs = _core(atom.lhs), _core(atom.rhs)
+    if isinstance(atom, Lt):
+        return Bin("^", lhs, rhs), lhs, True
+    return lhs, rhs, isinstance(atom, Eq)
+
+
+def _core(t: Term) -> Term:
+    """`t` with every `y @ x` written `(y v R11) + x`."""
+    if isinstance(t, Neg):
+        return Neg(_core(t.item))
+    if isinstance(t, Bin):
+        left, right = _core(t.left), _core(t.right)
+        return Bin("+", Bin("v", left, _R11), right) if t.op == "@" else Bin(t.op, left, right)
+    return t
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -323,11 +366,7 @@ class _Parser:
         if tok.kind == "PUNC" and tok.text in ("=", "!=", "<"):
             self.take()
             rhs, _ = self.term()
-            if tok.text == "=":
-                return Eq(lhs, rhs)
-            if tok.text == "!=":
-                return Ne(lhs, rhs)
-            return Lt(lhs, rhs)
+            return {"=": Eq, "!=": Ne, "<": Lt}[tok.text](lhs, rhs)
         raise ParseError(f"expected '=', '!=' or '<', found {tok.text or 'end of input'!r}", tok.pos)
 
     def statement(self) -> Statement:
@@ -431,18 +470,10 @@ def format_term(t: Term) -> str:
 
 
 def format_statement(s: Statement) -> str:
-    if isinstance(s, Eq):
-        return f"{format_term(s.lhs)} = {format_term(s.rhs)}"
-    if isinstance(s, Ne):
-        return f"{format_term(s.lhs)} != {format_term(s.rhs)}"
-    if isinstance(s, Lt):
-        return f"{format_term(s.lhs)} < {format_term(s.rhs)}"
-    if isinstance(s, Imp):
-        left = " & ".join(format_statement(a) for a in s.premises)
-        return f"{left} -> {format_statement(s.conclusion)}"
-    if isinstance(s, Or):
-        return " | ".join(format_statement(a) for a in s.alts)
-    raise TypeError(f"not a statement: {s!r}")
+    atom = lambda a: f"{format_term(a.lhs)} {_SYMBOLS[type(a)]} {format_term(a.rhs)}"
+    premises, alts = clause(s)
+    text = " | ".join(map(atom, alts))
+    return " & ".join(map(atom, premises)) + " -> " + text if premises else text
 
 
 def format_relation(r: Relation) -> str:
@@ -462,25 +493,13 @@ def _term_vars(t: Term, seen: dict[str, None]) -> None:
         _term_vars(t.right, seen)
 
 
-def _atoms(s: Statement) -> Iterator[Atom]:
-    if isinstance(s, (Eq, Ne, Lt)):
-        yield s
-    elif isinstance(s, Imp):
-        yield from s.premises
-        yield s.conclusion
-    elif isinstance(s, Or):
-        yield from s.alts
-    else:
-        raise TypeError(f"not a statement: {s!r}")
-
-
 def free_variables(s: Statement | Term) -> tuple[str, ...]:
     """Variable names in first-appearance order (left to right)."""
     seen: dict[str, None] = {}
     if isinstance(s, (Var, Const, Lit, Neg, Bin)):
         _term_vars(s, seen)
     else:
-        for atom in _atoms(s):
+        for atom in sum(clause(s), ()):  # premises, then alternatives
             _term_vars(atom.lhs, seen)
             _term_vars(atom.rhs, seen)
     return tuple(seen)

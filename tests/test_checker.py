@@ -23,6 +23,7 @@ from rlattice import (
 )
 from rlattice import checker
 from rlattice.checker import run_check
+from rlattice.kernel import RelationKernel
 
 
 class TestEnumeration:
@@ -95,6 +96,14 @@ class TestCheckExhaustive:
         assert rep.verdict is Verdict.REFUTED
         assert rep.assignments_tested <= 216
         assert rep.witness_text == {"x": "{(t=a)}", "y": "empty()", "z": "{(t=b)}"}
+
+    def test_each_witness_code_decoded_once(self, u1, monkeypatch):
+        decode, calls = RelationKernel.decode, []
+        monkeypatch.setattr(RelationKernel, "decode",
+                            lambda kernel, code: calls.append(code) or decode(kernel, code))
+        rep = check(u1, "x ^ y != x")
+        assert rep.witness_text == {"x": "empty()", "y": "empty()"}
+        assert calls == [0]
 
     def test_refutation_witness_reevaluates_false(self, u1):
         stmt = parse_statement("x ^ (y v z) = (x ^ y) v (x ^ z)")

@@ -41,7 +41,7 @@ from rlattice import models
 from rlattice.kernel import RelationKernel
 from rlattice.checker import enumerate_relations, evaluate
 from rlattice.models import _model_tables
-from rlattice.terms import BINARY_OPS
+from rlattice.terms import BINARY_OPS, Eq, sides
 
 DISTRIBUTIVITY = "x ^ (y v z) = (x ^ y) v (x ^ z)"
 ASSOCIATIVITY = "x ^ (y ^ z) = (x ^ y) ^ z"
@@ -404,6 +404,16 @@ class TestSearch:
         with pytest.raises(ModelSearchError):
             search_model(["x = x"], [], [3, 2])
 
+    @pytest.mark.parametrize("sizes", [[0], [-1], [0, 2], range(-2, 3)])
+    def test_sizes_below_one_refused(self, sizes):
+        with pytest.raises(ModelSearchError, match="sizes must be at least 1 and ascending"):
+            search_model([], ["x = y"], sizes)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
+    def test_nan_or_negative_budget_refused(self, budget):
+        with pytest.raises(ModelSearchError, match="budget must be at least 0"):
+            search_model([], ["x = y"], [2], budget=budget)
+
     def test_axioms_must_be_atomic(self):
         with pytest.raises(ModelSearchError):
             search_model(["x = y -> y = x"], [], [2])
@@ -585,6 +595,11 @@ def unfolded(t):
     return Bin(t.op, a, b)
 
 
+def core(t):
+    """`t` as `terms.sides` hands it to the search, without `@`."""
+    return sides(Eq(t, t))[0]
+
+
 def filled_search(m):
     """A size-`m.size` search whose cells hold the tables of `m`."""
     search = models._SizeSearch(m.size, [], [], symmetry=True)
@@ -600,7 +615,7 @@ def bridged(u1, u2):
             for uid, u in (("u1", u1), ("u2", u2))}
 
 
-class TestGroundingLimit:
+class TestLinearPrograms:
     """`*` and `+` compile to one step after their operands, so grounding
     is linear in term size and a long chain of them searches promptly."""
 
@@ -624,7 +639,7 @@ class TestGroundingLimit:
         u, rels, search = bridged[uid]
         codes = {name: data.draw(st.integers(0, len(rels) - 1), label=name) for name in "xy"}
         env = {name: (models._PUSH_ELEM, code) for name, code in codes.items()}
-        status, code = search._eval(search._program(t, env), [])
+        status, code = search._eval(search._program(core(t), env), [])
         assert status == models._VALUE
         assert rels[code] == evaluate(u, t, {name: rels[c] for name, c in codes.items()})
 
@@ -636,7 +651,7 @@ class TestGroundingLimit:
         full = bridged["u1"][2]
         env = {name: (models._PUSH_ELEM, data.draw(st.integers(0, full.n - 1), label=name))
                for name in "xy"}
-        program, unfolded_program = full._program(t, env), full._program(unfolded(t), env)
+        program, unfolded_program = full._program(core(t), env), full._program(unfolded(t), env)
         cells = []
         full._eval(unfolded_program, cells)
         unknown = data.draw(st.sets(st.sampled_from(cells))) if cells else set()

@@ -189,6 +189,11 @@ class TestRunSuite:
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite")
 
+    @pytest.mark.parametrize("name", ["nand", "broken-laws"])
+    def test_empty_universe_mapping_refused(self, name):
+        with pytest.raises(UnknownSuiteError, match="no universe given"):
+            run_suite(name, {})
+
     def test_sampling_fallback(self):
         # with a tiny exhaustive limit everything runs sampled; expected-HOLDS
         # entries still pass because sampling finds no witness

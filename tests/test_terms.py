@@ -40,7 +40,8 @@ from rlattice import (
     verify_model,
 )
 from rlattice.checker import compile_statement
-from rlattice.terms import MAX_TERM_DEPTH, _tokenize
+from rlattice.terms import MAX_TERM_DEPTH, _tokenize, clause, sides
+from rlattice.universe import leq
 
 
 class TestTokenize:
@@ -195,6 +196,49 @@ class TestFreeVariables:
     def test_conditional(self):
         sdc = parse_statement("R00 ^ (x v y) = R00 ^ (x v z) -> x ^ (y v z) = (x ^ y) v (x ^ z)")
         assert free_variables(sdc) == ("x", "y", "z")
+
+
+# Terms over every operator and constant, without literals.
+variable_terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), *(Const(k) for k in ConstantKind)]),
+    lambda sub: st.one_of(st.builds(Neg, sub),
+                          st.builds(Bin, st.sampled_from(["^", "v", "*", "+", "@"]), sub, sub)),
+    max_leaves=8,
+)
+
+
+class TestClauseAndSides:
+    def test_clause_shapes(self):
+        a, b, c = (parse_statement(f"{v} = R00") for v in "xyz")
+        assert clause(a) == ((), (a,))
+        assert clause(Imp((a, b), c)) == ((a, b), (c,))
+        assert clause(Or((a, b, c))) == ((), (a, b, c))
+        with pytest.raises(TypeError):
+            clause(Var("x"))
+
+    def test_order_inequation_and_cylindrification(self):
+        x, y = Var("x"), Var("y")
+        r11 = Const(ConstantKind.R11)
+        assert sides(parse_statement("x < y")) == (Bin("^", x, y), x, True)
+        assert sides(parse_statement("x != y'")) == (x, Neg(y), False)
+        cyl = Bin("+", Bin("v", y, r11), x)
+        assert sides(parse_statement("(y @ x)' = x")) == (Neg(cyl), x, True)
+        assert sides(parse_statement("x < y @ x")) == (Bin("^", x, cyl), x, True)
+        with pytest.raises(TypeError):
+            sides(Imp((parse_statement("x = y"),), parse_statement("y = x")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from([Eq, Ne, Lt]), lhs=variable_terms, rhs=variable_terms,
+           uid=st.sampled_from(["u1", "u2"]), data=st.data())
+    def test_sides_hold_exactly_when_the_atom_holds(self, u1, u2, rels1, rels2,
+                                                   kind, lhs, rhs, uid, data):
+        """Against the relation-level operations and order of `rlattice.universe`."""
+        u, rels = (u1, rels1) if uid == "u1" else (u2, rels2)
+        env = {name: data.draw(st.sampled_from(rels), label=name) for name in "xyz"}
+        a, b = evaluate(u, lhs, env), evaluate(u, rhs, env)
+        holds = {Eq: a == b, Ne: a != b, Lt: leq(u, a, b)}[kind]
+        left, right, equal = sides(kind(lhs, rhs))
+        assert ((evaluate(u, left, env) == evaluate(u, right, env)) == equal) == holds
 
 
 class TestStatementFiles:
