@@ -41,15 +41,16 @@ only the kernel's orbit-least codes for the first variable.  Each
 symmetry of the universe maps an assignment to one with the same
 outcome, so a refutation whose first value is not orbit-least has an
 image that refutes too and comes earlier: the first witness, and with
-it the assignment count, is the same.  A skipped first value below the
-witness satisfies as many premises as its orbit's least code, walked
-earlier, and that count is added.  With three or more variables, and at
-most `_GROUP_CAP` entries in the group's maps on codes, each first value
-is followed only by the second values least in their orbit under the
-automorphisms that fix it, for the same reason one level down: a skipped
-second value counts the premises of its orbit's least one, walked
-earlier with the same first value.  For two variables the group costs
-about as much as a whole check that refutes early.  `evaluate` instead
+it the assignment count, is the same.  With three or more variables, and
+at most `_GROUP_CAP` entries in the group's maps on codes, each first
+value is followed only by the second values least in their orbit under
+the automorphisms that fix it, for the same reason one level down.  For
+two variables the group costs about as much as a whole check that
+refutes early.  A skipped value's block of assignments satisfies as many
+premises as the block of the least value it maps to, which the loop
+walked earlier and whose count it recorded at that block's end; the loop
+adds that count where it skips the value, so an implication's premise
+count is complete when the loop returns.  `evaluate` instead
 applies the relation-level operations of `rlattice.universe` directly,
 for any universe.
 """
@@ -152,24 +153,22 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 class Compiled(NamedTuple):
     """A statement compiled into one generated loop over operation tables.
 
-    `run(M, J, S, P, C, N, envs, firsts, starts, *leaf_values,
-    seconds=None)` decides the statement over the carrier `range(N)` and
-    returns `(premise_satisfying, assignments_tested, witness)`, the
-    witness being the first refuting assignment as a tuple of elements for
-    `variables`, or None.  With `envs=None` (up to `_NESTED` variables) it
-    walks in nested loops, last variable fastest, every assignment whose
-    first variable is one of `firsts` (increasing; `range(N)` for all of
-    them) and, for three or more variables and a keyword `seconds`, whose
-    second is one of `seconds(first)` (increasing); an implication appends
-    to the list `starts` a list of its premise count so far as it begins
-    each first value, and appends the count to that list as it begins each
-    second value of three or more variables.  Otherwise it walks the
-    assignments `envs` yields in one flat loop.  `M J S P` are the meet, join, star
-    and plus tables indexed `a * N + b` and `C` the complement table;
-    `leaf_values` are the elements of the constants and literals in
-    `leaves`, supplied anew by every caller and universe.  `text` is the
-    statement as `terms.format_statement` prints it, the name of the
-    generated code and the `statement` of every report.
+    `run(M, J, S, P, C, N, envs, least, seconds, *leaf_values)` decides
+    the statement over the carrier `range(N)` and returns
+    `(premise_satisfying, assignments_tested, witness)`, the witness being
+    the first refuting assignment as a tuple of elements for `variables`,
+    or None.  With `envs=None` (up to `_NESTED` variables) it walks every
+    assignment in nested loops, last variable fastest.  With a `least`
+    too, for two or more variables, it walks only the first values `v`
+    with `least[v] == v` and, for three or more, the second values `w`
+    with `seconds(v)[w] == w`, and adds the premise count of the block of
+    `least[v]` (or `seconds(v)[w]`) for each value it skips.  Otherwise
+    it walks the assignments `envs` yields in one flat loop.  `M J S P`
+    are the meet, join, star and plus tables indexed `a * N + b` and `C`
+    the complement table; `leaf_values` are the elements of the constants
+    and literals in `leaves`, supplied anew by every caller and universe.
+    `text` is the statement as `terms.format_statement` prints it, the
+    name of the generated code and the `statement` of every report.
     """
 
     variables: tuple[str, ...]
@@ -262,30 +261,48 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         return [*count, f"if {fails}: return premise, {position}, ({env})"]
 
     params = "".join(f", k{i}" for i in range(len(leaves)))
-    source = [f"def run(M, J, S, P, C, N, envs, firsts, starts{params}, *, seconds=None):"]
+
+    def nested(indent: str, reduced: bool) -> list[str]:
+        """Nested loops over `range(N)` at `indent`, last variable fastest.
+
+        `reduced` skips each first value that `least` maps lower, and for
+        three or more variables each second value that `seconds(v0)` maps
+        lower, adding the premise count of the block of the value it maps
+        to, recorded at that block's end; a block cut short by a failing
+        premise keeps 0, which is its count.
+        """
+        out, ends = [], []
+        skipping = (1 + (arity >= 3)) if reduced else 0  # the levels that skip values
+        for level in range(arity):
+            table = ("least", "least1")[level] if level < skipping else None
+            if table == "least1":
+                out.append(f"{indent}least1 = seconds(v0)")
+            if table and count:
+                out.append(f"{indent}done{level} = [0] * N")
+            out.append(f"{indent}for v{level} in range(N):")
+            indent += "    "
+            if table and count:
+                out += [f"{indent}m = {table}[v{level}]", f"{indent}if m != v{level}:",
+                        f"{indent}    premise += done{level}[m]",
+                        f"{indent}    continue", f"{indent}start{level} = premise"]
+                ends.append(f"{indent}done{level}[v{level}] = premise - start{level}")
+            elif table:
+                out.append(f"{indent}if {table}[v{level}] != v{level}: continue")
+            out += [indent + line for lv, line in lines if lv == level]
+        position = "v0"
+        for i in range(1, arity):
+            position = f"({position})*N+v{i}"
+        return out + [indent + line for line in innermost(f"{position}+1")] + ends[::-1]
+
+    source = [f"def run(M, J, S, P, C, N, envs, least, seconds{params}):"]
     source += ["    " + line for level, line in lines if level < 0]
     source.append("    premise = 0")
     if 0 < arity <= _NESTED:
         source.append("    if envs is None:")
-        indent = "        "
-        for level in range(arity):
-            if level == 0:
-                source.append(f"{indent}for v0 in firsts:")
-            elif level == 1 and arity >= 3:
-                source.append(f"{indent}for v1 in (range(N) if seconds is None else seconds(v0)):")
-            else:
-                source.append(f"{indent}for v{level} in range(N):")
-            indent += "    "
-            if level == 0 and count:
-                source += [f"{indent}block = [premise]", f"{indent}starts.append(block)"]
-            elif level == 1 and count and arity >= 3:
-                source.append(f"{indent}block.append(premise)")
-            source += [indent + line for lv, line in lines if lv == level]
-        position = "v0"
-        for i in range(1, arity):
-            position = f"({position})*N+v{i}"
-        source += [indent + line for line in innermost(f"{position}+1")]
-        source.append(f"        return premise, N**{arity}, None")
+        if arity >= 2:
+            source += ["        if least is not None:", *nested("            ", True),
+                       f"            return premise, N**{arity}, None"]
+        source += [*nested("        ", False), f"        return premise, N**{arity}, None"]
     elif not arity:  # the one empty assignment, walked by the flat loop
         source.append("    envs = ((),) if envs is None else envs")
     source += ["    i = 0", f"    for i, ({env}) in enumerate(envs, 1):"]
@@ -340,9 +357,9 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     `Random(seed).randrange(n)` does in CPython 3.10-3.13 (see `_draws`).
     Implications count vacuous and premise-satisfying assignments
     separately.  A `symmetry` kernel over the carrier's codes lets the
-    nested loops skip first values that are not orbit-least, and second
-    values that are not least under the first's stabilizer (see the
-    module docstring).
+    nested loops skip first values that are not orbit-least
+    (`orbit_least`), and second values that are not least under the
+    first's stabilizer (`stabilizer_least`; see the module docstring).
     """
     start = time.perf_counter()
     code = compile_statement(statement)
@@ -359,15 +376,12 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     reduced = (symmetry is not None and envs is None and arity >= 2
                and n ** arity >= _REDUCE_FROM
                and not any(isinstance(t, terms.Lit) for t in code.leaves))
-    two = reduced and arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP
-    starts: list[list[int]] = []
+    seconds = (symmetry.stabilizer_least if reduced and arity >= 3
+               and symmetry.group_order() * n <= _GROUP_CAP else lambda first: range(n))
     premise_sat, tested, found = code.run(*tables, n, envs,
-                                          symmetry.least_codes() if reduced else range(n),
-                                          starts, *map(leaf, code.leaves),
-                                          seconds=symmetry.least_seconds if two else None)
+                                          symmetry.orbit_least if reduced else None,
+                                          seconds, *map(leaf, code.leaves))
     implication = bool(terms.clause(statement)[0])
-    if reduced and implication:
-        premise_sat += _skipped_premises(symmetry, starts, premise_sat, found, two)
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
@@ -407,40 +421,6 @@ def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
     return chain.from_iterable(  # a generator with `yield from` is slower
         getrandbits(bits).to_bytes(size, "little")[3::4].translate(table, rejected)
         for _ in repeat(None))
-
-
-def _skipped_premises(kernel: RelationKernel, starts: list[list[int]], premise: int,
-                      found: tuple[int, ...] | None, two: bool) -> int:
-    """Premise count of the skipped assignments before the witness.
-
-    `starts` holds, per walked first value, the running count as it began
-    and, with `two`, as each of its walked second values began; `premise`
-    is the count at the end.  A skipped second value counts as much as its
-    orbit's least code under the stabilizer of the first value, and a
-    skipped first value as much as its orbit's least code, both walked
-    earlier, a first value's skipped second values included.
-    """
-    n = kernel.n
-    last, stop = (n - 1, n) if found is None else found[:2]
-    blocks = zip(starts, [block[0] for block in starts[1:]] + [premise])
-    whole: dict[int, int] = {}  # walked first value -> its block's count
-    skipped = 0
-    for v0 in range(last + 1):
-        first = kernel.orbit_least[v0]
-        if first != v0:
-            skipped += whole[first]
-            continue
-        block, end = next(blocks)
-        count = end - block[0]
-        if two and count:
-            walked = dict(zip(kernel.least_seconds(v0),
-                              map(int.__sub__, [*block[2:], end], block[1:])))
-            ends = range(stop if v0 == last else n)
-            extra = sum(walked[m] for v1, m in zip(ends, kernel.stabilizer_least(v0)) if m != v1)
-            count += extra
-            skipped += extra
-        whole[v0] = count
-    return skipped
 
 
 def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive(),

@@ -24,11 +24,11 @@ pays only for the header pairs its terms reach.
 `RelationKernel.symmetries` gives generators of the universe's
 automorphism group as maps on codes: they permute header masks and body
 bits, again through tables built lazily per header, and decode nothing.
-`least_codes` yields the least code of each orbit, lazily and in
-increasing order, for the checker's symmetry-reduced walk;
-`least_seconds` gives, per first value, the codes least in their orbit
-under the automorphisms that fix it, from the whole group closed once
-from the generators as maps on codes.
+For the checker's symmetry-reduced walk, `orbit_least` maps each code to
+the least code of its orbit, walking an orbit the first time one of its
+codes is read, and `stabilizer_least` maps each code to the least of its
+orbit under the automorphisms that fix a first value, from the whole
+group closed once from the generators as maps on codes.
 
 `RelationKernel.tables` hands the checker operation tables whose entries
 are computed on first use, so the checks on one kernel compute each pair
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from itertools import chain
 from math import factorial, prod
 from operator import pos
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 from weakref import proxy
 
 from .terms import Const, Lit
@@ -117,9 +118,11 @@ class RelationKernel:
         # Set here, not on first use: an attribute added later to an instance
         # slows every other attribute lookup on it, in every table fill.
         self._symmetries: list[Callable[[int], int]] | None = None
-        self.orbit_least: dict[int, int] = {}  # filled by `least_codes`
+        # A missing code walks its orbit and fills it in for every member;
+        # like `tables`, the fill reaches the kernel through a weak proxy.
+        self.orbit_least = _Table(partial(_fill_orbit, proxy(self)))
         self._group: list[tuple[int, ...]] | None = None
-        self._seconds: dict[int, Sequence[int]] = {}  # filled by `least_seconds`
+        self._stabilizers: dict[int, Sequence[int]] = {}  # filled by `stabilizer_least`
         self._tables: tuple[dict[int, int], ...] | None = None
 
     # ----- codes and relations
@@ -248,29 +251,6 @@ class RelationKernel:
             return base + body(code - off[h])
         return apply
 
-    def least_codes(self) -> Iterator[int]:
-        """The least code of every orbit under `symmetries`, in increasing order.
-
-        On reaching a code that no earlier orbit holds, this walks the
-        code's orbit, records the code in `orbit_least` for every member,
-        and yields it.  So `orbit_least` covers every code below the one
-        yielded, and a caller that stops early pays only for the orbits
-        below where it stopped.
-        """
-        least, moves = self.orbit_least, self.symmetries()
-        for code in range(self.n):
-            if code not in least:
-                least[code] = code
-                todo = [code]
-                for x in todo:  # grows as the walk finds new members
-                    for move in moves:
-                        y = move(x)
-                        if y not in least:
-                            least[y] = code
-                            todo.append(y)
-            if least[code] == code:
-                yield code
-
     def group_order(self) -> int:
         """The number of automorphisms: the product of `d!` over the domain
         sizes `d` and of `c!` over the numbers `c` of attributes sharing one."""
@@ -278,8 +258,12 @@ class RelationKernel:
 
     def stabilizer_least(self, first: int) -> Sequence[int]:
         """For each code, the least code of its orbit under the automorphisms
-        fixing `first`.  The first call closes `symmetries` into the whole
-        group, `group_order()` maps on codes of `n` entries each, and keeps it."""
+        fixing `first`, kept per `first`.  The first call closes `symmetries`
+        into the whole group, `group_order()` maps on codes of `n` entries
+        each, and keeps it."""
+        got = self._stabilizers.get(first)
+        if got is not None:
+            return got
         if self._group is None:
             n = self.n
             moves = [tuple(map(move, range(n))) for move in self.symmetries()]
@@ -292,23 +276,12 @@ class RelationKernel:
                         seen.add(h)
                         group.append(h)
         fixing = [g for g in self._group if g[first] == first]
-        if len(fixing) == 1:
-            return range(self.n)
-        least = [-1] * self.n
-        for code in range(self.n):
-            if least[code] < 0:  # the least of an orbit not met yet
-                for g in fixing:
-                    least[g[code]] = code
-        return least
-
-    def least_seconds(self, first: int) -> Sequence[int]:
-        """The codes least in their orbit under the automorphisms fixing
-        `first`, in increasing order, kept per `first`."""
-        got = self._seconds.get(first)
-        if got is None:
-            least = self.stabilizer_least(first)
-            got = self._seconds[first] = least if isinstance(least, range) else [
-                code for code, m in enumerate(least) if code == m]
+        got = self._stabilizers[first] = range(self.n) if len(fixing) == 1 else [-1] * self.n
+        if len(fixing) > 1:
+            for code in range(self.n):
+                if got[code] < 0:  # the least of an orbit not met yet
+                    for g in fixing:
+                        got[g[code]] = code
         return got
 
     # ----- operations on codes
@@ -444,6 +417,21 @@ def _bit_map(bits: list[int]) -> Callable[[int], int]:
             body >>= _CHUNK
         return out
     return image
+
+
+def _fill_orbit(kernel: RelationKernel, code: int) -> int:
+    """Walk the orbit of `code` under the kernel's `symmetries`, record its
+    least code in `orbit_least` for every member, and return it."""
+    moves, orbit, todo = kernel.symmetries(), {code}, [code]
+    for x in todo:  # grows as the walk finds new members
+        for move in moves:
+            y = move(x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    least = min(orbit)
+    kernel.orbit_least.update(dict.fromkeys(orbit, least))
+    return least
 
 
 class _Table(dict):

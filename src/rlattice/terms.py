@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .universe import ConstantKind, LatticeError, Relation, Universe
+from .universe import _WORD, ConstantKind, LatticeError, Relation, Universe
 
 BINARY_OPS = ("^", "v", "*", "+", "@")
 MAX_TERM_DEPTH = 100
@@ -218,7 +218,7 @@ def _core(t: Term) -> Term:
 # character: a comment ends the input, `->` and `!=` come before the
 # single characters, and any other character is an error at its position.
 _TOKEN = re.compile(r"(?P<COMMENT>#)|(?P<PUNC>->|!=|[(){},=<&|])|(?P<OP>[\^*+@'])"
-                    r"|(?P<WORD>[A-Za-z0-9_]+)|(?P<BAD>\S)")
+                    rf"|(?P<WORD>{_WORD})|(?P<BAD>\S)")
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _CONSTS = {k.value: k for k in ConstantKind}
 # The kind of a reserved word; any other word is an IDENT if it looks like

@@ -13,6 +13,7 @@ operation result are representation-independent and bit-reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -20,8 +21,11 @@ from typing import Iterable, Mapping, Sequence
 
 DEFAULT_CAP = 2 ** 20
 
-# Words that cannot be used as attribute names or domain values because
-# they collide with the expression syntax (see rlattice.terms).
+# Attribute names and domain values must be words, the one token the
+# expression syntax reads them as (see rlattice.terms), so that a witness
+# prints as a literal that parses; the reserved words cannot be used
+# because they collide with that syntax.
+_WORD = "[A-Za-z0-9_]+"
 RESERVED_WORDS = frozenset({"v", "empty", "full", "R00", "R01", "R10", "R11"})
 
 
@@ -50,6 +54,13 @@ class ConstantKind(Enum):
     R11 = "R11"  # full header, all tuples
 
 
+def _check_word(what: str, text: str) -> None:
+    if not re.fullmatch(_WORD, text):
+        raise UniverseError(f"{what} {text!r} is not a word of letters, digits and '_'")
+    if text in RESERVED_WORDS:
+        raise UniverseError(f"{what} {text!r} is reserved")
+
+
 @dataclass(frozen=True)
 class Universe:
     """A finite attribute set with a finite value domain per attribute.
@@ -68,18 +79,14 @@ class Universe:
         if len(set(self.attributes)) != len(self.attributes):
             raise UniverseError("attribute names must be pairwise distinct")
         for name in self.attributes:
-            if not name:
-                raise UniverseError("attribute names must be nonempty")
-            if name in RESERVED_WORDS:
-                raise UniverseError(f"attribute name {name!r} is reserved")
+            _check_word("attribute name", name)
         for name, dom in zip(self.attributes, self.domains):
             if not dom:
                 raise UniverseError(f"domain of {name!r} is empty")
             if len(set(dom)) != len(dom):
                 raise UniverseError(f"domain of {name!r} has duplicate values")
             for value in dom:
-                if value in RESERVED_WORDS:
-                    raise UniverseError(f"domain value {value!r} is reserved")
+                _check_word("domain value", value)
         if self.cap <= 0:
             raise UniverseError("cap must be positive")
         space = 1

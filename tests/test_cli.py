@@ -78,6 +78,12 @@ class TestCheck:
         assert main(["check", "-u", str(path), "-e", "x = x"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_word_universe_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "dash.univ"
+        path.write_text("a-b : x, 1\n")
+        assert main(["check", "-u", str(path), "-e", "x = x"]) == 3
+        assert "not a word" in capsys.readouterr().err
+
     def test_non_utf8_statement_file_exit_three(self, u1_file, tmp_path, capsys):
         path = tmp_path / "bin.stmt"
         path.write_bytes(b"x = x\n\x80\n")

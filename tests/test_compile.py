@@ -94,7 +94,7 @@ def assert_matches_relations(u, statement, limit=150):
     for env in assignments(u, statement, limit):
         counts, holds = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
         # the flat loop over this one assignment
-        got = code.run(*tables, k.n, [env], range(k.n), [], *leaves)
+        got = code.run(*tables, k.n, [env], None, None, *leaves)
         assert got == (counts, 1, None if holds else env), env
 
 
@@ -300,17 +300,20 @@ class TestFusedLoop:
     @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
                                              for e in entries}))
     def test_catalog_nested_equals_flat(self, text):
-        """The nested loops and the flat loop over every assignment agree
-        (on u2 up to 3 variables, 17,576 assignments)."""
+        """The nested loops, plain and reduced by the identity, and the flat
+        loop over every assignment agree (on u2 up to 3 variables, 17,576
+        assignments)."""
         statement = parse_statement(text)
         code = compile_statement(statement)
         for u in (U1, U2)[:1 + (len(code.variables) <= 3)]:
             k = RelationKernel(u)
             tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
-            nested = code.run(*tables, k.n, None, range(k.n), [], *leaves)
+            nested = code.run(*tables, k.n, None, None, None, *leaves)
             flat = code.run(*tables, k.n, product(range(k.n), repeat=len(code.variables)),
-                            range(k.n), [], *leaves)
-            assert nested == flat
+                            None, None, *leaves)
+            reduced = code.run(*tables, k.n, None, range(k.n), lambda first: range(k.n),
+                               *leaves)
+            assert nested == flat == reduced
 
 
     @settings(max_examples=150, deadline=None)

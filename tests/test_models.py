@@ -3,6 +3,7 @@
 import time
 import tracemalloc
 from itertools import chain, permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -343,6 +344,12 @@ class TestModelFiles:
         lines = format_model(m6.relabel(RELABEL6)).splitlines()
         assert lines[2:8] == [" ".join(map(str, row)) for row in MEET6]
         assert lines[9:15] == [" ".join(map(str, row)) for row in JOIN6]
+
+    def test_readme_example_is_u1s_model(self, m6):
+        """The model file printed under README's "Model files"."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Model files", 1)[1].split("```\n", 2)[1]
+        assert block == format_model(m6)
 
     def test_pretty_output_mentions_constants(self, m6):
         text = pretty_model(m6)

@@ -104,6 +104,14 @@ class TestUniverse:
         with pytest.raises(UniverseError):
             Universe.make({"t": ("empty",)})
 
+    @pytest.mark.parametrize("decl", [{"a-b": ("x", "1")}, {"t": ("x y", "1")}, {"": ("a",)},
+                                      {"t": ("",)}, {"t": ("\u00e9",)}, {"t": ("a\n",)}])
+    def test_non_words_rejected(self, decl):
+        """A name the statement syntax cannot spell could not be written in a
+        literal, nor read back from a printed witness."""
+        with pytest.raises(UniverseError, match="not a word"):
+            Universe.make(decl)
+
     def test_cap_enforced_at_construction(self):
         with pytest.raises(UniverseError):
             Universe.make({"t": ("a", "b"), "s": ("1", "2")}, cap=3)
