@@ -28,6 +28,14 @@ codes into relations.  A run of checks on one universe (a suite, a
 statement file) hands `check` one kernel for all of them, so they share
 its image maps, symmetry orbits and operation tables.
 
+Over at most 256 elements, the nested loops of three or more variables
+take the last one a row at a time: a term of it is the `bytes` of its
+values, an operation one `translate` by a row or column of a table
+(`kernel.row_tables`), the conclusion one comparison.  The scalar loops
+stay for larger carriers (codes past 255 fit no byte), fewer variables
+(the rows cost more to fill than the loop), premises or other disjuncts
+reading the last variable, and operations on two rows (a `map` is slower).
+
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one
 `getrandbits` call per chunk and keeps the top `n.bit_length()` bits of
@@ -62,8 +70,9 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, islice, product, repeat
+from operator import eq, ne
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import terms
@@ -153,12 +162,14 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 class Compiled(NamedTuple):
     """A statement compiled into one generated loop over operation tables.
 
-    `run(M, J, S, P, C, N, envs, least, seconds, *leaf_values)` decides
-    the statement over the carrier `range(N)` and returns
+    `run(M, J, S, P, C, N, envs, least, seconds, rows, *leaf_values)`
+    decides the statement over the carrier `range(N)` and returns
     `(premise_satisfying, assignments_tested, witness)`, the witness being
     the first refuting assignment as a tuple of elements for `variables`,
     or None.  With `envs=None` (up to `_NESTED` variables) it walks every
-    assignment in nested loops, last variable fastest.  With a `least`
+    assignment in nested loops, last variable fastest, and with `rows`,
+    the `kernel.row_tables` of the tables, the last variable a row at a
+    time where rows serve (see the module docstring).  With a `least`
     too, for two or more variables, it walks only the first values `v`
     with `least[v] == v` and, for three or more, the second values `w`
     with `seconds(v)[w] == w`, and adds the premise count of the block of
@@ -175,6 +186,8 @@ class Compiled(NamedTuple):
     leaves: tuple[terms.Term, ...]
     run: Callable
     text: str
+    implication: bool  # it has premises
+    literals: bool  # it has relation literals
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
@@ -206,54 +219,85 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     (see `terms.clause`), is tested at its own level and skips
     the rest of that level's loop body (`continue`) when it decides the
     assignment; the conclusion is tested innermost.  The flat loop runs
-    the same lines, those of every level in one body.
+    the same lines, those of every level in one body.  By row, a term of
+    the last variable is computed at the level of its deepest other one.
     """
     variables = terms.free_variables(statement)
     arity = len(variables)
-    names: dict[terms.Term, tuple[str, int]] = {
-        terms.Var(v): (f"v{i}", i) for i, v in enumerate(variables)}
-    rows: dict[str, str] = {}
-    leaves: list[terms.Term] = []
-    lines: list[tuple[int, str]] = []  # (level, line) in the order they are needed
-
-    def term(t: terms.Term) -> tuple[str, int]:
-        if t in names:
-            return names[t]
-        if isinstance(t, (terms.Const, terms.Lit)):
-            got = f"k{len(leaves)}", -1
-            leaves.append(t)
-        else:
-            if isinstance(t, terms.Neg):
-                item, level = term(t.item)
-                expr = f"C[{item}]"
-            elif isinstance(t, terms.Bin):
-                (left, lv), (right, rv) = term(t.left), term(t.right)
-                level = max(lv, rv)
-                if lv < level:
-                    if left not in rows:
-                        rows[left] = f"r{len(rows)}"
-                        lines.append((lv, f"{rows[left]} = {left}*N"))
-                    expr = f"{_TABLE[t.op]}[{rows[left]}+{right}]"
-                else:
-                    expr = f"{_TABLE[t.op]}[{left}*N+{right}]"
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            got = f"t{len(lines)}", level
-            lines.append((level, f"{got[0]} = {expr}"))
-        names[t] = got
-        return got
-
-    def test(a: terms.Atom, holds: bool) -> tuple[str, int]:
-        """The test that `a` holds (or fails), and the level to run it at."""
-        lhs, rhs, equal = terms.sides(a)
-        (lhs, lv), (rhs, rv) = term(lhs), term(rhs)
-        return f"{lhs} {'==' if equal == holds else '!='} {rhs}", max(lv, rv, 0)
-
     premises, alts = terms.clause(statement)
-    for atom, holds in [*zip(premises, repeat(False)), *zip(alts[:-1], repeat(True))]:
-        decides, level = test(atom, holds)
-        lines.append((level, f"if {decides}: continue"))
-    fails, _ = test(alts[-1], holds=False)
+
+    def lower(by_row: bool) -> tuple[list[tuple[int, str]], list[terms.Term], str, str] | None:
+        """(lines (level, code) in the order needed, leaves, the test that
+        the last disjunct fails, by row its first failing position), or None."""
+        names = {terms.Var(v): (f"v{i}", i) for i, v in enumerate(variables)}
+        rows: set[str] = set()  # names holding rows, and "paired" after an operation on two
+        hoisted: dict[tuple[str, ...], str] = {}
+        leaves: list[terms.Term] = []
+        lines: list[tuple[int, str]] = []
+        if by_row:
+            names[terms.Var(variables[-1])] = f"v{arity - 1}", -1
+            rows.add(f"v{arity - 1}")
+            lines.append((-1, f"v{arity - 1} = bytes(range(N))"))
+
+        def hoist(key: tuple[str, ...], level: int, expr: str) -> str:
+            if key not in hoisted:
+                hoisted[key] = f"r{len(hoisted)}"
+                lines.append((level, f"{hoisted[key]} = {expr}"))
+            return hoisted[key]
+
+        def term(t: terms.Term) -> tuple[str, int]:
+            if t in names:
+                return names[t]
+            if isinstance(t, (terms.Const, terms.Lit)):
+                got = f"k{len(leaves)}", -1
+                leaves.append(t)
+            else:
+                if isinstance(t, terms.Neg):
+                    item, level = term(t.item)
+                    operands = [item]
+                    expr = (f"{item}.translate({hoist(('C',), -1, 'CR[0]')})" if item in rows
+                            else f"C[{item}]")
+                elif isinstance(t, terms.Bin):
+                    (left, lv), (right, rv) = term(t.left), term(t.right)
+                    level, table, operands = max(lv, rv), _TABLE[t.op], [left, right]
+                    if right in rows:
+                        expr = f"{right}.translate({hoist(('R', table, left), lv, f'{table}R[{left}]')})"
+                    elif left in rows:
+                        expr = f"{left}.translate({hoist(('C', table, right), rv, f'{table}C[{right}]')})"
+                    elif lv < level:
+                        expr = f"{table}[{hoist(('N', left), lv, f'{left}*N')}+{right}]"
+                    else:
+                        expr = f"{table}[{left}*N+{right}]"
+                else:
+                    raise TypeError(f"not a term: {t!r}")
+                got = f"t{len(lines)}", level
+                lines.append((level, f"{got[0]} = {expr}"))
+                held = [name for name in operands if name in rows]
+                if held:  # a term of a row is a row
+                    rows.add(got[0] if len(held) == 1 else "paired")
+            names[t] = got
+            return got
+
+        for atom, holds in [*zip(premises, repeat(False)), *zip(alts[:-1], repeat(True))]:
+            lhs, rhs, equal = terms.sides(atom)
+            (lhs, lv), (rhs, rv) = term(lhs), term(rhs)
+            lines.append((max(lv, rv, 0), f"if {lhs} {'==' if equal == holds else '!='} {rhs}: continue"))
+            if {lhs, rhs} & rows:
+                return None
+        lhs, rhs, equal = terms.sides(alts[-1])
+        (lhs, lv), (rhs, rv) = term(lhs), term(rhs)
+        if not by_row:
+            return lines, leaves, f"{lhs} {'!=' if equal else '=='} {rhs}", ""
+        if "paired" in rows:
+            return None
+        # A side without the last variable is N copies of its value.
+        lhs, rhs = [side if side in rows else hoist(("B", side), level, f"bytes(({side},)) * N")
+                    for side, level in ((lhs, lv), (rhs, rv))]
+        fails = f"{lhs} != {rhs}" if equal else f"any(map(eq, {lhs}, {rhs}))"
+        return lines, leaves, fails, f"[*map({'ne' if equal else 'eq'}, {lhs}, {rhs})].index(True)"
+
+    lines, leaves, fails, _ = scalar = lower(False)
+    by_row = lower(True) if 3 <= arity <= _NESTED else None
     env = "".join(f"v{i}, " for i in range(arity))
     count = ["premise += 1"] if premises else []
 
@@ -262,8 +306,9 @@ def compile_statement(statement: terms.Statement) -> Compiled:
 
     params = "".join(f", k{i}" for i in range(len(leaves)))
 
-    def nested(indent: str, reduced: bool) -> list[str]:
-        """Nested loops over `range(N)` at `indent`, last variable fastest.
+    def nested(indent: str, reduced: bool, lowered: tuple) -> list[str]:
+        """Nested loops over `range(N)` at `indent`, last variable fastest,
+        or, by row (a `first` given), the last variable's row innermost.
 
         `reduced` skips each first value that `least` maps lower, and for
         three or more variables each second value that `seconds(v0)` maps
@@ -271,9 +316,10 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         to, recorded at that block's end; a block cut short by a failing
         premise keeps 0, which is its count.
         """
+        lines, _, fails, first = lowered
         out, ends = [], []
         skipping = (1 + (arity >= 3)) if reduced else 0  # the levels that skip values
-        for level in range(arity):
+        for level in range(arity - bool(first)):
             table = ("least", "least1")[level] if level < skipping else None
             if table == "least1":
                 out.append(f"{indent}least1 = seconds(v0)")
@@ -289,30 +335,43 @@ def compile_statement(statement: terms.Statement) -> Compiled:
             elif table:
                 out.append(f"{indent}if {table}[v{level}] != v{level}: continue")
             out += [indent + line for lv, line in lines if lv == level]
-        position = "v0"
-        for i in range(1, arity):
-            position = f"({position})*N+v{i}"
-        return out + [indent + line for line in innermost(f"{position}+1")] + ends[::-1]
+        found = [*(f"v{i}" for i in range(arity - 1)), "i" if first else f"v{arity - 1}"]
+        position = reduce(lambda high, name: f"({high})*N+{name}", found)
+        if not first:
+            return out + [indent + line for line in innermost(f"{position}+1")] + ends[::-1]
+        return out + [f"{indent}if {fails}:", f"{indent}    i = {first}",
+                      f"{indent}    return premise{'+i+1' * bool(count)}, {position}+1, "
+                      f"({''.join(f'{name}, ' for name in found)})",
+                      *[f"{indent}premise += N"] * bool(count)] + ends[::-1]
 
-    source = [f"def run(M, J, S, P, C, N, envs, least, seconds{params}):"]
+    def walks(indent: str, lowered: tuple) -> list[str]:
+        """The plain nested loops, after the reduced ones for two or more variables."""
+        done = f"return premise, N**{arity}, None"
+        reduced = [f"{indent}if least is not None:", *nested(indent + "    ", True, lowered),
+                   f"{indent}    {done}"]
+        return reduced * (arity >= 2) + [*nested(indent, False, lowered), indent + done]
+
+    source = [f"def run(M, J, S, P, C, N, envs, least, seconds, rows{params}):", "    premise = 0"]
+    if by_row:
+        source += ["    if envs is None and rows is not None:",
+                   "        MR, JR, SR, PR, MC, JC, SC, PC, CR = rows"]
+        source += ["        " + line for level, line in by_row[0] if level < 0]
+        source += walks("        ", by_row)
     source += ["    " + line for level, line in lines if level < 0]
-    source.append("    premise = 0")
     if 0 < arity <= _NESTED:
         source.append("    if envs is None:")
-        if arity >= 2:
-            source += ["        if least is not None:", *nested("            ", True),
-                       f"            return premise, N**{arity}, None"]
-        source += [*nested("        ", False), f"        return premise, N**{arity}, None"]
+        source += walks("        ", scalar)
     elif not arity:  # the one empty assignment, walked by the flat loop
         source.append("    envs = ((),) if envs is None else envs")
     source += ["    i = 0", f"    for i, ({env}) in enumerate(envs, 1):"]
     source += ["        " + line for level, line in lines if level >= 0]
     source += ["        " + line for line in innermost("i")]
     source.append("    return premise, i, None")
-    namespace: dict[str, Any] = {}
+    namespace: dict[str, Any] = {"eq": eq, "ne": ne}
     text = terms.format_statement(statement)
     exec(compile("\n".join(source) + "\n", f"<{text}>", "exec"), namespace)
-    return Compiled(variables, tuple(leaves), namespace["run"], text)
+    return Compiled(variables, tuple(leaves), namespace["run"], text, bool(premises),
+                    any(isinstance(t, terms.Lit) for t in leaves))
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
@@ -343,8 +402,9 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
 
 
 def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
-              leaf: Callable[[terms.Term], int], render: Callable[[int], str],
-              mode: Mode = Exhaustive(), symmetry: RelationKernel | None = None) -> CheckReport:
+              leaf: Callable[[terms.Term], int], render: Callable[[int], str] = str,
+              mode: Mode = Exhaustive(), symmetry: RelationKernel | None = None,
+              rows: Sequence | None = None) -> CheckReport:
     """Check a statement over the carrier `range(n)` with operation tables.
 
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
@@ -360,6 +420,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     nested loops skip first values that are not orbit-least
     (`orbit_least`), and second values that are not least under the
     first's stabilizer (`stabilizer_least`; see the module docstring).
+    `rows`, the `kernel.row_tables` of `tables`, lets them walk the last
+    variable a row at a time; `render` gives an element's witness text.
     """
     start = time.perf_counter()
     code = compile_statement(statement)
@@ -375,13 +437,12 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
     reduced = (symmetry is not None and envs is None and arity >= 2
                and n ** arity >= _REDUCE_FROM
-               and not any(isinstance(t, terms.Lit) for t in code.leaves))
+               and not code.literals)
     seconds = (symmetry.stabilizer_least if reduced and arity >= 3
                and symmetry.group_order() * n <= _GROUP_CAP else lambda first: range(n))
     premise_sat, tested, found = code.run(*tables, n, envs,
                                           symmetry.orbit_least if reduced else None,
-                                          seconds, *map(leaf, code.leaves))
-    implication = bool(terms.clause(statement)[0])
+                                          seconds, rows, *map(leaf, code.leaves))
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
@@ -395,7 +456,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         witness=witness,
         witness_text=None if witness is None else {v: render(e) for v, e in witness.items()},
         assignments_tested=tested,
-        premise_satisfying=premise_sat if implication else None,
+        premise_satisfying=premise_sat if code.implication else None,
         mode=mode,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -442,10 +503,10 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
         kernel = RelationKernel(u, enum_budget)
     elif kernel.u != u:
         raise LatticeError("the kernel is over another universe than the check")
-    decode = lru_cache(maxsize=None)(kernel.decode)  # each witness code once
     report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
-                       render=lambda code: terms.format_relation(decode(code)), mode=mode,
-                       symmetry=kernel)
+                       mode=mode, symmetry=kernel, rows=kernel.rows())
     if report.witness is not None:
-        report.witness = {name: decode(code) for name, code in report.witness.items()}
+        relations = {code: kernel.decode(code) for code in set(report.witness.values())}
+        report.witness = {name: relations[code] for name, code in report.witness.items()}
+        report.witness_text = {name: terms.format_relation(r) for name, r in report.witness.items()}
     return report

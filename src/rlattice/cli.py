@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide statements over a universe")
     _universe_args(p, repeatable=False)
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("-e", "--statement", metavar="TEXT", help="inline statement")
+    src.add_argument("-e", "--statement", action="append", metavar="TEXT",
+                     help="inline statement (repeatable)")
     src.add_argument("-f", "--file", metavar="FILE", help="statement file")
     _mode_args(p)
     _output_args(p)
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-model", help="check statements against a model file")
     p.add_argument("-m", "--model", required=True, metavar="FILE")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("-e", "--statement", metavar="TEXT")
+    src.add_argument("-e", "--statement", action="append", metavar="TEXT")
     src.add_argument("-f", "--file", metavar="FILE")
     _output_args(p)
     p.set_defaults(run=cmd_verify_model)
@@ -158,9 +159,9 @@ def _report_human(rep: CheckReport) -> str:
 
 
 def _statements(args) -> list[Statement]:
-    """The `-e` statement, or every statement of the `-f` file."""
+    """The `-e` statements in order, or every statement of the `-f` file."""
     if args.statement is not None:
-        return [parse_goal(args.statement)]
+        return [parse_goal(text) for text in args.statement]
     with open(args.file, encoding="utf-8") as fh:
         return parse_statement_file(fh.read())
 

@@ -48,7 +48,7 @@ from functools import partial
 from itertools import chain
 from math import factorial, prod
 from operator import pos
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 from weakref import proxy
 
 from .terms import Const, Lit
@@ -124,6 +124,7 @@ class RelationKernel:
         self._group: list[tuple[int, ...]] | None = None
         self._stabilizers: dict[int, Sequence[int]] = {}  # filled by `stabilizer_least`
         self._tables: tuple[dict[int, int], ...] | None = None
+        self._rows: tuple[_Lines, ...] | None = None
 
     # ----- codes and relations
 
@@ -339,7 +340,13 @@ class RelationKernel:
             binary = [_Table(lambda key, op=op: getattr(me, op)(*divmod(key, n)))
                       for op in ("meet", "join", "star", "plus")]
             self._tables = (*binary, _Table(lambda a: me.comp(a)))
+            self._rows = row_tables(self._tables, n)
         return self._tables
+
+    def rows(self) -> tuple[_Lines, ...] | None:
+        """`row_tables` over `tables()`, kept with them."""
+        self.tables()
+        return self._rows
 
     def bridge_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as flat tuples
@@ -432,6 +439,35 @@ def _fill_orbit(kernel: RelationKernel, code: int) -> int:
     least = min(orbit)
     kernel.orbit_least.update(dict.fromkeys(orbit, least))
     return least
+
+
+def row_tables(tables: Sequence, n: int) -> tuple[_Lines, ...] | None:
+    """`MR JR SR PR MC JC SC PC CR` of `checker.Compiled` over its tables `M J S P C`
+    on `range(n)`, or None past 256 elements: `MR[a]` is row `a` of `M`, `MC[b]`
+    its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table."""
+    if n > 256:
+        return None
+    *binary, comp = tables
+    return (*[_Lines(t, n, n, 1) for t in binary], *[_Lines(t, 1, n * n, n) for t in binary],
+            _Lines(comp, n, n, 1))
+
+
+class _Lines(dict):
+    """Rows (`step` 1) or columns (`step` n) of a flat table, each made on first
+    use: a tuple is sliced, a `_Table` read entry by entry, filling them."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, *spec: Any):  # table, n // step, n * step, step
+        self.spec = spec
+
+    def __missing__(self, key: int) -> bytes:
+        table, scale, span, step = self.spec
+        start = key * scale
+        cells = (table[start:start + span:step] if type(table) is tuple
+                 else map(table.__getitem__, range(start, start + span, step)))
+        value = self[key] = bytes(cells).ljust(256, b"\0")
+        return value
 
 
 class _Table(dict):

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
-from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table
+from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
@@ -127,6 +127,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
     """Check each statement over all carrier assignments of `m`; a string
     is read by `terms.parse_goal`, so `atom | atom` too."""
     tables = _model_tables(m)
+    rows = row_tables(tables, m.size)
     constants = {ConstantKind.R00: m.r00, ConstantKind.R11: m.r11,
                  ConstantKind.R10: m.r10, ConstantKind.R01: m.r01}
 
@@ -135,8 +136,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
             raise ModelError("relation literals have no interpretation in an abstract model")
         return constants[t.kind]
 
-    return [run_check(_as_statement(s), m.size,
-                      tables=tables, leaf=leaf, render=str, mode=mode)
+    return [run_check(_as_statement(s), m.size, tables=tables, leaf=leaf, mode=mode, rows=rows)
             for s in statements]
 
 

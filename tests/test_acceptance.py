@@ -33,6 +33,7 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
+from rlattice import models
 from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
@@ -131,8 +132,17 @@ def test_criterion_07_complement_axioms(u2, rels2):
     note(7, "both defining axioms and involution hold for all 26 relations")
 
 
-def test_criterion_08_model_search():
+def assert_rows_as_scalar(monkeypatch, model, statements):
+    """`verify_model` reports on `model` as it does without row tables."""
+    got = [rep.to_json() for rep in verify_model(model, statements)]
+    with monkeypatch.context() as m:
+        m.setattr(models, "row_tables", lambda tables, n: None)
+        assert [rep.to_json() for rep in verify_model(model, statements)] == got
+
+
+def test_criterion_08_model_search(monkeypatch):
     axioms = minimal_axioms()
+    laws = ["x ^ y ^ z = x ^ (y ^ z)", "x ^ (y' ^ z')' = ((x ^ y)' ^ (x ^ z)')'"]
 
     out = search_model(axioms, [DISTRIBUTIVITY], range(2, 7), budget=600)
     assert out.found and out.size == 6
@@ -140,14 +150,17 @@ def test_criterion_08_model_search():
     for rep in verify_model(out.model, axioms):
         assert rep.verdict is Verdict.HOLDS
     assert verify_model(out.model, [DISTRIBUTIVITY])[0].verdict is Verdict.REFUTED
+    assert_rows_as_scalar(monkeypatch, out.model, axioms + [DISTRIBUTIVITY] + laws)
 
     out4 = search_model(axioms, [ZERO_ARY_GOAL], range(2, 5), budget=600)
     assert out4.found and out4.size == 4
+    assert_rows_as_scalar(monkeypatch, out4.model, axioms + [ZERO_ARY_GOAL] + laws)
 
     constrained = axioms + ["R00 ^ R11 != R00"]
     out8 = search_model(constrained, [ZERO_ARY_GOAL], range(2, 9), budget=1800)
     assert out8.found and out8.size == 8
     assert out8.sizes_excluded == (2, 3, 4, 5, 6, 7)
+    assert_rows_as_scalar(monkeypatch, out8.model, constrained + [ZERO_ARY_GOAL] + laws)
     note(8, "countermodel sizes: distributivity 6 (none below), zero-ary goal 4, "
             "with the incompatibility postulate 8 (none through 7)")
 

@@ -57,6 +57,27 @@ class TestCheck:
         doc = json.loads(first)
         assert doc["reports"][0]["verdict"] == "REFUTED"
 
+    @pytest.mark.parametrize("first", ["x ^ y = y ^ x", "x v (y ^ z) = (x v y) ^ (x v z)"])
+    def test_repeated_statement_as_file(self, u2_file, tmp_path, capsys, first):
+        """Each `-e` is checked, in order, with the exit code and output of
+        a file holding the same statements."""
+        texts = [first, "x ^ y = y ^ x"]
+        stmt = tmp_path / "two.stmt"
+        stmt.write_text("\n".join(texts) + "\n")
+        out = []
+        for source in (["-e", texts[0], "-e", texts[1]], ["-f", str(stmt)]):
+            out.append((main(["check", "-u", u2_file, *source, "--format", "structured"]),
+                        capsys.readouterr().out))
+        assert out[0] == out[1]
+        assert [r["statement"] for r in json.loads(out[0][1])["reports"]] == texts
+        assert out[0][0] == (1 if "(" in first else 0)
+
+    def test_statement_and_file_exit_three(self, u1_file, tmp_path, capsys):
+        stmt = tmp_path / "one.stmt"
+        stmt.write_text("x = x\n")
+        assert main(["check", "-u", u1_file, "-e", "x = x", "-f", str(stmt)]) == 3
+        assert main(["verify-model", "-m", "none.model", "-e", "x = x", "-f", str(stmt)]) == 3
+
     def test_sample_mode(self, u1_file, capsys):
         code = main(["check", "-u", u1_file, "-e", "x ^ y = y ^ x",
                      "--mode", "sample", "--seed", "5", "--samples", "50"])
@@ -224,6 +245,18 @@ class TestBridgeAndVerify:
         code = main(["verify-model", "-m", model_file,
                      "-e", "x ^ (y v z) = (x ^ y) v (x ^ z)"])
         assert code == 1
+
+    def test_verify_repeated_statement(self, u1_file, tmp_path, capsys):
+        """`verify-model -e A -e B` reports both; the refuted first sets the exit code."""
+        model_file = str(tmp_path / "m6.model")
+        main(["bridge", "-u", u1_file, "-o", model_file])
+        capsys.readouterr()
+        code = main(["verify-model", "-m", model_file, "-e", "x ^ (y v z) = (x ^ y) v (x ^ z)",
+                     "-e", "x ^ y = y ^ x"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("verdict")] == [
+            "verdict: REFUTED", "verdict: HOLDS"]
 
     def test_too_many_pairs_exit_three(self, tmp_path, capsys):
         universe = tmp_path / "u4.univ"

@@ -50,12 +50,13 @@ from rlattice import (
     verify_model,
 )
 from rlattice.checker import compile_statement, run_check
-from rlattice.kernel import RelationKernel
+from rlattice.kernel import RelationKernel, row_tables
 from rlattice.suites import SUITE_NAMES
 from rlattice.terms import BINARY_OPS
 
 U1 = Universe.make({"t": ("a", "b")})
 U2 = Universe.make({"t": ("a", "b"), "s": ("1", "2")})
+U23 = Universe.make({"t": ("a", "b"), "s": ("1", "2", "3")})  # 78 relations
 
 
 def at_relations(u, statement, env):
@@ -94,7 +95,7 @@ def assert_matches_relations(u, statement, limit=150):
     for env in assignments(u, statement, limit):
         counts, holds = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
         # the flat loop over this one assignment
-        got = code.run(*tables, k.n, [env], None, None, *leaves)
+        got = code.run(*tables, k.n, [env], None, None, None, *leaves)
         assert got == (counts, 1, None if holds else env), env
 
 
@@ -300,20 +301,23 @@ class TestFusedLoop:
     @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
                                              for e in entries}))
     def test_catalog_nested_equals_flat(self, text):
-        """The nested loops, plain and reduced by the identity, and the flat
-        loop over every assignment agree (on u2 up to 3 variables, 17,576
-        assignments)."""
+        """The nested loops over rows and over scalars, each plain and
+        reduced by the identity, and the flat loop over every assignment
+        agree (on u1, on u2 up to 3 variables, 17,576 assignments, and on
+        2x3's 78 codes up to 2 variables)."""
         statement = parse_statement(text)
         code = compile_statement(statement)
-        for u in (U1, U2)[:1 + (len(code.variables) <= 3)]:
+        arity = len(code.variables)
+        for u in [U1, *[U2] * (arity <= 3), *[U23] * (arity <= 2)]:
             k = RelationKernel(u)
             tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
-            nested = code.run(*tables, k.n, None, None, None, *leaves)
-            flat = code.run(*tables, k.n, product(range(k.n), repeat=len(code.variables)),
-                            None, None, *leaves)
-            reduced = code.run(*tables, k.n, None, range(k.n), lambda first: range(k.n),
-                               *leaves)
-            assert nested == flat == reduced
+            flat = code.run(*tables, k.n, product(range(k.n), repeat=arity), None, None, None,
+                            *leaves)
+            for rows in (None, k.rows()):
+                nested = code.run(*tables, k.n, None, None, None, rows, *leaves)
+                reduced = code.run(*tables, k.n, None, range(k.n), lambda first: range(k.n),
+                                   rows, *leaves)
+                assert nested == flat == reduced, rows
 
 
     @settings(max_examples=150, deadline=None)
@@ -358,12 +362,48 @@ class TestFusedLoop:
             if not ok:
                 witness = env
                 break
-        rep = run_check(statement, n, tables=(M, J, S, P, C), leaf=lambda t: leaf[t.kind],
-                        render=str)
-        assert rep.verdict is (Verdict.HOLDS if witness is None else Verdict.REFUTED)
-        assert rep.assignments_tested == tested
-        assert rep.premise_satisfying == (premises if isinstance(statement, Imp) else None)
-        assert rep.witness == witness
+        for rows in (None, row_tables((M, J, S, P, C), n)):  # scalar and row loops
+            rep = run_check(statement, n, tables=(M, J, S, P, C), leaf=lambda t: leaf[t.kind],
+                            rows=rows)
+            assert rep.verdict is (Verdict.HOLDS if witness is None else Verdict.REFUTED)
+            assert rep.assignments_tested == tested
+            assert rep.premise_satisfying == (premises if isinstance(statement, Imp) else None)
+            assert rep.witness == witness
+
+
+class TestRows:
+    """The row loops (three or more variables, carriers of at most 256
+    elements) against the scalar loops, at the edges of where rows serve."""
+
+    @pytest.mark.parametrize("n", [1, 256, 257])
+    @pytest.mark.parametrize("text", ["x ^ x' != R00", "x ^ y = y ^ x", "x v y = y v x",
+                                      "x ^ y ^ z = x ^ (y ^ z)", "x = y -> x v z = z v y",
+                                      "x ^ y != z'"])
+    def test_carrier_bounds(self, n, text):
+        pairs = [divmod(key, n) for key in range(n * n)]
+        M = tuple((a + 2 * b) % n for a, b in pairs)  # commutes and associates for n = 1 only
+        J = tuple(max(pair) for pair in pairs)
+        tables = (M, J, M, J, tuple((a + 1) % n for a in range(n)))
+        rows = row_tables(tables, n)
+        assert (rows is None) == (n > 256)
+        statement = parse_goal(text)
+        got, want = (run_check(statement, n, tables=tables, leaf=lambda t: 0, rows=r).document()
+                     for r in (rows, None))
+        assert got == want
+        # Rows are read exactly when they serve.
+        assert any(rows or ()) == (n <= 256 and len(free_variables(statement)) >= 3)
+
+    @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
+                                             for e in entries
+                                             if len(free_variables(parse_statement(e.text))) == 1}))
+    def test_one_variable_fills_as_scalar_loop(self, text):
+        """A one-variable check on a fresh u2 kernel fills the very table
+        entries the scalar loop fills."""
+        statement = parse_statement(text)
+        fresh, scalar = RelationKernel(U2), RelationKernel(U2)
+        check(U2, statement, kernel=fresh)
+        run_check(statement, scalar.n, tables=scalar.tables(), leaf=scalar.leaf)
+        assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
 
 
 EMPTY = Universe.make({})  # two relations: empty() and {()}
