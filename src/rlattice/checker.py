@@ -188,6 +188,7 @@ class Compiled(NamedTuple):
     text: str
     implication: bool  # it has premises
     literals: bool  # it has relation literals
+    by_row: bool  # its nested loops can take `rows`
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
@@ -371,7 +372,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     text = terms.format_statement(statement)
     exec(compile("\n".join(source) + "\n", f"<{text}>", "exec"), namespace)
     return Compiled(variables, tuple(leaves), namespace["run"], text, bool(premises),
-                    any(isinstance(t, terms.Lit) for t in leaves))
+                    any(isinstance(t, terms.Lit) for t in leaves), by_row is not None)
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,

@@ -275,12 +275,14 @@ def cmd_suite(args) -> int:
         return EXIT_OK
     if not args.name:
         raise LatticeError("suite name required (or use --list-suites)")
-    universes = None
-    if args.universe:
-        universes = {}
-        for path in args.universe:
-            uid = os.path.splitext(os.path.basename(path))[0]
-            universes[uid] = Universe.load(path)
+    paths: dict[str, str] = {}  # universe id -> file
+    for path in args.universe:
+        uid = os.path.splitext(os.path.basename(path))[0]
+        if uid in paths:
+            raise LatticeError(f"universe id {uid!r} is the base name of both "
+                               f"{paths[uid]} and {path}")
+        paths[uid] = path
+    universes = {uid: Universe.load(path) for uid, path in paths.items()} or None
     report = suites_mod.run_suite(args.name, universes)
     if args.format == "structured":
         doc = {

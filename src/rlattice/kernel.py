@@ -30,12 +30,14 @@ codes is read, and `stabilizer_least` maps each code to the least of its
 orbit under the automorphisms that fix a first value, from the whole
 group closed once from the generators as maps on codes.
 
-`RelationKernel.tables` hands the checker operation tables whose entries
-are computed on first use, so the checks on one kernel compute each pair
-they reach once; `bridge_tables` fills every meet, join and complement
-entry for `models.model_from_universe`, in its flat layout, moving each
-right operand's body once per pair of headers and taking every entry from
-one list of each header's codes.
+`RelationKernel.tables` hands the checker operation tables filled on first
+use: over at most `WHOLE_PAIRS` code pairs (u1, u2) a table's first miss
+fills it whole, otherwise each missed pair alone, so the checks on one
+kernel compute each entry once; either way they stay dicts, one structure
+for the checker's loops.  Whole tables come from `_op_table`, which also
+fills every meet and join entry of `bridge_tables` for
+`models.model_from_universe`, moving each right operand's body once per
+pair of headers and taking every entry from one list of each header's codes.
 The relation-level functions in `rlattice.universe` are the reference
 these operations are tested against.
 """
@@ -58,6 +60,13 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 
 _CHUNK = 8  # body bits per image-table lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
+
+# Most code pairs, `n * n`, of a kernel whose `tables` fill whole (64 codes;
+# see `RelationKernel.tables`).
+WHOLE_PAIRS = 4096
+# Per binary table of `tables`, meet, join, star and plus: (bodies moved
+# onto the union header, else the common one; ANDed, else ORed).
+_TARGETS = ((True, True), (False, False), (False, True), (True, False))
 
 
 class EnumerationBudgetError(LatticeError):
@@ -328,20 +337,33 @@ class RelationKernel:
     def tables(self) -> tuple[dict[int, int], ...]:
         """The meet, join, star, plus and complement tables of `checker.Compiled`.
 
-        Entries are computed on first use, entry `a * n + b` of a binary
-        table by the operation on codes `a` and `b`, so the checks given
-        this kernel pay only for the pairs they reach and each of them
-        once.  The tables are made on the first call and kept; they reach
-        the kernel through a weak proxy, so they must not be used after
-        it is gone.
+        Entry `a * n + b` of a binary table is the operation on codes `a`
+        and `b`.  Over at most `WHOLE_PAIRS` pairs, a table's first miss
+        fills all of it by `_op_table`, at about a tenth of the cost per
+        entry, which any check of two variables repays; larger tables fill
+        the entry missed only, so the checks given this kernel pay for the
+        pairs they reach, each once.  All are `_Table` dicts, read by the
+        loops at one speed.  They are made on the first call and kept, and
+        reach the kernel through a weak proxy, so they must not be used
+        after it is gone.
         """
         if self._tables is None:
             me, n = proxy(self), self.n
-            binary = [_Table(lambda key, op=op: getattr(me, op)(*divmod(key, n)))
-                      for op in ("meet", "join", "star", "plus")]
-            self._tables = (*binary, _Table(lambda a: me.comp(a)))
+            if n * n <= WHOLE_PAIRS:
+                fills = [lambda key, i=i: me._fill_whole(i, key) for i in range(5)]
+            else:
+                fills = [*(lambda key, op=op: getattr(me, op)(*divmod(key, n))
+                           for op in ("meet", "join", "star", "plus")), lambda a: me.comp(a)]
+            self._tables = tuple(map(_Table, fills))
             self._rows = row_tables(self._tables, n)
         return self._tables
+
+    def _fill_whole(self, i: int, key: int) -> int:
+        """Fill table `i` of `tables()` whole and return its entry `key`."""
+        blocks = self._blocks()
+        entries = self._op_table(blocks, *_TARGETS[i]) if i < 4 else self._comp_table(blocks)
+        self._tables[i].update(enumerate(entries))
+        return entries[key]
 
     def rows(self) -> tuple[_Lines, ...] | None:
         """`row_tables` over `tables()`, kept with them."""
@@ -350,35 +372,43 @@ class RelationKernel:
 
     def bridge_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as flat tuples
-        of codes: entry `a * n + b` of a binary table is the operation on
-        codes `a` and `b`, the layout of `models.FiniteModel`.
+        of codes, entry `a * n + b` for codes `a` and `b`: the layout of
+        `models.FiniteModel`.  They share one list of each header's codes,
+        so the tables hold one int object per code."""
+        blocks = self._blocks()
+        return (tuple(self._op_table(blocks, *_TARGETS[0])),
+                tuple(self._op_table(blocks, *_TARGETS[1])), tuple(self._comp_table(blocks)))
+
+    def _blocks(self) -> list[list[int]]:
+        """The codes over each header, by body."""
+        return [list(range(base, base + (1 << s))) for base, s in zip(self._offset, self._sizes)]
+
+    def _comp_table(self, blocks: list[list[int]]) -> list[int]:
+        """The complement table: complementing a body reverses its block."""
+        return list(chain.from_iterable(b[::-1] for b in blocks))
+
+    def _op_table(self, blocks: list[list[int]], union: bool, conj: bool) -> list[int]:
+        """Every entry of a binary table, flat, taken from `blocks`: both
+        bodies moved onto the union (else the common) header, ANDed if `conj`.
 
         For each header of left operands, every block of equal-header
         right operands gets its target header, the left image map and
         the right bodies moved onto the target once; each left code then
-        takes one AND or OR per entry.  Every entry is taken from one list
-        per header of its codes, so the tables hold one int object per code.
+        takes one AND or OR per entry.
         """
-        sizes = self._sizes
-        # The codes over each header, by body: complementing a body reverses its block.
-        blocks = [list(range(base, base + (1 << s))) for base, s in zip(self._offset, sizes)]
-
-        def flat(union: bool) -> tuple[int, ...]:
-            out: list[int] = []
-            for ha, size_a in enumerate(sizes):
-                targets = []  # per right header: target codes, left image, moved right bodies
-                for hb, size_b in enumerate(sizes):
-                    h = ha | hb if union else ha & hb
-                    targets.append((blocks[h], self._image(ha, h),
-                                    list(map(self._image(hb, h), range(1 << size_b)))))
-                for body in range(1 << size_a):
-                    for block, image, rights in targets:
-                        left = image(body)
-                        out += ([block[left & right] for right in rights] if union
-                                else [block[left | right] for right in rights])
-            return tuple(out)
-
-        return flat(True), flat(False), tuple(chain.from_iterable(b[::-1] for b in blocks))
+        sizes, out = self._sizes, []
+        for ha, size_a in enumerate(sizes):
+            targets = []  # per right header: target codes, left image, moved right bodies
+            for hb, size_b in enumerate(sizes):
+                h = ha | hb if union else ha & hb
+                targets.append((blocks[h], self._image(ha, h),
+                                list(map(self._image(hb, h), range(1 << size_b)))))
+            for body in range(1 << size_a):
+                for block, image, rights in targets:
+                    left = image(body)
+                    out += ([block[left & right] for right in rights] if conj
+                            else [block[left | right] for right in rights])
+        return out
 
 
 def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | None = None,

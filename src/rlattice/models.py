@@ -24,7 +24,7 @@ from itertools import product, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import terms
-from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
+from .checker import CheckReport, Exhaustive, Mode, Verdict, compile_statement, run_check
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
@@ -126,8 +126,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
                  mode: Mode = Exhaustive()) -> list[CheckReport]:
     """Check each statement over all carrier assignments of `m`; a string
     is read by `terms.parse_goal`, so `atom | atom` too."""
-    tables = _model_tables(m)
-    rows = row_tables(tables, m.size)
+    tables, rows = _model_tables(m), None
     constants = {ConstantKind.R00: m.r00, ConstantKind.R11: m.r11,
                  ConstantKind.R10: m.r10, ConstantKind.R01: m.r01}
 
@@ -136,8 +135,13 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
             raise ModelError("relation literals have no interpretation in an abstract model")
         return constants[t.kind]
 
-    return [run_check(_as_statement(s), m.size, tables=tables, leaf=leaf, mode=mode, rows=rows)
-            for s in statements]
+    reports = []
+    for statement in map(_as_statement, statements):
+        if rows is None and compile_statement(statement).by_row:  # for the first that takes rows
+            rows = row_tables(tables, m.size)
+        reports.append(run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode,
+                                 rows=rows))
+    return reports
 
 
 def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str, int] | None:

@@ -201,6 +201,16 @@ class TestSuite:
     def test_unknown_suite_exit_three(self, capsys):
         assert main(["suite", "bogus"]) == 3
 
+    def test_repeated_universe_id_exit_three(self, tmp_path, u1_file, capsys):
+        # Two files with one base name would otherwise run the second only.
+        (tmp_path / "other").mkdir()
+        other = tmp_path / "other" / "u1.univ"
+        other.write_text("t : a, b, c\n")
+        assert main(["suite", "bilattice", "-u", u1_file, "-u", str(other)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: universe id 'u1' is the base name of both "
+                                     f"{u1_file} and {other}\n")
+
     def test_universe_id_no_entry_runs_on_exit_three(self, tmp_path, u2_file, capsys):
         # The id is the file's base name; an id no entry runs on would
         # otherwise check nothing and report every HOLDS entry as ok.

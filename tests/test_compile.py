@@ -38,6 +38,7 @@ from rlattice import (
     check,
     enumerate_relations,
     evaluate,
+    find_counterexample,
     format_statement,
     free_variables,
     leq,
@@ -49,6 +50,7 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
+from rlattice import models
 from rlattice.checker import compile_statement, run_check
 from rlattice.kernel import RelationKernel, row_tables
 from rlattice.suites import SUITE_NAMES
@@ -397,13 +399,28 @@ class TestRows:
                                              for e in entries
                                              if len(free_variables(parse_statement(e.text))) == 1}))
     def test_one_variable_fills_as_scalar_loop(self, text):
-        """A one-variable check on a fresh u2 kernel fills the very table
-        entries the scalar loop fills."""
+        """A one-variable check on a fresh 2x3 kernel, whose 78 codes fill
+        their tables one pair per miss, fills the very table entries the
+        scalar loop fills."""
         statement = parse_statement(text)
-        fresh, scalar = RelationKernel(U2), RelationKernel(U2)
-        check(U2, statement, kernel=fresh)
+        fresh, scalar = RelationKernel(U23), RelationKernel(U23)
+        check(U23, statement, kernel=fresh)
         run_check(statement, scalar.n, tables=scalar.tables(), leaf=scalar.leaf)
         assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
+
+    def test_verify_model_makes_rows_only_for_statements_that_take_them(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
+        m = model_from_universe(U1)
+        assert find_counterexample(m, "x ^ (y v x) = x") is None
+        verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
+        assert made == []
+        reports = verify_model(m, ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"])
+        assert made == [6]
+        with monkeypatch.context() as without:
+            without.setattr(models, "row_tables", lambda tables, n: None)
+            assert [r.to_json() for r in reports] == [
+                r.to_json() for r in verify_model(m, [r.statement for r in reports])]
 
 
 EMPTY = Universe.make({})  # two relations: empty() and {()}

@@ -37,7 +37,7 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
-from rlattice.kernel import RelationKernel
+from rlattice.kernel import WHOLE_PAIRS, RelationKernel
 
 BINARY = {
     "^": (RelationKernel.meet, natural_join),
@@ -161,6 +161,43 @@ class TestBridge:
         assert_flat_against_kernel(u, m)
         # Every entry is one of n shared int objects, not an int of its own.
         assert len({id(x) for x in m.meet + m.join}) <= m.size
+
+
+# 2, 6, 10, 26 and 34 codes, all within WHOLE_PAIRS.
+WHOLE = {"empty": {}, "u1": {"t": ("a", "b")}, "1x3": {"t": ("a", "b", "c")},
+         "u2": {"t": ("a", "b"), "s": ("1", "2")}, "1x5": {"t": tuple("abcde")}}
+
+
+class TestWholeTables:
+    """A kernel of at most WHOLE_PAIRS code pairs fills each table whole on
+    its first miss; a larger one fills only the pairs it reaches."""
+
+    @pytest.mark.parametrize("decl", WHOLE.values(), ids=WHOLE)
+    def test_one_read_fills_every_entry(self, decl):
+        u = Universe.make(decl)
+        k, ref, rels = RelationKernel(u), RelationKernel(u), enumerate_relations(u)
+        n, tables = k.n, k.tables()
+        pairs = list(product(range(n), repeat=2))
+        assert n * n <= WHOLE_PAIRS
+        for table, op in zip(tables, "^v*+"):
+            table[n * n - 1]
+            code_fn, rel_fn = BINARY[op]
+            assert dict(table) == {a * n + b: code_fn(ref, a, b) for a, b in pairs}, op
+            assert all(rels[table[a * n + b]] == rel_fn(u, rels[a], rels[b]) for a, b in pairs)
+        tables[4][0]
+        assert dict(tables[4]) == {a: ref.comp(a) for a in range(n)}
+        assert all(rels[tables[4][a]] == complement(u, rels[a]) for a in range(n))
+
+    def test_past_the_bound_fills_per_pair(self):
+        u = Universe.make({"t": tuple("abcdef")})  # 66 codes, 4,356 pairs
+        k, ref = RelationKernel(u), RelationKernel(u)
+        assert k.n ** 2 > WHOLE_PAIRS
+        assert check(u, "x ^ (x v x') = x * (x + x')", kernel=k).verdict is Verdict.HOLDS
+        tables = k.tables()
+        assert all(0 < len(table) < k.n ** 2 for table in tables)
+        for table, op in zip(tables, "^v*+"):
+            assert all(v == BINARY[op][0](ref, *divmod(key, k.n)) for key, v in table.items())
+        assert all(v == ref.comp(a) for a, v in tables[4].items())
 
 
 def catalog_laws(max_vars):

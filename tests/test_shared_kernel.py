@@ -160,6 +160,17 @@ class TestNoCycles:
         assert check(u2, text).verdict is Verdict.HOLDS
         assert len(kernels) == 1 and kernels[0]() is None
 
+    @pytest.mark.parametrize("u", [Universe.make({"t": ("a", "b"), "s": ("1", "2")}),
+                                   Universe.make({"t": tuple("abcdef")})], ids=["whole", "per-pair"])
+    def test_filled_tables(self, u, kernels, no_gc):
+        # u2's 26 codes fill every table whole, 1x6's 66 the pairs read.
+        k = RelationKernel(u)
+        check(u, "(x ^ y) v (x * y)' = x + y", kernel=k)
+        filled = [len(table) for table in k.tables()]
+        assert (filled == [k.n ** 2] * 4 + [k.n]) == (k.n <= 64), filled
+        del k
+        assert len(kernels) == 1 and kernels[0]() is None
+
     def test_run_suite(self, kernels, no_gc):
         assert run_suite("bilattice").ok
         assert len(kernels) == 2 and all(ref() is None for ref in kernels)
