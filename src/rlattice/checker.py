@@ -58,9 +58,11 @@ refutes early.  A skipped value's block of assignments satisfies as many
 premises as the block of the least value it maps to, which the loop
 walked earlier and whose count it recorded at that block's end; the loop
 adds that count where it skips the value, so an implication's premise
-count is complete when the loop returns.  `evaluate` instead
-applies the relation-level operations of `rlattice.universe` directly,
-for any universe.
+count is complete when the loop returns.  Other walks (`verify_model`,
+checks with literals or under `_REDUCE_FROM` assignments, the second
+level past `_GROUP_CAP`) run the same loops over the identity map.
+`evaluate` instead applies the relation-level operations of
+`rlattice.universe` directly, for any universe.
 """
 
 from __future__ import annotations
@@ -169,12 +171,12 @@ class Compiled(NamedTuple):
     or None.  With `envs=None` (up to `_NESTED` variables) it walks every
     assignment in nested loops, last variable fastest, and with `rows`,
     the `kernel.row_tables` of the tables, the last variable a row at a
-    time where rows serve (see the module docstring).  With a `least`
-    too, for two or more variables, it walks only the first values `v`
-    with `least[v] == v` and, for three or more, the second values `w`
-    with `seconds(v)[w] == w`, and adds the premise count of the block of
-    `least[v]` (or `seconds(v)[w]`) for each value it skips.  Otherwise
-    it walks the assignments `envs` yields in one flat loop.  `M J S P`
+    time where rows serve (see the module docstring).  For two or more
+    variables it walks only the first values `v` with `least[v] == v` and,
+    for three or more, the second values `w` with `seconds(v)[w] == w`
+    (maps, the identity when nothing is skipped), and adds the premise
+    count of the block of `least[v]` (or `seconds(v)[w]`) for each value
+    it skips.  Otherwise it walks the assignments `envs` yields in one flat loop.  `M J S P`
     are the meet, join, star and plus tables indexed `a * N + b` and `C`
     the complement table; `leaf_values` are the elements of the constants
     and literals in `leaves`, supplied anew by every caller and universe.
@@ -206,6 +208,9 @@ _REDUCE_FROM = 4096
 _GROUP_CAP = 1 << 20
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
+# The identity map on the largest carrier so far; the loops read only `[:N]`.
+# A larger carrier replaces it, so a check in another thread keeps its own.
+_IDENTITY: list[int] = []
 
 
 @lru_cache(maxsize=256)
@@ -307,21 +312,20 @@ def compile_statement(statement: terms.Statement) -> Compiled:
 
     params = "".join(f", k{i}" for i in range(len(leaves)))
 
-    def nested(indent: str, reduced: bool, lowered: tuple) -> list[str]:
-        """Nested loops over `range(N)` at `indent`, last variable fastest,
-        or, by row (a `first` given), the last variable's row innermost.
+    def nested(lowered: tuple) -> list[str]:
+        """Nested loops over `range(N)` in a block of `run`, last variable
+        fastest, or, by row (a `first` given), the last variable's row innermost.
 
-        `reduced` skips each first value that `least` maps lower, and for
-        three or more variables each second value that `seconds(v0)` maps
-        lower, adding the premise count of the block of the value it maps
-        to, recorded at that block's end; a block cut short by a failing
-        premise keeps 0, which is its count.
+        For two or more variables they skip each first value that `least`
+        maps lower, and for three or more each second value that
+        `seconds(v0)` maps lower, adding the premise count of the block of
+        the value it maps to, recorded at that block's end; a block cut
+        short by a failing premise keeps 0, which is its count.
         """
         lines, _, fails, first = lowered
-        out, ends = [], []
-        skipping = (1 + (arity >= 3)) if reduced else 0  # the levels that skip values
+        out, ends, indent = [], [], "        "
         for level in range(arity - bool(first)):
-            table = ("least", "least1")[level] if level < skipping else None
+            table = ("least", "least1")[level] if level < min(arity - 1, 2) else None
             if table == "least1":
                 out.append(f"{indent}least1 = seconds(v0)")
             if table and count:
@@ -339,29 +343,24 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         found = [*(f"v{i}" for i in range(arity - 1)), "i" if first else f"v{arity - 1}"]
         position = reduce(lambda high, name: f"({high})*N+{name}", found)
         if not first:
-            return out + [indent + line for line in innermost(f"{position}+1")] + ends[::-1]
-        return out + [f"{indent}if {fails}:", f"{indent}    i = {first}",
-                      f"{indent}    return premise{'+i+1' * bool(count)}, {position}+1, "
-                      f"({''.join(f'{name}, ' for name in found)})",
-                      *[f"{indent}premise += N"] * bool(count)] + ends[::-1]
-
-    def walks(indent: str, lowered: tuple) -> list[str]:
-        """The plain nested loops, after the reduced ones for two or more variables."""
-        done = f"return premise, N**{arity}, None"
-        reduced = [f"{indent}if least is not None:", *nested(indent + "    ", True, lowered),
-                   f"{indent}    {done}"]
-        return reduced * (arity >= 2) + [*nested(indent, False, lowered), indent + done]
+            out += [indent + line for line in innermost(f"{position}+1")]
+        else:
+            out += [f"{indent}if {fails}:", f"{indent}    i = {first}",
+                    f"{indent}    return premise{'+i+1' * bool(count)}, {position}+1, "
+                    f"({''.join(f'{name}, ' for name in found)})",
+                    *[f"{indent}premise += N"] * bool(count)]
+        return out + ends[::-1] + [f"        return premise, N**{arity}, None"]
 
     source = [f"def run(M, J, S, P, C, N, envs, least, seconds, rows{params}):", "    premise = 0"]
     if by_row:
         source += ["    if envs is None and rows is not None:",
                    "        MR, JR, SR, PR, MC, JC, SC, PC, CR = rows"]
         source += ["        " + line for level, line in by_row[0] if level < 0]
-        source += walks("        ", by_row)
+        source += nested(by_row)
     source += ["    " + line for level, line in lines if level < 0]
     if 0 < arity <= _NESTED:
         source.append("    if envs is None:")
-        source += walks("        ", scalar)
+        source += nested(scalar)
     elif not arity:  # the one empty assignment, walked by the flat loop
         source.append("    envs = ((),) if envs is None else envs")
     source += ["    i = 0", f"    for i, ({env}) in enumerate(envs, 1):"]
@@ -403,9 +402,8 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
 
 
 def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
-              leaf: Callable[[terms.Term], int], render: Callable[[int], str] = str,
-              mode: Mode = Exhaustive(), symmetry: RelationKernel | None = None,
-              rows: Sequence | None = None) -> CheckReport:
+              leaf: Callable[[terms.Term], int], mode: Mode = Exhaustive(),
+              symmetry: RelationKernel | None = None, rows: Sequence | None = None) -> CheckReport:
     """Check a statement over the carrier `range(n)` with operation tables.
 
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
@@ -420,10 +418,11 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     separately.  A `symmetry` kernel over the carrier's codes lets the
     nested loops skip first values that are not orbit-least
     (`orbit_least`), and second values that are not least under the
-    first's stabilizer (`stabilizer_least`; see the module docstring).
-    `rows`, the `kernel.row_tables` of `tables`, lets them walk the last
-    variable a row at a time; `render` gives an element's witness text.
+    first's stabilizer (`stabilizer_least`; see the module docstring);
+    other checks walk them over the identity.  `rows`, the
+    `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
     """
+    global _IDENTITY
     start = time.perf_counter()
     code = compile_statement(statement)
     arity = len(code.variables)
@@ -437,13 +436,12 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         draws = _draws(random.Random(mode.seed).getrandbits, n)
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
     reduced = (symmetry is not None and envs is None and arity >= 2
-               and n ** arity >= _REDUCE_FROM
-               and not code.literals)
+               and n ** arity >= _REDUCE_FROM and not code.literals)
+    _IDENTITY = identity = _IDENTITY if len(_IDENTITY) >= n else list(range(n))
     seconds = (symmetry.stabilizer_least if reduced and arity >= 3
-               and symmetry.group_order() * n <= _GROUP_CAP else lambda first: range(n))
-    premise_sat, tested, found = code.run(*tables, n, envs,
-                                          symmetry.orbit_least if reduced else None,
-                                          seconds, rows, *map(leaf, code.leaves))
+               and symmetry.group_order() * n <= _GROUP_CAP else lambda first: identity)
+    premise_sat, tested, found = code.run(*tables, n, envs, symmetry.orbit_least if reduced
+                                          else identity, seconds, rows, *map(leaf, code.leaves))
     witness = None if found is None else dict(zip(code.variables, found))
     if witness is not None:
         verdict = Verdict.REFUTED
@@ -455,7 +453,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         statement=code.text,
         verdict=verdict,
         witness=witness,
-        witness_text=None if witness is None else {v: render(e) for v, e in witness.items()},
+        witness_text=None if witness is None else {v: str(e) for v, e in witness.items()},
         assignments_tested=tested,
         premise_satisfying=premise_sat if code.implication else None,
         mode=mode,

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--axioms", required=True, metavar="FILE", help="axiom statement file")
     p.add_argument("-e", "--goal", action="append", default=[], metavar="TEXT",
                    help="goal to falsify (repeatable; admits `atom | atom`)")
-    p.add_argument("--sizes", default="2..6", metavar="A..B")
+    p.add_argument("--sizes", default="2..6", metavar="A..B", help="sizes A to B, or A alone")
     p.add_argument("--budget", type=_at_least_zero(float), default=None, metavar="SECONDS")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable least-index canonicity pruning")
@@ -193,8 +193,8 @@ def cmd_check(args) -> int:
 
 def _parse_sizes(text: str) -> range:
     try:
-        lo, _, hi = text.partition("..")
-        a, b = int(lo), int(hi if hi else lo)
+        lo, dots, hi = text.partition("..")
+        a, b = int(lo), int(hi if dots else lo)
     except ValueError:
         raise LatticeError(f"bad --sizes {text!r}; expected A..B") from None
     if a < 1 or b < a:

@@ -131,7 +131,7 @@ class RelationKernel:
         # like `tables`, the fill reaches the kernel through a weak proxy.
         self.orbit_least = _Table(partial(_fill_orbit, proxy(self)))
         self._group: list[tuple[int, ...]] | None = None
-        self._stabilizers: dict[int, Sequence[int]] = {}  # filled by `stabilizer_least`
+        self._stabilizers: dict[int, list[int]] = {}  # filled by `stabilizer_least`
         self._tables: tuple[dict[int, int], ...] | None = None
         self._rows: tuple[_Lines, ...] | None = None
 
@@ -266,7 +266,7 @@ class RelationKernel:
         sizes `d` and of `c!` over the numbers `c` of attributes sharing one."""
         return prod(map(factorial, [*self._dims, *Counter(self._dims).values()]))
 
-    def stabilizer_least(self, first: int) -> Sequence[int]:
+    def stabilizer_least(self, first: int) -> list[int]:
         """For each code, the least code of its orbit under the automorphisms
         fixing `first`, kept per `first`.  The first call closes `symmetries`
         into the whole group, `group_order()` maps on codes of `n` entries
@@ -286,12 +286,11 @@ class RelationKernel:
                         seen.add(h)
                         group.append(h)
         fixing = [g for g in self._group if g[first] == first]
-        got = self._stabilizers[first] = range(self.n) if len(fixing) == 1 else [-1] * self.n
-        if len(fixing) > 1:
-            for code in range(self.n):
-                if got[code] < 0:  # the least of an orbit not met yet
-                    for g in fixing:
-                        got[g[code]] = code
+        got = self._stabilizers[first] = [-1] * self.n
+        for code in range(self.n):
+            if got[code] < 0:  # the least of an orbit not met yet
+                for g in fixing:
+                    got[g[code]] = code
         return got
 
     # ----- operations on codes

@@ -154,7 +154,7 @@ BRIDGE_PAIR_LIMIT = 1_000_000
 """Most relation pairs, `n * n` for `n` relations, that `model_from_universe`
 fills tables for: 1,000 relations.  Three binary attributes (318) and a
 3x3 universe (530) bridge; four binary attributes (66,674) would fill
-4.4 G entries per table."""
+4.4 G entries per table.  `search_model` refuses a carrier size past it too."""
 
 
 class BridgeSizeError(LatticeError):
@@ -621,7 +621,7 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
 
     Sizes are tried in ascending order, so a returned size is minimal
     among the searched sizes; a size is recorded as excluded only after
-    its assignment space was exhausted; a size below 1 is refused.
+    its assignment space was exhausted; a size below 1 or past 1,000 is refused first.
     `budget` is wall-clock seconds, at least 0.
     `symmetry` enables least-index canonicity pruning (skipping partial
     models that merely relabel an already-explored one); it is an
@@ -632,6 +632,8 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     size_list = list(sizes)
     if any(b <= a for a, b in zip([0, *size_list], size_list)):
         raise ModelSearchError("sizes must be at least 1 and ascending")
+    if max(size_list, default=0) ** 2 > BRIDGE_PAIR_LIMIT:
+        raise ModelSearchError(f"size {size_list[-1]} is refused: n * n > {BRIDGE_PAIR_LIMIT}")
     if budget is not None and not budget >= 0:  # NaN too
         raise ModelSearchError(f"budget must be at least 0 seconds, got {budget}")
     parsed_axioms: list[terms.Atom] = []

@@ -187,7 +187,7 @@ class TestDrawStream:
                 seen.append(a)
                 return a
         rep = run_check(parse_statement(TestDrawStream.STATEMENTS[arity]), n,
-                        tables=(None, None, None, None, Recorder()), leaf=None, render=str,
+                        tables=(None, None, None, None, Recorder()), leaf=None,
                         mode=Sample(seed, samples))
         return list(zip(*[iter(seen)] * arity)), rep
 
@@ -263,7 +263,7 @@ class TestGenericEngine:
 
         rep = run_check(
             parse_statement("x ^ y = y ^ x"), 2,
-            tables=(meet, join, (), (), (1, 0)), leaf=leaf, render=str,
+            tables=(meet, join, (), (), (1, 0)), leaf=leaf,
         )
         assert rep.verdict is Verdict.HOLDS
         assert rep.assignments_tested == 4

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rlattice import ConstantKind, Universe, load_model, minimal_axioms, parse_model
+from rlattice import ConstantKind, Universe, load_model, minimal_axioms, models, parse_model
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 
@@ -319,7 +319,23 @@ class TestSearch:
     def test_bad_sizes_exit_three(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"
         axiom_file.write_text("x ^ y = y ^ x\n")
-        assert main(["search", "-f", str(axiom_file), "--sizes", "nope"]) == 3
+        for sizes in ("nope", "2..", "..4", "2..3..4"):  # an open end is no single size
+            assert main(["search", "-f", str(axiom_file), "--sizes", sizes]) == 3, sizes
+            assert "expected A..B" in capsys.readouterr().err, sizes
+
+    def test_single_size(self, tmp_path, capsys):
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("x ^ y = y ^ x\n")
+        assert main(["search", "-f", str(axiom_file), "-e", "x = x", "--sizes", "3"]) == 2
+        assert capsys.readouterr().out == "no model; sizes fully excluded: [3]\n"
+
+    def test_size_past_pair_limit_exit_three(self, tmp_path, capsys, monkeypatch):
+        """Refused before any size is built, the allowed 999 and 1,000 too."""
+        monkeypatch.setattr(models, "_SizeSearch", None)
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        assert main(["search", "-f", str(axiom_file), "-e", "x = y", "--sizes", "999..1001"]) == 3
+        assert "size 1001 is refused" in capsys.readouterr().err
 
 
 class TestDisjunctions:

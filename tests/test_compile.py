@@ -303,24 +303,26 @@ class TestFusedLoop:
     @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
                                              for e in entries}))
     def test_catalog_nested_equals_flat(self, text):
-        """The nested loops over rows and over scalars, each plain and
-        reduced by the identity, and the flat loop over every assignment
-        agree (on u1, on u2 up to 3 variables, 17,576 assignments, and on
-        2x3's 78 codes up to 2 variables)."""
+        """The nested loops over rows and over scalars, each over identity
+        maps and over the kernel's own `orbit_least` and `stabilizer_least`,
+        and the flat loop over every assignment agree (on u1, on u2 up to 3
+        variables, 17,576 assignments, and on 2x3's 78 codes up to 2
+        variables), whether or not `check` would reduce the statement."""
         statement = parse_statement(text)
         code = compile_statement(statement)
         arity = len(code.variables)
         for u in [U1, *[U2] * (arity <= 3), *[U23] * (arity <= 2)]:
             k = RelationKernel(u)
             tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
+            identity = list(range(k.n))
             flat = code.run(*tables, k.n, product(range(k.n), repeat=arity), None, None, None,
                             *leaves)
             for rows in (None, k.rows()):
-                nested = code.run(*tables, k.n, None, None, None, rows, *leaves)
-                reduced = code.run(*tables, k.n, None, range(k.n), lambda first: range(k.n),
-                                   rows, *leaves)
-                assert nested == flat == reduced, rows
-
+                plain = code.run(*tables, k.n, None, identity, lambda first: identity, rows,
+                                 *leaves)
+                reduced = code.run(*tables, k.n, None, k.orbit_least, k.stabilizer_least, rows,
+                                   *leaves)
+                assert plain == flat == reduced, rows
 
     @settings(max_examples=150, deadline=None)
     @given(statements(U1, with_literals=False))

@@ -416,6 +416,13 @@ class TestSearch:
         with pytest.raises(ModelSearchError, match="sizes must be at least 1 and ascending"):
             search_model([], ["x = y"], sizes)
 
+    @pytest.mark.parametrize("sizes", [[1001], range(999, 1002)])
+    def test_sizes_past_pair_limit_refused(self, sizes, monkeypatch):
+        """Refused before any size's cells are built, those of 999 and 1,000 too."""
+        monkeypatch.setattr(models, "_SizeSearch", None)
+        with pytest.raises(ModelSearchError, match="size 1001 is refused"):
+            search_model([], ["x = y"], sizes)
+
     @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
     def test_nan_or_negative_budget_refused(self, budget):
         with pytest.raises(ModelSearchError, match="budget must be at least 0"):

@@ -161,7 +161,7 @@ class TestOrbits:
         for first in least_codes(k):
             fixing = [g for g in group if g(rels[first]) == rels[first]]
             least = [min(k.encode(g(r)) for g in fixing) for r in rels]
-            assert list(k.stabilizer_least(first)) == least
+            assert k.stabilizer_least(first) == least  # a list, for a trivial stabilizer too
             assert least_seconds(k, first) == [c for c, m in enumerate(least) if c == m]
             assert k.stabilizer_least(first) is k.stabilizer_least(first)
 
@@ -273,6 +273,30 @@ class TestWhenReduced:
             assert (rep.verdict, rep.assignments_tested, rep.witness_text is None) == (
                 tab.verdict, tab.assignments_tested, tab.witness is None)
 
+    def test_loops_get_maps(self, monkeypatch):
+        """`run_check` hands the loops a list or the kernel's orbit table as
+        `least`, and lists from `seconds`, whether or not the check reduces."""
+        seen = []
+        real = checker.compile_statement
+
+        def spy(statement):
+            code = real(statement)
+
+            def run(*args):
+                least, seconds = args[7:9]
+                seen.append((type(least).__name__, type(seconds(0)).__name__))
+                return code.run(*args)
+            return code._replace(run=run)
+        monkeypatch.setattr(checker, "compile_statement", spy)
+        check(U2, "x ^ y = y ^ x")  # too short to reduce
+        check(U23, "x ^ (y v z) = (x ^ y) v (x ^ z)")  # both levels reduced
+        check(U23, "x ^ {(a=x)} = y ^ {(a=x)} -> x = y")
+        verify_model(model_from_universe(U1), ["x ^ y ^ z = x ^ (y ^ z)"])
+        with mock.patch.object(checker, "_GROUP_CAP", 0):  # the first level only
+            check(U23, "(x * y) * z = x * (y * z)")
+        assert seen == [("list", "list"), ("_Table", "list"), ("list", "list"),
+                        ("list", "list"), ("_Table", "list")]
+
 
 # --- the two-level walk against the unreduced one ----------------------------
 
@@ -285,7 +309,7 @@ def assert_as_one_level(u, statement):
     if u not in _kernels:
         _kernels[u] = RelationKernel(u)
     k = _kernels[u]
-    kw = dict(tables=k.tables(), leaf=k.leaf, render=str)
+    kw = dict(tables=k.tables(), leaf=k.leaf)
     got = run_check(statement, k.n, symmetry=k, **kw)
     want = run_check(statement, k.n, symmetry=None, **kw)
     assert (got.verdict, got.witness, got.assignments_tested, got.premise_satisfying) == (
