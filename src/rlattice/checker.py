@@ -208,9 +208,10 @@ _REDUCE_FROM = 4096
 _GROUP_CAP = 1 << 20
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
-# The identity map on the largest carrier so far; the loops read only `[:N]`.
-# A larger carrier replaces it, so a check in another thread keeps its own.
-_IDENTITY: list[int] = []
+# The identity map shared by checks over at most 256 elements, the bound of
+# the row loops; the loops read only `[:N]`.  A larger check builds its own,
+# so no check keeps one of a million codes alive after it ends.
+_IDENTITY = list(range(256))
 
 
 @lru_cache(maxsize=256)
@@ -422,7 +423,6 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     other checks walk them over the identity.  `rows`, the
     `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
     """
-    global _IDENTITY
     start = time.perf_counter()
     code = compile_statement(statement)
     arity = len(code.variables)
@@ -437,7 +437,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
     reduced = (symmetry is not None and envs is None and arity >= 2
                and n ** arity >= _REDUCE_FROM and not code.literals)
-    _IDENTITY = identity = _IDENTITY if len(_IDENTITY) >= n else list(range(n))
+    identity = _IDENTITY if n <= len(_IDENTITY) else list(range(n))
     seconds = (symmetry.stabilizer_least if reduced and arity >= 3
                and symmetry.group_order() * n <= _GROUP_CAP else lambda first: identity)
     premise_sat, tested, found = code.run(*tables, n, envs, symmetry.orbit_least if reduced

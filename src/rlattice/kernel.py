@@ -19,7 +19,10 @@ combines them with a single AND or OR: meet and outer union lift them
 onto the union header (cylinders), inner union and inner join project
 them onto the common header.  The maps that move a body between two
 headers are built lazily, once per header pair and kernel, so a check
-pays only for the header pairs its terms reach.
+pays only for the header pairs its terms reach.  Each operation is one
+`_pair_fill` closure, holding the offsets and image maps, never the
+kernel: a call bisects for both headers, looks up the header pair's
+target offset and image maps, and makes two image calls and one AND or OR.
 
 `RelationKernel.symmetries` gives generators of the universe's
 automorphism group as maps on codes: they permute header masks and body
@@ -30,16 +33,15 @@ codes is read, and `stabilizer_least` maps each code to the least of its
 orbit under the automorphisms that fix a first value, from the whole
 group closed once from the generators as maps on codes.
 
-`RelationKernel.tables` hands the checker operation tables filled on first
-use: over at most `WHOLE_PAIRS` code pairs (u1, u2) a table's first miss
-fills it whole, otherwise each missed pair alone, so the checks on one
-kernel compute each entry once; either way they stay dicts, one structure
-for the checker's loops.  Whole tables come from `_op_table`, which also
-fills every meet and join entry of `bridge_tables` for
-`models.model_from_universe`, moving each right operand's body once per
-pair of headers and taking every entry from one list of each header's codes.
-The relation-level functions in `rlattice.universe` are the reference
-these operations are tested against.
+`RelationKernel.tables` hands the checker dicts filled on first use, so
+the checks on one kernel compute each entry once.  Past `WHOLE_PAIRS`
+code pairs a miss is one call of the operation's closure; over at most
+that many (u1, u2) a table's first miss fills it whole by `_op_table`,
+which also fills `bridge_tables` for `models.model_from_universe`, moving
+each right operand's body once per pair of headers and taking every
+entry from one list of each header's codes.  The relation-level
+functions in `rlattice.universe` are the reference these operations
+are tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from collections import Counter
 from functools import partial
 from itertools import chain
 from math import factorial, prod
-from operator import pos
+from operator import and_, or_, pos
 from typing import Any, Callable, Sequence
 from weakref import proxy
 
@@ -118,17 +120,21 @@ class RelationKernel:
                 raise EnumerationBudgetError(
                     f"universe has more relations than the enumeration budget of {budget}")
         self.n = total
-        self._full = [(1 << s) - 1 for s in sizes]
-        self._images: dict[tuple[int, int], Callable[[int], int]] = {}
+        # The maps moving bodies between headers, keyed (source, target), built on first use.
+        self._images = images = _Table(partial(_build_image, self._dims, sizes))
+        # Meet, join, star, plus, complement (first + last of the block - `a`): `tables` fills.
+        mirror = [first + end - 1 for first, end in zip(offset, [*offset[1:], total])]
+        self._fills = (*(_pair_fill(total, offset, images, *target) for target in _TARGETS),
+                       lambda a: mirror[bisect_right(offset, a) - 1] - a)
         # Empty and full body over the empty header, then over the full one.
         self._consts = {ConstantKind.R00: 0, ConstantKind.R01: 1, ConstantKind.R10: offset[-1],
-                        ConstantKind.R11: offset[-1] + self._full[-1]}
+                        ConstantKind.R11: total - 1}
         self.r11 = self._consts[ConstantKind.R11]
         # Set here, not on first use: an attribute added later to an instance
         # slows every other attribute lookup on it, in every table fill.
         self._symmetries: list[Callable[[int], int]] | None = None
         # A missing code walks its orbit and fills it in for every member;
-        # like `tables`, the fill reaches the kernel through a weak proxy.
+        # like whole `tables`, the fill reaches the kernel through a weak proxy.
         self.orbit_least = _Table(partial(_fill_orbit, proxy(self)))
         self._group: list[tuple[int, ...]] | None = None
         self._stabilizers: dict[int, list[int]] = {}  # filled by `stabilizer_least`
@@ -177,31 +183,6 @@ class RelationKernel:
         """Code of a constant, or of a literal validated over the universe."""
         return self.encode(t.relation(self.u)) if isinstance(t, Lit) else self.const(t.kind)
 
-    # ----- header-pair maps
-
-    def _image(self, src: int, dst: int) -> Callable[[int], int]:
-        """Map from a body over header `src` to its body over header `dst`.
-
-        One of the headers contains the other: a larger `dst` gives the
-        cylinder (every extension of every tuple), a smaller one the
-        projection.
-        """
-        got = self._images.get((src, dst))
-        if got is None:
-            got = self._images[src, dst] = self._build_image(src, dst)
-        return got
-
-    def _build_image(self, src: int, dst: int) -> Callable[[int], int]:
-        if src == dst:
-            return pos  # the identity on ints
-        if src & dst == src:  # cylinder
-            bits = [0] * self._sizes[src]
-            for j, i in enumerate(_tuple_map(self._dims, dst, src)):
-                bits[i] |= 1 << j
-        else:  # projection
-            bits = [1 << j for j in _tuple_map(self._dims, src, dst)]
-        return _bit_map(bits)
-
     # ----- symmetries
 
     def symmetries(self) -> list[Callable[[int], int]]:
@@ -244,20 +225,19 @@ class RelationKernel:
         # The closures hold no reference to the kernel, which holds them: a
         # kernel is freed as soon as its last user drops it, not by the cyclic GC.
         off, dims = self._offset, self._dims
-        maps: dict[int, tuple[int, Callable[[int], int]]] = {}
 
         def build(h: int) -> tuple[int, Callable[[int], int]]:
             dst = sum(1 << perm[p] for p in range(len(perm)) if h >> p & 1)
             index = _tuple_map(dims, h, dst, perm, values)
             same = index == list(range(len(index)))  # only the header changes
-            got = maps[h] = off[dst], pos if same else _bit_map([1 << i for i in index])
-            return got
+            return off[dst], pos if same else _bit_map([1 << i for i in index])
+        maps = _Table(build)
 
         def apply(code: int) -> int:
             h = bisect_right(off, code) - 1
             if not h & moved:  # the map is the identity on this header
                 return code
-            base, body = maps.get(h) or build(h)
+            base, body = maps[h]
             return base + body(code - off[h])
         return apply
 
@@ -298,38 +278,24 @@ class RelationKernel:
     def header(self, code: int) -> int:
         return bisect_right(self._offset, code) - 1
 
-    def _lift(self, a: int, b: int, union: bool) -> tuple[int, int, int]:
-        """Offset of the union (or common) header of `a` and `b`, and both bodies moved onto it."""
-        off, images = self._offset, self._images
-        ha, hb = bisect_right(off, a) - 1, bisect_right(off, b) - 1
-        h = ha | hb if union else ha & hb
-        fa = images.get((ha, h)) or self._image(ha, h)
-        fb = images.get((hb, h)) or self._image(hb, h)
-        return off[h], fa(a - off[ha]), fb(b - off[hb])
-
     def meet(self, a: int, b: int) -> int:
         """Natural join: both cylinders onto the union header, intersected."""
-        base, x, y = self._lift(a, b, True)
-        return base + (x & y)
-
-    def plus(self, a: int, b: int) -> int:
-        """Outer union: both cylinders onto the union header, united."""
-        base, x, y = self._lift(a, b, True)
-        return base + (x | y)
+        return self._fills[0](a * self.n + b)
 
     def join(self, a: int, b: int) -> int:
         """Inner union: both projections onto the common header, united."""
-        base, x, y = self._lift(a, b, False)
-        return base + (x | y)
+        return self._fills[1](a * self.n + b)
 
     def star(self, a: int, b: int) -> int:
         """Inner join: both projections onto the common header, intersected."""
-        base, x, y = self._lift(a, b, False)
-        return base + (x & y)
+        return self._fills[2](a * self.n + b)
+
+    def plus(self, a: int, b: int) -> int:
+        """Outer union: both cylinders onto the union header, united."""
+        return self._fills[3](a * self.n + b)
 
     def comp(self, a: int) -> int:
-        h = self.header(a)
-        return self._offset[h] + (self._full[h] ^ (a - self._offset[h]))
+        return self._fills[4](a)
 
     # ----- tables
 
@@ -339,20 +305,16 @@ class RelationKernel:
         Entry `a * n + b` of a binary table is the operation on codes `a`
         and `b`.  Over at most `WHOLE_PAIRS` pairs, a table's first miss
         fills all of it by `_op_table`, at about a tenth of the cost per
-        entry, which any check of two variables repays; larger tables fill
-        the entry missed only, so the checks given this kernel pay for the
-        pairs they reach, each once.  All are `_Table` dicts, read by the
-        loops at one speed.  They are made on the first call and kept, and
-        reach the kernel through a weak proxy, so they must not be used
-        after it is gone.
+        entry, which any check of two variables repays; that fill reaches
+        the kernel through a weak proxy, so these tables must not outlive
+        it.  Larger tables fill the entry missed only, by the operation's
+        `_pair_fill` closure.  All are `_Table` dicts, made on the first
+        call and kept.
         """
         if self._tables is None:
             me, n = proxy(self), self.n
-            if n * n <= WHOLE_PAIRS:
-                fills = [lambda key, i=i: me._fill_whole(i, key) for i in range(5)]
-            else:
-                fills = [*(lambda key, op=op: getattr(me, op)(*divmod(key, n))
-                           for op in ("meet", "join", "star", "plus")), lambda a: me.comp(a)]
+            fills = (self._fills if n * n > WHOLE_PAIRS
+                     else [lambda key, i=i: me._fill_whole(i, key) for i in range(5)])
             self._tables = tuple(map(_Table, fills))
             self._rows = row_tables(self._tables, n)
         return self._tables
@@ -400,8 +362,8 @@ class RelationKernel:
             targets = []  # per right header: target codes, left image, moved right bodies
             for hb, size_b in enumerate(sizes):
                 h = ha | hb if union else ha & hb
-                targets.append((blocks[h], self._image(ha, h),
-                                list(map(self._image(hb, h), range(1 << size_b)))))
+                targets.append((blocks[h], self._images[ha, h],
+                                list(map(self._images[hb, h], range(1 << size_b)))))
             for body in range(1 << size_a):
                 for block, image, rights in targets:
                     left = image(body)
@@ -431,17 +393,55 @@ def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | 
     return index
 
 
+def _build_image(dims: Sequence[int], sizes: Sequence[int], key: tuple[int, int]
+                 ) -> Callable[[int], int]:
+    """Map from a body over header `src` to its body over header `dst`, for
+    `key` = (`src`, `dst`): onto a larger `dst` the cylinder (every extension
+    of every tuple), onto a smaller one the projection."""
+    src, dst = key
+    if src == dst:
+        return pos  # the identity on ints
+    if src & dst == src:  # cylinder
+        bits = [0] * sizes[src]
+        for j, i in enumerate(_tuple_map(dims, dst, src)):
+            bits[i] |= 1 << j
+    else:  # projection
+        bits = [1 << j for j in _tuple_map(dims, src, dst)]
+    return _bit_map(bits)
+
+
+def _pair_fill(n: int, off: Sequence[int], images: dict[tuple[int, int], Callable[[int], int]],
+               union: bool, conj: bool) -> Callable[[int], int]:
+    """The operation on codes `a` and `b`, as a map from `a * n + b`: both
+    bodies moved onto the union (else the common) header, ANDed if `conj`.
+    Each header pair's target offset, image maps and source offsets are
+    looked up once.  It holds no reference to the kernel, which holds it.
+    """
+    combine = and_ if conj else or_
+
+    def lift(pair: tuple[int, int]) -> tuple:
+        ha, hb = pair
+        h = ha | hb if union else ha & hb
+        return off[h], images[ha, h], images[hb, h], off[ha], off[hb]
+    pairs = _Table(lift)
+
+    def fill(key: int) -> int:
+        a, b = divmod(key, n)
+        base, fa, fb, oa, ob = pairs[bisect_right(off, a) - 1, bisect_right(off, b) - 1]
+        return base + combine(fa(a - oa), fb(b - ob))
+    return fill
+
+
 def _bit_map(bits: list[int]) -> Callable[[int], int]:
     """The map sending a body to the union of `bits[j]` over its set bits `j`.
 
-    It looks up `_CHUNK` body bits at a time in precomputed tables.
+    It looks up `_CHUNK` body bits at a time in tables built by doubling.
     """
     tables = []
     for base in range(0, len(bits), _CHUNK):
-        chunk = bits[base:base + _CHUNK]
-        table = [0] * (1 << len(chunk))
-        for v in range(1, len(table)):
-            table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
+        table = [0]
+        for bit in bits[base:base + _CHUNK]:
+            table += [t | bit for t in table]
         tables.append(table)
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -504,10 +504,10 @@ class _Table(dict):
 
     __slots__ = ("fill",)
 
-    def __init__(self, fill: Callable[[int], int]):
+    def __init__(self, fill: Callable[[Any], Any]):
         super().__init__()
         self.fill = fill
 
-    def __missing__(self, key: int) -> int:
+    def __missing__(self, key: Any) -> Any:
         value = self[key] = self.fill(key)
         return value

@@ -304,7 +304,9 @@ class _SizeSearch:
     then come the complement, meet and join tables."""
 
     def __init__(self, size: int, axioms: Sequence[terms.Atom],
-                 goals: Sequence[Statement], symmetry: bool):
+                 goals: Sequence[Statement], symmetry: bool, deadline: float | None = None):
+        """`deadline` is checked every `_DEADLINE_EVERY` cells while the
+        per-cell lists are built: about 2 million at size 1,000."""
         self.n = n = size
         self.axioms, self.goals = axioms, goals
         self.symmetry = symmetry
@@ -314,6 +316,11 @@ class _SizeSearch:
         self.join_base = self.meet_base + n * n
         ncells = self.join_base + n * n
 
+        self.watch: list[set[int]] = []
+        for _ in range(ncells // _DEADLINE_EVERY):  # first, as the costliest list
+            self.watch += [set() for _ in range(_DEADLINE_EVERY)]
+            _check_deadline(deadline)
+        self.watch += [set() for _ in range(ncells % _DEADLINE_EVERY)]
         self.val = [-1] * ncells
         self.forbid = [0] * ncells
         self.full_mask = (1 << n) - 1
@@ -326,11 +333,10 @@ class _SizeSearch:
                       "*": (_DERIVED, (self.meet_base, self.join_base, self.cell_r00)),
                       "+": (_DERIVED, (self.join_base, self.meet_base, self.cell_r11))}
 
-        self.watch: list[set[int]] = [set() for _ in range(ncells)]
         self.instances: list[tuple[tuple, tuple, bool]] = []  # (lhs, rhs, is_eq)
         self.trivially_unsat = False
 
-        self.order = self._branch_order()
+        self.order = self._branch_order(deadline)
         self.trail: list[tuple] = []
         self.max_seen = -1
         self.nodes = 0
@@ -357,14 +363,17 @@ class _SizeSearch:
                 self._ground_atom(found, atom, positive, env, deadline)
         self.instances = list(found)
 
-    def _branch_order(self) -> list[int]:
+    def _branch_order(self, deadline: float | None) -> list[int]:
         order = list(range(self.comp_base))
-        n = self.n
+        n, checked = self.n, 0
         for radius in range(n):
             order.append(self.comp_base + radius)
             pairs = [(i, radius) for i in range(radius)] + [(radius, j) for j in range(radius + 1)]
             for i, j in pairs:
                 order += (self.meet_base + i * n + j, self.join_base + i * n + j)
+            if len(order) - checked >= _DEADLINE_EVERY:
+                checked = len(order)
+                _check_deadline(deadline)
         return order
 
     def _compile(self, t: Term, env: Mapping[str, tuple], out: list) -> None:
@@ -594,7 +603,8 @@ class _Timeout(Exception):
 
 
 # Ground instances between two deadline checks while grounding an atom
-# and in the first pass of `_SizeSearch.models` over every instance.
+# and in the first pass of `_SizeSearch.models` over every instance, and
+# cells between two while a search's per-cell lists are built.
 _DEADLINE_EVERY = 1024
 
 
@@ -653,12 +663,13 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     model = None
     timed_out = False
     for n in size_list:
-        search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry)
+        search = None
         try:
+            search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry, deadline)
             model = next(search.models(deadline), None)
         except _Timeout:
             timed_out = True
-        nodes += search.nodes
+        nodes += 0 if search is None else search.nodes
         if timed_out or model is not None:
             break
         excluded.append(n)

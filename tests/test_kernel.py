@@ -8,6 +8,7 @@ against a plain header-by-header enumeration loop.
 """
 
 import math
+import random
 import time
 from itertools import product
 
@@ -37,7 +38,8 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
-from rlattice.kernel import WHOLE_PAIRS, RelationKernel
+from rlattice import checker
+from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map
 
 BINARY = {
     "^": (RelationKernel.meet, natural_join),
@@ -199,6 +201,37 @@ class TestWholeTables:
             assert all(v == BINARY[op][0](ref, *divmod(key, k.n)) for key, v in table.items())
         assert all(v == ref.comp(a) for a, v in tables[4].items())
 
+    @pytest.mark.parametrize("decl", [
+        {"t": tuple("abcdef")},
+        {"t": ("a", "b"), "s": ("1", "2", "3")},
+        {"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")},
+    ], ids=["1x6", "2x3", "2x2x2"])
+    def test_per_pair_fills_equal_whole_tables(self, decl):
+        # 66, 78 and 318 codes: every entry a table past the bound fills
+        # one pair at a time equals the block routine's whole table.
+        k = RelationKernel(Universe.make(decl))
+        n, tables, blocks = k.n, k.tables(), k._blocks()
+        assert n * n > WHOLE_PAIRS
+        for table, target in zip(tables, _TARGETS):
+            assert [table[key] for key in range(n * n)] == k._op_table(blocks, *target)
+        assert [tables[4][a] for a in range(n)] == k._comp_table(blocks)
+
+
+def test_bit_map_against_bit_by_bit_loop():
+    # Up to 20 body bits: one to three chunks, the last one partial.
+    rng = random.Random(7)
+    for length in range(21):
+        bits = [rng.getrandbits(48) for _ in range(length)]
+        image = _bit_map(bits)
+        bodies = (range(1 << length) if length <= 10
+                  else [0, (1 << length) - 1, *(rng.getrandbits(length) for _ in range(2000))])
+        for body in bodies:
+            expected = 0
+            for j, bit in enumerate(bits):
+                if body >> j & 1:
+                    expected |= bit
+            assert image(body) == expected, (length, body)
+
 
 def catalog_laws(max_vars):
     texts = {e.text for entries in suite_catalog().values() for e in entries}
@@ -237,6 +270,8 @@ class TestBounds:
         assert rep.verdict is Verdict.HOLDS
         assert rep.assignments_tested == 8192
         assert time.perf_counter() - start < 5.0
+        # The identity map the check walked over is not kept past it.
+        assert len(checker._IDENTITY) <= 256
 
     def test_enumeration_budget_still_enforced(self, u2):
         with pytest.raises(EnumerationBudgetError):

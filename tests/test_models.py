@@ -458,6 +458,14 @@ class TestSearch:
         assert time.perf_counter() - start < 0.8
         assert out.budget_exhausted and not out.found and out.sizes_excluded == ()
 
+    def test_budget_holds_while_cells_are_built(self):
+        # Size 1,000 has about 2 million cells, whose lists alone took
+        # 3.6 s and 600 MB to build on a 2-vCPU VM.
+        start = time.perf_counter()
+        out = search_model(minimal_axioms(), [ZERO_ARY_GOAL], [1000], budget=0)
+        assert time.perf_counter() - start < 1.0
+        assert out.budget_exhausted and out.nodes == 0 and out.sizes_excluded == ()
+
     @pytest.fixture
     def clock(self):
         """A clock for the search that advances one second per reading."""
