@@ -28,20 +28,25 @@ target offset and image maps, and makes two image calls and one AND or OR.
 automorphism group as maps on codes: they permute header masks and body
 bits, again through tables built lazily per header, and decode nothing.
 For the checker's symmetry-reduced walk, `orbit_least` maps each code to
-the least code of its orbit, walking an orbit the first time one of its
-codes is read, and `stabilizer_least` maps each code to the least of its
-orbit under the automorphisms that fix a first value, from the whole
-group closed once from the generators as maps on codes.
+the least code of its orbit, walking an orbit (`_orbit`) the first time
+one of its codes is read and filling it in for every member, and
+`stabilizer_least` maps each code to the least of its orbit under the
+automorphisms that fix a first value, from the whole group closed once
+from the generators as maps on codes.
 
 `RelationKernel.tables` hands the checker dicts filled on first use, so
 the checks on one kernel compute each entry once.  Past `WHOLE_PAIRS`
 code pairs a miss is one call of the operation's closure; over at most
 that many (u1, u2) a table's first miss fills it whole by `_op_table`,
-which also fills `bridge_tables` for `models.model_from_universe`, moving
-each right operand's body once per pair of headers and taking every
-entry from one list of each header's codes.  The relation-level
-functions in `rlattice.universe` are the reference these operations
-are tested against.
+which also fills `bridge_tables` for `models.model_from_universe`,
+moving each right operand's body once per pair of headers and taking
+every entry from one list of each header's codes.  Every fill, of a
+table, its rows or `orbit_least`, holds plain data only: offsets, sizes,
+image maps and generators, never the kernel or the table it fills.  So
+the tables outlive the kernel, and the kernel is freed, without the
+cyclic garbage collector, as soon as its last user drops it.  The
+relation-level functions in `rlattice.universe` are the reference these
+operations are tested against.
 """
 
 from __future__ import annotations
@@ -49,11 +54,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
-from itertools import chain
 from math import factorial, prod
 from operator import and_, or_, pos
-from typing import Any, Callable, Sequence
-from weakref import proxy
+from typing import Any, Callable, Iterable, Sequence
 
 from .terms import Const, Lit
 from .universe import ConstantKind, LatticeError, Relation, Universe
@@ -98,13 +101,14 @@ class RelationKernel:
     kept per kernel and shared by every check handed
     it (`checker.check`'s `kernel`): a suite run, the reading harness and
     `check -f FILE` keep one kernel per universe for all their checks.
-    Nothing the kernel keeps refers back to it, so it is freed, with all
-    of that, as soon as its last user drops it.
+    Nothing the kernel keeps refers back to it, so it is freed as soon
+    as its last user drops it, and the tables, rows and orbits it handed
+    out stay filled and filling after that.
     """
 
     def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
         self.u = u
-        self._dims = [len(d) for d in u.domains]
+        self._dims = dims = [len(d) for d in u.domains]
         self._values = [sorted(d) for d in u.domains]
         self._ranks = [{v: i for i, v in enumerate(values)} for values in self._values]
         self._sizes = sizes = [1]
@@ -113,7 +117,7 @@ class RelationKernel:
         for h in range(2 ** len(u.attributes)):
             if h:
                 low = (h & -h).bit_length() - 1
-                sizes.append(sizes[h & (h - 1)] * self._dims[low])
+                sizes.append(sizes[h & (h - 1)] * dims[low])
             offset.append(total)
             total += 1 << sizes[h]
             if total > budget:
@@ -121,25 +125,44 @@ class RelationKernel:
                     f"universe has more relations than the enumeration budget of {budget}")
         self.n = total
         # The maps moving bodies between headers, keyed (source, target), built on first use.
-        self._images = images = _Table(partial(_build_image, self._dims, sizes))
-        # Meet, join, star, plus, complement (first + last of the block - `a`): `tables` fills.
+        self._images = images = _Table(partial(_build_image, dims, sizes))
+        # Meet, join, star, plus, complement (first + last of the block - `a`).
         mirror = [first + end - 1 for first, end in zip(offset, [*offset[1:], total])]
-        self._fills = (*(_pair_fill(total, offset, images, *target) for target in _TARGETS),
-                       lambda a: mirror[bisect_right(offset, a) - 1] - a)
+        self._fills = fills = (
+            *(_pair_fill(total, offset, images, *target) for target in _TARGETS),
+            lambda a: mirror[bisect_right(offset, a) - 1] - a)
         # Empty and full body over the empty header, then over the full one.
         self._consts = {ConstantKind.R00: 0, ConstantKind.R01: 1, ConstantKind.R10: offset[-1],
                         ConstantKind.R11: total - 1}
-        self.r11 = self._consts[ConstantKind.R11]
-        # Set here, not on first use: an attribute added later to an instance
-        # slows every other attribute lookup on it, in every table fill.
-        self._symmetries: list[Callable[[int], int]] | None = None
-        # A missing code walks its orbit and fills it in for every member;
-        # like whole `tables`, the fill reaches the kernel through a weak proxy.
-        self.orbit_least = _Table(partial(_fill_orbit, proxy(self)))
+        # The generators of `symmetries`: (target of each attribute, target
+        # rank of each value, moved attributes) for each.
+        same, ranks = list(range(len(dims))), [range(d) for d in dims]
+        moves = []
+        last: dict[int, int] = {}  # domain size -> last attribute with it
+        for p, d in enumerate(dims):
+            if d in last:
+                q = last[d]
+                perm = list(same)
+                perm[p], perm[q] = q, p
+                moves.append((perm, ranks, 1 << p | 1 << q))
+            else:
+                for r in range(d - 1):
+                    swapped = [*range(r), r + 1, r, *range(r + 2, d)]
+                    moves.append((same, [*ranks[:p], swapped, *ranks[p + 1:]], 1 << p))
+            last[d] = p
+        self._symmetries = [self._symmetry(*move) for move in moves]
+        # A missing code walks its orbit and fills it in for every member.
+        self.orbit_least = _Bulk(partial(_orbit, self._symmetries))
         self._group: list[tuple[int, ...]] | None = None
         self._stabilizers: dict[int, list[int]] = {}  # filled by `stabilizer_least`
-        self._tables: tuple[dict[int, int], ...] | None = None
-        self._rows: tuple[_Lines, ...] | None = None
+        if total * total > WHOLE_PAIRS:
+            self._tables = tuple(map(_Table, fills))
+        else:  # a table's first miss fills it whole, by the block routine
+            blocks = _blocks(offset, sizes)
+            self._tables = tuple(_Bulk(partial(_whole, make)) for make in (
+                *(partial(_op_table, sizes, images, *target, blocks) for target in _TARGETS),
+                partial(map, fills[4], range(total))))
+        self._rows = row_tables(self._tables, total)
 
     # ----- codes and relations
 
@@ -197,24 +220,6 @@ class RelationKernel:
         attributes with equal-size domains.  Each commutes with every
         operation and fixes the four constants.
         """
-        if self._symmetries is None:
-            dims = self._dims
-            same = list(range(len(dims)))
-            ranks = [range(d) for d in dims]
-            moves = []  # (target of each attribute, target rank of each value, moved attributes)
-            last: dict[int, int] = {}  # domain size -> last attribute with it
-            for p, d in enumerate(dims):
-                if d in last:
-                    q = last[d]
-                    perm = list(same)
-                    perm[p], perm[q] = q, p
-                    moves.append((perm, ranks, 1 << p | 1 << q))
-                else:
-                    for r in range(d - 1):
-                        swapped = [*range(r), r + 1, r, *range(r + 2, d)]
-                        moves.append((same, [*ranks[:p], swapped, *ranks[p + 1:]], 1 << p))
-                last[d] = p
-            self._symmetries = [self._symmetry(*move) for move in moves]
         return self._symmetries
 
     def _symmetry(self, perm: list[int], values: list[Sequence[int]],
@@ -240,6 +245,7 @@ class RelationKernel:
             base, body = maps[h]
             return base + body(code - off[h])
         return apply
+
 
     def group_order(self) -> int:
         """The number of automorphisms: the product of `d!` over the domain
@@ -305,71 +311,60 @@ class RelationKernel:
         Entry `a * n + b` of a binary table is the operation on codes `a`
         and `b`.  Over at most `WHOLE_PAIRS` pairs, a table's first miss
         fills all of it by `_op_table`, at about a tenth of the cost per
-        entry, which any check of two variables repays; that fill reaches
-        the kernel through a weak proxy, so these tables must not outlive
-        it.  Larger tables fill the entry missed only, by the operation's
-        `_pair_fill` closure.  All are `_Table` dicts, made on the first
-        call and kept.
+        entry, which any check of two variables repays.  Larger tables
+        fill the entry missed only, by the operation's `_pair_fill`
+        closure.  All are dicts made with the kernel and kept; no fill
+        holds the kernel, so they outlive it.
         """
-        if self._tables is None:
-            me, n = proxy(self), self.n
-            fills = (self._fills if n * n > WHOLE_PAIRS
-                     else [lambda key, i=i: me._fill_whole(i, key) for i in range(5)])
-            self._tables = tuple(map(_Table, fills))
-            self._rows = row_tables(self._tables, n)
         return self._tables
 
-    def _fill_whole(self, i: int, key: int) -> int:
-        """Fill table `i` of `tables()` whole and return its entry `key`."""
-        blocks = self._blocks()
-        entries = self._op_table(blocks, *_TARGETS[i]) if i < 4 else self._comp_table(blocks)
-        self._tables[i].update(enumerate(entries))
-        return entries[key]
-
-    def rows(self) -> tuple[_Lines, ...] | None:
+    def rows(self) -> tuple[_Table, ...] | None:
         """`row_tables` over `tables()`, kept with them."""
-        self.tables()
         return self._rows
 
     def bridge_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as flat tuples
         of codes, entry `a * n + b` for codes `a` and `b`: the layout of
-        `models.FiniteModel`.  They share one list of each header's codes,
-        so the tables hold one int object per code."""
-        blocks = self._blocks()
-        return (tuple(self._op_table(blocks, *_TARGETS[0])),
-                tuple(self._op_table(blocks, *_TARGETS[1])), tuple(self._comp_table(blocks)))
+        `models.FiniteModel`.  Meet and join share one list of each header's
+        codes, so they hold one int object per code."""
+        blocks = _blocks(self._offset, self._sizes)
+        meet, join = (tuple(_op_table(self._sizes, self._images, *target, blocks))
+                      for target in _TARGETS[:2])
+        return meet, join, tuple(map(self._fills[4], range(self.n)))
 
-    def _blocks(self) -> list[list[int]]:
-        """The codes over each header, by body."""
-        return [list(range(base, base + (1 << s))) for base, s in zip(self._offset, self._sizes)]
 
-    def _comp_table(self, blocks: list[list[int]]) -> list[int]:
-        """The complement table: complementing a body reverses its block."""
-        return list(chain.from_iterable(b[::-1] for b in blocks))
+def _blocks(offset: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
+    """The codes over each header, by body."""
+    return [list(range(base, base + (1 << s))) for base, s in zip(offset, sizes)]
 
-    def _op_table(self, blocks: list[list[int]], union: bool, conj: bool) -> list[int]:
-        """Every entry of a binary table, flat, taken from `blocks`: both
-        bodies moved onto the union (else the common) header, ANDed if `conj`.
 
-        For each header of left operands, every block of equal-header
-        right operands gets its target header, the left image map and
-        the right bodies moved onto the target once; each left code then
-        takes one AND or OR per entry.
-        """
-        sizes, out = self._sizes, []
-        for ha, size_a in enumerate(sizes):
-            targets = []  # per right header: target codes, left image, moved right bodies
-            for hb, size_b in enumerate(sizes):
-                h = ha | hb if union else ha & hb
-                targets.append((blocks[h], self._images[ha, h],
-                                list(map(self._images[hb, h], range(1 << size_b)))))
-            for body in range(1 << size_a):
-                for block, image, rights in targets:
-                    left = image(body)
-                    out += ([block[left & right] for right in rights] if conj
-                            else [block[left | right] for right in rights])
-        return out
+def _op_table(sizes: Sequence[int], images: dict[tuple[int, int], Callable[[int], int]],
+              union: bool, conj: bool, blocks: list[list[int]]) -> list[int]:
+    """Every entry of a binary table, flat, taken from `blocks`: both
+    bodies moved onto the union (else the common) header, ANDed if `conj`.
+
+    For each header of left operands, every block of equal-header
+    right operands gets its target header, the left image map and
+    the right bodies moved onto the target once; each left code then
+    takes one AND or OR per entry.
+    """
+    out = []
+    for ha, size_a in enumerate(sizes):
+        targets = []  # per right header: target codes, left image, moved right bodies
+        for hb, size_b in enumerate(sizes):
+            h = ha | hb if union else ha & hb
+            targets.append((blocks[h], images[ha, h], list(map(images[hb, h], range(1 << size_b)))))
+        for body in range(1 << size_a):
+            for block, image, rights in targets:
+                left = image(body)
+                out += ([block[left & right] for right in rights] if conj
+                        else [block[left | right] for right in rights])
+    return out
+
+
+def _whole(make: Callable[[], Iterable[int]], key: int) -> dict[int, int]:
+    """Every entry of a table, keyed by position, whichever `key` was missed."""
+    return dict(enumerate(make()))
 
 
 def _tuple_map(dims: Sequence[int], big: int, small: int, perm: Sequence[int] | None = None,
@@ -455,48 +450,39 @@ def _bit_map(bits: list[int]) -> Callable[[int], int]:
     return image
 
 
-def _fill_orbit(kernel: RelationKernel, code: int) -> int:
-    """Walk the orbit of `code` under the kernel's `symmetries`, record its
-    least code in `orbit_least` for every member, and return it."""
-    moves, orbit, todo = kernel.symmetries(), {code}, [code]
+def _orbit(moves: Sequence[Callable[[int], int]], code: int) -> dict[int, int]:
+    """The least code of the orbit of `code` under `moves`, keyed by every member."""
+    orbit, todo = {code}, [code]
     for x in todo:  # grows as the walk finds new members
         for move in moves:
             y = move(x)
             if y not in orbit:
                 orbit.add(y)
                 todo.append(y)
-    least = min(orbit)
-    kernel.orbit_least.update(dict.fromkeys(orbit, least))
-    return least
+    return dict.fromkeys(orbit, min(orbit))
 
 
-def row_tables(tables: Sequence, n: int) -> tuple[_Lines, ...] | None:
+def row_tables(tables: Sequence, n: int) -> tuple[_Table, ...] | None:
     """`MR JR SR PR MC JC SC PC CR` of `checker.Compiled` over its tables `M J S P C`
     on `range(n)`, or None past 256 elements: `MR[a]` is row `a` of `M`, `MC[b]`
-    its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table."""
+    its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table made
+    on first use."""
     if n > 256:
         return None
     *binary, comp = tables
-    return (*[_Lines(t, n, n, 1) for t in binary], *[_Lines(t, 1, n * n, n) for t in binary],
-            _Lines(comp, n, n, 1))
+    return (*[_Table(partial(_line, t, n, n, 1)) for t in binary],
+            *[_Table(partial(_line, t, 1, n * n, n)) for t in binary],
+            _Table(partial(_line, comp, n, n, 1)))
 
 
-class _Lines(dict):
-    """Rows (`step` 1) or columns (`step` n) of a flat table, each made on first
-    use: a tuple is sliced, a `_Table` read entry by entry, filling them."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, *spec: Any):  # table, n // step, n * step, step
-        self.spec = spec
-
-    def __missing__(self, key: int) -> bytes:
-        table, scale, span, step = self.spec
-        start = key * scale
-        cells = (table[start:start + span:step] if type(table) is tuple
-                 else map(table.__getitem__, range(start, start + span, step)))
-        value = self[key] = bytes(cells).ljust(256, b"\0")
-        return value
+def _line(table: Sequence[int] | dict[int, int], scale: int, span: int, step: int,
+          key: int) -> bytes:
+    """Row (`step` 1) or column (`step` n) `key` of a flat table: a tuple is
+    sliced, a dict read entry by entry, filling it."""
+    start = key * scale
+    cells = (table[start:start + span:step] if type(table) is tuple
+             else map(table.__getitem__, range(start, start + span, step)))
+    return bytes(cells).ljust(256, b"\0")
 
 
 class _Table(dict):
@@ -504,10 +490,23 @@ class _Table(dict):
 
     __slots__ = ("fill",)
 
+    # No `dict.__init__` call: `dict.__new__` made it empty, and a kernel
+    # builds a dozen of these and more.
     def __init__(self, fill: Callable[[Any], Any]):
-        super().__init__()
         self.fill = fill
 
     def __missing__(self, key: Any) -> Any:
         value = self[key] = self.fill(key)
         return value
+
+
+class _Bulk(_Table):
+    """A `_Table` whose miss adds every entry of the dict `fill(key)`: a whole
+    table, or the orbit of a code."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Any) -> Any:
+        entries = self.fill(key)
+        self.update(entries)
+        return entries[key]

@@ -175,7 +175,7 @@ def model_from_universe(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> Finit
                               f"{BRIDGE_PAIR_LIMIT} relation pairs is refused")
     meet, join, comp = k.bridge_tables()
     return FiniteModel(size=k.n, meet=meet, join=join, comp=comp,
-                       r00=k.const(ConstantKind.R00), r11=k.r11)
+                       r00=k.const(ConstantKind.R00), r11=k.const(ConstantKind.R11))
 
 
 # --- model files -------------------------------------------------------------

@@ -246,7 +246,7 @@ class TestBridgeAndVerify:
         expected = [f"size {k.n}", "meet:", *(row(k.meet, a) for a in codes),
                     "join:", *(row(k.join, a) for a in codes),
                     "complement:", " ".join(str(k.comp(a)) for a in codes),
-                    f"R00 = {k.const(ConstantKind.R00)}", f"R11 = {k.r11}"]
+                    f"R00 = {k.const(ConstantKind.R00)}", f"R11 = {k.const(ConstantKind.R11)}"]
         assert model_file.read_text() == "\n".join(expected) + "\n"
 
     def test_verify_refuted_exit_one(self, u1_file, tmp_path, capsys):

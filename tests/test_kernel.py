@@ -39,7 +39,7 @@ from rlattice import (
     verify_model,
 )
 from rlattice import checker
-from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map
+from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map, _blocks, _op_table
 
 BINARY = {
     "^": (RelationKernel.meet, natural_join),
@@ -47,7 +47,7 @@ BINARY = {
     "*": (RelationKernel.star, inner_join),
     "+": (RelationKernel.plus, outer_union),
     # Compiled statements expand y @ x into (y v R11) + x.
-    "@": (lambda k, a, b: k.plus(k.join(a, k.r11), b), cylindrify),
+    "@": (lambda k, a, b: k.plus(k.join(a, k.const(ConstantKind.R11)), b), cylindrify),
 }
 
 
@@ -183,11 +183,13 @@ class TestWholeTables:
         assert n * n <= WHOLE_PAIRS
         for table, op in zip(tables, "^v*+"):
             table[n * n - 1]
+            assert len(table) == n * n, op  # before any other read
             code_fn, rel_fn = BINARY[op]
-            assert dict(table) == {a * n + b: code_fn(ref, a, b) for a, b in pairs}, op
+            assert [table[a * n + b] for a, b in pairs] == [code_fn(ref, a, b) for a, b in pairs]
             assert all(rels[table[a * n + b]] == rel_fn(u, rels[a], rels[b]) for a, b in pairs)
         tables[4][0]
-        assert dict(tables[4]) == {a: ref.comp(a) for a in range(n)}
+        assert len(tables[4]) == n
+        assert [tables[4][a] for a in range(n)] == [ref.comp(a) for a in range(n)]
         assert all(rels[tables[4][a]] == complement(u, rels[a]) for a in range(n))
 
     def test_past_the_bound_fills_per_pair(self):
@@ -210,11 +212,14 @@ class TestWholeTables:
         # 66, 78 and 318 codes: every entry a table past the bound fills
         # one pair at a time equals the block routine's whole table.
         k = RelationKernel(Universe.make(decl))
-        n, tables, blocks = k.n, k.tables(), k._blocks()
+        n, tables = k.n, k.tables()
+        blocks = _blocks(k._offset, k._sizes)
         assert n * n > WHOLE_PAIRS
         for table, target in zip(tables, _TARGETS):
-            assert [table[key] for key in range(n * n)] == k._op_table(blocks, *target)
-        assert [tables[4][a] for a in range(n)] == k._comp_table(blocks)
+            assert ([table[key] for key in range(n * n)]
+                    == _op_table(k._sizes, k._images, *target, blocks))
+        # A complement reverses the codes of its block.
+        assert [tables[4][a] for a in range(n)] == [c for b in blocks for c in b[::-1]]
 
 
 def test_bit_map_against_bit_by_bit_loop():

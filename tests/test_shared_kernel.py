@@ -26,6 +26,7 @@ from rlattice import (
     count_relations,
     discriminate_fd_reading,
     free_variables,
+    model_from_universe,
     parse_statement,
     run_suite,
     standard_universes,
@@ -170,6 +171,17 @@ class TestNoCycles:
         assert (filled == [k.n ** 2] * 4 + [k.n]) == (k.n <= 64), filled
         del k
         assert len(kernels) == 1 and kernels[0]() is None
+
+    def test_tables_outlive_the_kernel(self, u2, kernels, no_gc):
+        k = RelationKernel(u2)
+        n, tables, rows, orbit_least = k.n, k.tables(), k.rows(), k.orbit_least
+        least = k.stabilizer_least(0)  # code 0 is fixed by every automorphism
+        del k
+        assert len(kernels) == 1 and kernels[0]() is None
+        meet = model_from_universe(u2).meet
+        assert [tables[0][key] for key in range(n * n)] == list(meet)
+        assert rows[0][3][:n] == bytes(meet[3 * n:4 * n])  # row 3 of MR
+        assert [orbit_least[c] for c in range(n)] == least
 
     def test_run_suite(self, kernels, no_gc):
         assert run_suite("bilattice").ok

@@ -241,19 +241,21 @@ class TestWhenReduced:
 
     @pytest.fixture
     def walks(self):
-        """The size of the kernel of each orbit filled into `orbit_least`."""
+        """The members of each orbit filled into `orbit_least`."""
         calls = []
-        real = kernel_module._fill_orbit
+        real = kernel_module._orbit
 
-        def spy(kernel, code):
-            calls.append(kernel.n)
-            return real(kernel, code)
-        with mock.patch.object(kernel_module, "_fill_orbit", spy):
+        def spy(moves, code):
+            got = real(moves, code)
+            calls.append(set(got))
+            return got
+        with mock.patch.object(kernel_module, "_orbit", spy):
             yield calls
 
     def test_uncapped_literal_free(self, walks):
         check(U23, "x ^ y = y ^ x")
-        assert set(walks) == {78}
+        # Every orbit of U23's 78 codes, each walked once.
+        assert sorted(c for orbit in walks for c in orbit) == list(range(78))
 
     def test_short_check(self, walks):
         check(U2, "x ^ y = y ^ x")  # 676 assignments: too few to repay the orbits
@@ -294,8 +296,8 @@ class TestWhenReduced:
         verify_model(model_from_universe(U1), ["x ^ y ^ z = x ^ (y ^ z)"])
         with mock.patch.object(checker, "_GROUP_CAP", 0):  # the first level only
             check(U23, "(x * y) * z = x * (y * z)")
-        assert seen == [("list", "list"), ("_Table", "list"), ("list", "list"),
-                        ("list", "list"), ("_Table", "list")]
+        assert seen == [("list", "list"), ("_Bulk", "list"), ("list", "list"),
+                        ("list", "list"), ("_Bulk", "list")]
 
 
 # --- the two-level walk against the unreduced one ----------------------------
