@@ -19,7 +19,8 @@ over the assignments they are handed.  `run_check` runs that code over
 any carrier `range(n)` that supplies such tables: `check` over relation
 codes, the indices into the enumeration, with tables that
 `rlattice.kernel.RelationKernel` fills on first use, and
-`models.verify_model` over a model's flat tables.  The compiled form is
+`models.verify_model` over a model's flat tables, which the model keeps
+from one call to the next (see `models.FiniteModel`).  The compiled form is
 kept per statement, with the statement's printed text for its reports,
 and a statement keeps its hash (see `terms`), so checking a statement
 again costs one dictionary probe before its loop runs.  `check` builds no
@@ -28,13 +29,14 @@ codes into relations.  A run of checks on one universe (a suite, a
 statement file) hands `check` one kernel for all of them, so they share
 its image maps, symmetry orbits and operation tables.
 
-Over at most 256 elements, the nested loops of three or more variables
+Over at most 256 elements, the nested loops of two or more variables
 take the last one a row at a time: a term of it is the `bytes` of its
 values, an operation one `translate` by a row or column of a table
 (`kernel.row_tables`), the conclusion one comparison.  The scalar loops
-stay for larger carriers (codes past 255 fit no byte), fewer variables
-(the rows cost more to fill than the loop), premises or other disjuncts
-reading the last variable, and operations on two rows (a `map` is slower).
+stay for larger carriers (codes past 255 fit no byte), one variable (on a
+fresh u1 or u2 kernel rows measured no faster), premises or other
+disjuncts reading the last variable, and operations on two rows (a `map`
+is slower).
 
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one
@@ -69,12 +71,12 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from itertools import chain, islice, product, repeat
 from operator import eq, ne
+from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import terms
@@ -169,9 +171,10 @@ class Compiled(NamedTuple):
     `(premise_satisfying, assignments_tested, witness)`, the witness being
     the first refuting assignment as a tuple of elements for `variables`,
     or None.  With `envs=None` (up to `_NESTED` variables) it walks every
-    assignment in nested loops, last variable fastest, and with `rows`,
-    the `kernel.row_tables` of the tables, the last variable a row at a
-    time where rows serve (see the module docstring).  For two or more
+    assignment in nested loops, last variable fastest, and if `by_row`
+    (two or more variables, see the module docstring) and given `rows`, the
+    `kernel.row_tables` of the tables, the last variable a row at a time.
+    For two or more
     variables it walks only the first values `v` with `least[v] == v` and,
     for three or more, the second values `w` with `seconds(v)[w] == w`
     (maps, the identity when nothing is skipped), and adds the premise
@@ -304,7 +307,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         return lines, leaves, fails, f"[*map({'ne' if equal else 'eq'}, {lhs}, {rhs})].index(True)"
 
     lines, leaves, fails, _ = scalar = lower(False)
-    by_row = lower(True) if 3 <= arity <= _NESTED else None
+    by_row = lower(True) if 2 <= arity <= _NESTED else None
     env = "".join(f"v{i}, " for i in range(arity))
     count = ["premise += 1"] if premises else []
 
@@ -423,10 +426,19 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     other checks walk them over the identity.  `rows`, the
     `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
     """
-    start = time.perf_counter()
-    code = compile_statement(statement)
+    start = perf_counter()
+    return run_compiled(compile_statement(statement), n, tables, leaf, mode, symmetry, rows,
+                        start)
+
+
+def run_compiled(code: Compiled, n: int, tables: Sequence, leaf: Callable[[terms.Term], int],
+                 mode: Mode, symmetry: RelationKernel | None, rows: Sequence | None,
+                 start: float) -> CheckReport:
+    """`run_check` of the compiled statement `code`, timed from `start`, for
+    a caller that reads the `Compiled` first (`models.verify_model`)."""
     arity = len(code.variables)
-    if isinstance(mode, Exhaustive):
+    exhaustive = isinstance(mode, Exhaustive)
+    if exhaustive:
         total = n ** arity
         cap = total if mode.max_assignments is None else max(mode.max_assignments, 0)
         envs = (None if cap >= total and arity <= _NESTED
@@ -435,30 +447,24 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         # The draws, grouped `arity` at a time into assignments.
         draws = _draws(random.Random(mode.seed).getrandbits, n)
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
-    reduced = (symmetry is not None and envs is None and arity >= 2
-               and n ** arity >= _REDUCE_FROM and not code.literals)
     identity = _IDENTITY if n <= len(_IDENTITY) else list(range(n))
-    seconds = (symmetry.stabilizer_least if reduced and arity >= 3
-               and symmetry.group_order() * n <= _GROUP_CAP else lambda first: identity)
-    premise_sat, tested, found = code.run(*tables, n, envs, symmetry.orbit_least if reduced
-                                          else identity, seconds, rows, *map(leaf, code.leaves))
-    witness = None if found is None else dict(zip(code.variables, found))
-    if witness is not None:
-        verdict = Verdict.REFUTED
-    elif isinstance(mode, Exhaustive) and tested == total:
-        verdict = Verdict.HOLDS
+    least, seconds = identity, lambda first: identity
+    if (symmetry is not None and envs is None and arity >= 2
+            and total >= _REDUCE_FROM and not code.literals):
+        least = symmetry.orbit_least
+        if arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP:
+            seconds = symmetry.stabilizer_least
+    premise_sat, tested, found = code.run(*tables, n, envs, least, seconds, rows,
+                                          *map(leaf, code.leaves))
+    if found is not None:
+        witness = dict(zip(code.variables, found))
+        verdict, text = Verdict.REFUTED, {v: str(e) for v, e in witness.items()}
     else:  # a sampled pass is not a proof, so never HOLDS
-        verdict = Verdict.BUDGET_EXHAUSTED
-    return CheckReport(
-        statement=code.text,
-        verdict=verdict,
-        witness=witness,
-        witness_text=None if witness is None else {v: str(e) for v, e in witness.items()},
-        assignments_tested=tested,
-        premise_satisfying=premise_sat if code.implication else None,
-        mode=mode,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+        witness = text = None
+        verdict = Verdict.HOLDS if exhaustive and tested == total else Verdict.BUDGET_EXHAUSTED
+    return CheckReport(code.text, verdict, witness, text, tested,
+                       premise_sat if code.implication else None, mode,
+                       (perf_counter() - start) * 1000.0)
 
 
 def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:

@@ -19,12 +19,13 @@ constant cells and the negated goal becomes ground constraints.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import terms
-from .checker import CheckReport, Exhaustive, Mode, Verdict, compile_statement, run_check
+from . import checker, terms
+from .checker import CheckReport, Exhaustive, Mode, Verdict, run_compiled
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
@@ -40,8 +41,12 @@ class FiniteModel:
 
     `meet` and `join` are flat tuples of `size * size` entries: entry
     `a * size + b` is `a ^ b` (`a v b`).  That is the layout the checker
-    reads (`checker.Compiled`) and the search fills; rows exist only in
-    the text forms (`format_model`, `pretty_model`).
+    reads (`checker.Compiled`) and the search fills.
+
+    `verify_model` keeps with the model what the checker reads: its five
+    `_model_tables`, its constants and, from the first statement that takes
+    them, its `kernel.row_tables`.  They are not fields, so equality,
+    hashing, pickling and copying see a model as if never verified.
     """
 
     size: int
@@ -65,6 +70,23 @@ class FiniteModel:
             raise ModelError("complement table must map the carrier into itself")
         if not (0 <= self.r00 < n and 0 <= self.r11 < n):
             raise ModelError("constant out of carrier range")
+
+    def __getstate__(self) -> dict:
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    @cached_property
+    def _tables(self) -> tuple[Sequence[int] | dict[int, int], ...]:
+        return _model_tables(self)
+
+    @cached_property
+    def _leaf(self) -> Callable[[Const], int]:
+        constants = {ConstantKind.R00: self.r00, ConstantKind.R11: self.r11,
+                     ConstantKind.R10: self.r10, ConstantKind.R01: self.r01}
+        return lambda t: constants[t.kind]
+
+    @cached_property
+    def _rows(self) -> tuple[dict[int, bytes], ...] | None:
+        return row_tables(self._tables, self.size)
 
     @property
     def r10(self) -> int:
@@ -125,22 +147,16 @@ def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
 def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
                  mode: Mode = Exhaustive()) -> list[CheckReport]:
     """Check each statement over all carrier assignments of `m`; a string
-    is read by `terms.parse_goal`, so `atom | atom` too."""
-    tables, rows = _model_tables(m), None
-    constants = {ConstantKind.R00: m.r00, ConstantKind.R11: m.r11,
-                 ConstantKind.R10: m.r10, ConstantKind.R01: m.r01}
-
-    def leaf(t: Const | Lit) -> int:
-        if isinstance(t, Lit):
-            raise ModelError("relation literals have no interpretation in an abstract model")
-        return constants[t.kind]
-
-    reports = []
+    is read by `terms.parse_goal`, so `atom | atom` too.  The tables it
+    reads are kept with `m` (see `FiniteModel`)."""
+    tables, leaf, reports = m._tables, m._leaf, []
     for statement in map(_as_statement, statements):
-        if rows is None and compile_statement(statement).by_row:  # for the first that takes rows
-            rows = row_tables(tables, m.size)
-        reports.append(run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode,
-                                 rows=rows))
+        start = time.perf_counter()
+        code = checker.compile_statement(statement)
+        if code.literals:
+            raise ModelError("relation literals have no interpretation in an abstract model")
+        reports.append(run_compiled(code, m.size, tables, leaf, mode, None,
+                                    m._rows if code.by_row else None, start))
     return reports
 
 

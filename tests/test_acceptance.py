@@ -8,6 +8,7 @@ carry their stated wall-clock budgets.
 
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 from rlattice import (
@@ -133,11 +134,15 @@ def test_criterion_07_complement_axioms(u2, rels2):
 
 
 def assert_rows_as_scalar(monkeypatch, model, statements):
-    """`verify_model` reports on `model` as it does without row tables."""
+    """`verify_model` reports on `model`, which reads rows, what it reports on
+    an equal model that keeps no table and is given no row tables."""
     got = [rep.to_json() for rep in verify_model(model, statements)]
+    assert any(model._rows)  # the two- and three-variable laws read rows
+    scalar = replace(model)
     with monkeypatch.context() as m:
         m.setattr(models, "row_tables", lambda tables, n: None)
-        assert [rep.to_json() for rep in verify_model(model, statements)] == got
+        assert [rep.to_json() for rep in verify_model(scalar, statements)] == got
+    assert scalar._rows is None  # so no statement read a row
 
 
 def test_criterion_08_model_search(monkeypatch):

@@ -10,6 +10,7 @@ compared with each other, and so are the two callers.
 """
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 from itertools import islice, product
 
@@ -376,7 +377,7 @@ class TestFusedLoop:
 
 
 class TestRows:
-    """The row loops (three or more variables, carriers of at most 256
+    """The row loops (two or more variables, carriers of at most 256
     elements) against the scalar loops, at the edges of where rows serve."""
 
     @pytest.mark.parametrize("n", [1, 256, 257])
@@ -395,7 +396,7 @@ class TestRows:
                      for r in (rows, None))
         assert got == want
         # Rows are read exactly when they serve.
-        assert any(rows or ()) == (n <= 256 and len(free_variables(statement)) >= 3)
+        assert any(rows or ()) == (n <= 256 and len(free_variables(statement)) >= 2)
 
     @pytest.mark.parametrize("text", sorted({e.text for entries in suite_catalog().values()
                                              for e in entries
@@ -411,18 +412,105 @@ class TestRows:
         assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
 
     def test_verify_model_makes_rows_only_for_statements_that_take_them(self, monkeypatch):
+        """A model's rows are made once, at the first statement whose loops
+        take them, and kept for later `verify_model` calls."""
         made = []
         monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
         m = model_from_universe(U1)
-        assert find_counterexample(m, "x ^ (y v x) = x") is None
+        assert find_counterexample(m, "x ^ (x v x') = x") is None
         verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
         assert made == []
         reports = verify_model(m, ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"])
         assert made == [6]
+        again = verify_model(m, [r.statement for r in reports])
+        assert made == [6]
+        assert [r.to_json() for r in again] == [r.to_json() for r in reports]
+        fresh = model_from_universe(U1)  # an equal model that keeps no rows yet
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in reports] == [
-                r.to_json() for r in verify_model(m, [r.statement for r in reports])]
+                r.to_json() for r in verify_model(fresh, [r.statement for r in reports])]
+        assert made == [6]
+
+
+TWO_VARIABLE_CATALOG = sorted({e.text for entries in suite_catalog().values() for e in entries
+                               if len(free_variables(parse_statement(e.text))) == 2})
+# Literals over the attribute `t` with value `a`, which U1, U2 and U23 all have.
+LITS = [parse_statement(f"x = {text}").rhs for text in ("{(t=a)}", "full(t)", "empty(t)")]
+
+
+def two_variable_statements(seed, count, literals):
+    """`count` seeded random statements in exactly `x` and `y`: atoms,
+    implications whose premises read `x` alone or both, and disjunctions,
+    over `^ v * + @ '`, the constants and, if `literals`, `LITS`."""
+    rng = random.Random(seed)
+    x, y = Var("x"), Var("y")
+    leaves = [x, y, *CONSTS, *(LITS if literals else [])]
+
+    def term(depth, pool):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(pool)
+        if rng.random() < 0.2:
+            return Neg(term(depth - 1, pool))
+        return Bin(rng.choice(BINARY_OPS), term(depth - 1, pool), term(depth - 1, pool))
+
+    def atom(pool=leaves):
+        return rng.choice([Eq, Ne, Lt])(term(2, pool), term(2, pool))
+
+    out = []
+    while len(out) < count:
+        shape = rng.randrange(4)
+        if shape == 0:
+            statement = atom()
+        elif shape == 1:  # a premise on the first variable only
+            statement = Imp((atom([x, *leaves[2:]]),), atom())
+        elif shape == 2:
+            statement = Imp(tuple(atom() for _ in range(rng.randint(1, 2))), atom())
+        else:
+            statement = Or(tuple(atom() for _ in range(rng.randint(2, 3))))
+        if free_variables(statement) == ("x", "y"):
+            out.append(statement)
+    return out
+
+
+class TestTwoVariableRows:
+    """The row loops of two-variable statements against the scalar loops
+    (`rows=None`): the same report, byte for byte, on kernels and models."""
+
+    @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
+    def test_kernels(self, u):
+        statements = ([parse_statement(text) for text in TWO_VARIABLE_CATALOG]
+                      + two_variable_statements(23, 80, literals=True))
+        shared = RelationKernel(u)
+
+        def report(statement, k, rows):
+            return run_check(statement, k.n, tables=k.tables(), leaf=k.leaf, symmetry=k,
+                             rows=rows).to_json()
+
+        read_rows = 0
+        for statement in statements:
+            fresh, scalar = RelationKernel(u), RelationKernel(u)
+            assert report(statement, shared, shared.rows()) == report(statement, shared, None)
+            assert report(statement, fresh, fresh.rows()) == report(statement, scalar, None)
+            assert not any(scalar.rows())
+            # A fresh kernel reads rows only for the statements that take them.
+            read = any(fresh.rows())
+            assert read <= compile_statement(statement).by_row, format_statement(statement)
+            read_rows += read
+        assert read_rows >= len(statements) // 2
+
+    @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
+    def test_models(self, monkeypatch, u):
+        statements = ([parse_statement(text) for text in TWO_VARIABLE_CATALOG]
+                      + two_variable_statements(29, 80, literals=False))
+        model = model_from_universe(u)
+        got = [r.to_json() for r in verify_model(model, statements)]
+        assert any(model._rows)
+        scalar = replace(model)
+        with monkeypatch.context() as without:
+            without.setattr(models, "row_tables", lambda tables, n: None)
+            assert [r.to_json() for r in verify_model(scalar, statements)] == got
+        assert scalar._rows is None
 
 
 EMPTY = Universe.make({})  # two relations: empty() and {()}

@@ -1,7 +1,12 @@
 """Abstract models: the universe bridge, verification, files, and search."""
 
+import copy
+import gc
+import pickle
 import time
 import tracemalloc
+import weakref
+from dataclasses import fields, replace
 from itertools import chain, permutations, product
 from pathlib import Path
 from types import SimpleNamespace
@@ -239,6 +244,48 @@ class TestModelTables:
                 assert S[a * n + b] == k.star(a, b), (a, b)
                 assert P[a * n + b] == k.plus(a, b), (a, b)
         assert len(S) == len(P) == n * n
+
+
+class TestKeptTables:
+    """What `verify_model` keeps with a model is not part of its value."""
+
+    LAWS = ["x ^ y = y ^ x", "x * (y + z) = (x * y) + z", "x + R10 = R10 + x"]
+
+    def test_verified_as_unverified(self, m6):
+        verified, plain = replace(m6), replace(m6)
+        first = [r.to_json() for r in verify_model(verified, self.LAWS)]
+        assert verified._rows is not None and len(verified._tables[2]) > 0
+        assert verified == plain and hash(verified) == hash(plain)
+        assert repr(verified) == repr(plain)
+        assert pickle.dumps(verified) == pickle.dumps(plain)
+        field_names = {f.name for f in fields(FiniteModel)}
+        for kept in (pickle.loads(pickle.dumps(verified)), copy.copy(verified),
+                     copy.deepcopy(verified)):
+            assert kept == verified and set(vars(kept)) == field_names
+        assert [r.to_json() for r in verify_model(verified, self.LAWS)] == first
+        assert [r.to_json() for r in verify_model(plain, self.LAWS)] == first
+
+    def test_relabel_shares_no_kept_table(self, m6):
+        verified = replace(m6)
+        verify_model(verified, self.LAWS)
+        relabeled = verified.relabel(range(6))
+        assert relabeled == verified
+        assert set(vars(relabeled)) == {f.name for f in fields(FiniteModel)}
+        verify_model(relabeled, self.LAWS)
+        kept = lambda m: {id(t) for t in (*m._tables, *m._rows)}  # noqa: E731
+        assert not kept(verified) & kept(relabeled)
+
+    def test_kept_tables_hold_no_model(self, m6):
+        """The kept tables refer to no model, so dropping one frees it at once."""
+        model = replace(m6)
+        verify_model(model, self.LAWS)
+        gone = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 def test_verify_model_copies_no_table():
