@@ -36,7 +36,8 @@ values, an operation one `translate` by a row or column of a table
 stay for larger carriers (codes past 255 fit no byte), one variable (on a
 fresh u1 or u2 kernel rows measured no faster), premises or other
 disjuncts reading the last variable, and operations on two rows (a `map`
-is slower).
+is slower); `models.verify_model` walks two variables by row only on a
+model verified before (see `models.FiniteModel`).
 
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one

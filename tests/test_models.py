@@ -254,7 +254,7 @@ class TestKeptTables:
     def test_verified_as_unverified(self, m6):
         verified, plain = replace(m6), replace(m6)
         first = [r.to_json() for r in verify_model(verified, self.LAWS)]
-        assert verified._rows is not None and len(verified._tables[2]) > 0
+        assert verified._rows is not None and len(verified._checker[0][2]) > 0
         assert verified == plain and hash(verified) == hash(plain)
         assert repr(verified) == repr(plain)
         assert pickle.dumps(verified) == pickle.dumps(plain)
@@ -272,7 +272,7 @@ class TestKeptTables:
         assert relabeled == verified
         assert set(vars(relabeled)) == {f.name for f in fields(FiniteModel)}
         verify_model(relabeled, self.LAWS)
-        kept = lambda m: {id(t) for t in (*m._tables, *m._rows)}  # noqa: E731
+        kept = lambda m: {id(t) for t in (*m._checker[0], *m._rows)}  # noqa: E731
         assert not kept(verified) & kept(relabeled)
 
     def test_kept_tables_hold_no_model(self, m6):
@@ -291,7 +291,8 @@ class TestKeptTables:
 def test_verify_model_copies_no_table():
     """`verify_model` reads the model's own meet and join: on the 318-element
     model, whose tables are 101,124 entries each, the laws of the `scale`
-    benchmark workload allocate less than one copy of one table."""
+    benchmark workload allocate less than one copy of one table in the
+    call that makes the model's tables."""
     u = Universe.make({"a": "01", "b": "01", "c": "01"})
     m = model_from_universe(u)
     laws = {"x ^ (x v y) = x"}
@@ -302,7 +303,7 @@ def test_verify_model_copies_no_table():
                 laws.add(e.text)
     statements = [parse_statement(text) for text in sorted(laws)]
     assert len(statements) == 26
-    verify_model(m, statements)  # compiles and caches every statement
+    verify_model(replace(m), statements)  # compiles and caches every statement
     tracemalloc.start()
     try:
         reports = verify_model(m, statements)
