@@ -36,8 +36,7 @@ values, an operation one `translate` by a row or column of a table
 stay for larger carriers (codes past 255 fit no byte), one variable (on a
 fresh u1 or u2 kernel rows measured no faster), premises or other
 disjuncts reading the last variable, and operations on two rows (a `map`
-is slower); `models.verify_model` walks two variables by row only on a
-model verified before (see `models.FiniteModel`).
+is slower).
 
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one
@@ -172,18 +171,17 @@ class Compiled(NamedTuple):
     `(premise_satisfying, assignments_tested, witness)`, the witness being
     the first refuting assignment as a tuple of elements for `variables`,
     or None.  With `envs=None` (up to `_NESTED` variables) it walks every
-    assignment in nested loops, last variable fastest, and if `by_row`
-    (two or more variables, see the module docstring) and given `rows`, the
-    `kernel.row_tables` of the tables, the last variable a row at a time.
-    For two or more
-    variables it walks only the first values `v` with `least[v] == v` and,
-    for three or more, the second values `w` with `seconds(v)[w] == w`
-    (maps, the identity when nothing is skipped), and adds the premise
-    count of the block of `least[v]` (or `seconds(v)[w]`) for each value
-    it skips.  Otherwise it walks the assignments `envs` yields in one flat loop.  `M J S P`
-    are the meet, join, star and plus tables indexed `a * N + b` and `C`
-    the complement table; `leaf_values` are the elements of the constants
-    and literals in `leaves`, supplied anew by every caller and universe.
+    assignment in nested loops, last variable fastest, and, given `rows`,
+    the `kernel.row_tables` of the tables, the last variable a row at a time
+    where the module docstring says.  For two or more variables it walks
+    only the first values `v` with `least[v] == v` and, for three or more,
+    the second values `w` with `seconds(v)[w] == w` (maps, the identity when
+    nothing is skipped), and adds the premise count of the block of
+    `least[v]` (or `seconds(v)[w]`) for each value it skips.  Otherwise it
+    walks the assignments `envs` yields in one flat loop.  `M J S P` are the
+    meet, join, star and plus tables indexed `a * N + b` and `C` the
+    complement table; `leaf_values` are the elements of the constants and
+    literals in `leaves`, supplied anew by every caller and universe.
     `text` is the statement as `terms.format_statement` prints it, the
     name of the generated code and the `statement` of every report.
     """
@@ -194,7 +192,6 @@ class Compiled(NamedTuple):
     text: str
     implication: bool  # it has premises
     literals: bool  # it has relation literals
-    by_row: bool  # its nested loops can take `rows`
 
 
 _TABLE = {"^": "M", "v": "J", "*": "S", "+": "P"}
@@ -376,7 +373,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     text = terms.format_statement(statement)
     exec(compile("\n".join(source) + "\n", f"<{text}>", "exec"), namespace)
     return Compiled(variables, tuple(leaves), namespace["run"], text, bool(premises),
-                    any(isinstance(t, terms.Lit) for t in leaves), by_row is not None)
+                    any(isinstance(t, terms.Lit) for t in leaves))
 
 
 _RELATION_OPS = {"^": natural_join, "v": inner_union, "*": inner_join,
@@ -412,7 +409,8 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     """Check a statement over the carrier `range(n)` with operation tables.
 
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
-    index to element; `leaf` gives the element of a constant or literal.
+    index to element; `leaf` gives the element of a constant or literal,
+    read for every leaf before any loop runs, so it may refuse one.
     Exhaustive mode walks assignments in canonical order (itertools.product,
     last variable fastest) and reports the first witness: in the generated
     nested loops, or, when `max_assignments` stops it short or there are
@@ -428,15 +426,7 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
     """
     start = perf_counter()
-    return run_compiled(compile_statement(statement), n, tables, leaf, mode, symmetry, rows,
-                        start)
-
-
-def run_compiled(code: Compiled, n: int, tables: Sequence, leaf: Callable[[terms.Term], int],
-                 mode: Mode, symmetry: RelationKernel | None, rows: Sequence | None,
-                 start: float) -> CheckReport:
-    """`run_check` of the compiled statement `code`, timed from `start`, for
-    a caller that reads the `Compiled` first (`models.verify_model`)."""
+    code = compile_statement(statement)
     arity = len(code.variables)
     exhaustive = isinstance(mode, Exhaustive)
     if exhaustive:

@@ -198,7 +198,7 @@ def _parse_sizes(text: str) -> range:
     except ValueError:
         raise LatticeError(f"bad --sizes {text!r}; expected A..B") from None
     if a < 1 or b < a:
-        raise LatticeError(f"bad --sizes {text!r}")
+        raise LatticeError(f"bad --sizes {text!r}; expected A..B with 1 <= A <= B")
     return range(a, b + 1)
 
 

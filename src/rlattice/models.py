@@ -24,8 +24,8 @@ from functools import cached_property
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import checker, terms
-from .checker import CheckReport, Exhaustive, Mode, Verdict, run_compiled
+from . import terms
+from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
@@ -43,16 +43,11 @@ class FiniteModel:
     `a * size + b` is `a ^ b` (`a v b`).  That is the layout the checker
     reads (`checker.Compiled`) and the search fills.
 
-    `verify_model` keeps with the model what the checker reads: its five
-    `_model_tables` and its constants from its first call, and its
-    `kernel.row_tables` from the first statement that takes them.  A
-    model's first call walks only statements of three or more variables
-    by row: for two, filling the rows costs more than the loop they save
-    (on the size-6 model, `x ^ y = y ^ x` takes 11 us scalar, 18 us filling
-    its rows and 7 us over filled ones).  Later calls walk two variables
-    by row too, which pays from a model's third call on.  The kept tables
-    are not fields, so equality, hashing, pickling and copying see a model
-    as if never verified.
+    `verify_model` keeps with the model, from its first call, what the
+    checker reads: its five `_model_tables`, their `kernel.row_tables`
+    (filled on use) and its leaf function.  The kept tables are not
+    fields, so equality, hashing, pickling and copying see a model as if
+    never verified.
     """
 
     size: int
@@ -81,14 +76,19 @@ class FiniteModel:
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     @cached_property
-    def _checker(self) -> tuple[tuple[Sequence[int] | dict[int, int], ...], Callable[[Const], int]]:
+    def _checker(self) -> tuple[tuple[Sequence[int] | dict[int, int], ...],
+                                tuple[dict[int, bytes], ...] | None, Callable[[Term], int]]:
+        """`tables`, `rows` and `leaf` of `checker.run_check`; `leaf` refuses a literal."""
         constants = {ConstantKind.R00: self.r00, ConstantKind.R11: self.r11,
                      ConstantKind.R10: self.r10, ConstantKind.R01: self.r01}
-        return _model_tables(self), lambda t: constants[t.kind]
 
-    @cached_property
-    def _rows(self) -> tuple[dict[int, bytes], ...] | None:
-        return row_tables(self._checker[0], self.size)
+        def leaf(t: Term) -> int:
+            if isinstance(t, Lit):
+                raise ModelError("relation literals have no interpretation in an abstract model")
+            return constants[t.kind]
+
+        tables = _model_tables(self)
+        return tables, row_tables(tables, self.size), leaf
 
     @property
     def r10(self) -> int:
@@ -151,16 +151,9 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
     """Check each statement over all carrier assignments of `m`; a string
     is read by `terms.parse_goal`, so `atom | atom` too.  The tables it
     reads are kept with `m` (see `FiniteModel`)."""
-    again = "_checker" in vars(m)
-    (tables, leaf), reports = m._checker, []
-    for statement in map(_as_statement, statements):
-        start = time.perf_counter()
-        code = checker.compile_statement(statement)
-        if code.literals:
-            raise ModelError("relation literals have no interpretation in an abstract model")
-        rows = m._rows if code.by_row and (again or len(code.variables) > 2) else None
-        reports.append(run_compiled(code, m.size, tables, leaf, mode, None, rows, start))
-    return reports
+    tables, rows, leaf = m._checker
+    return [run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode, rows=rows)
+            for statement in map(_as_statement, statements)]
 
 
 def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str, int] | None:

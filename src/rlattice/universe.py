@@ -229,10 +229,6 @@ class Relation:
     def cardinality(self) -> int:
         return len(self.body)
 
-    def tuples(self) -> list[dict[str, str]]:
-        """Body as attribute-to-value mappings, in canonical order."""
-        return [dict(zip(self.header, tup)) for tup in self.body]
-
 
 def _restrict(tup: tuple[str, ...], positions: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(tup[i] for i in positions)

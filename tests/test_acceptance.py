@@ -38,6 +38,7 @@ from rlattice import models
 from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
+from test_compile import takes_rows
 from test_models import COMP6, JOIN6, MEET6, RELABEL6, flat
 
 THEOREM_SUITES = ("outer-inner", "bilattice", "complement", "nand",
@@ -134,15 +135,19 @@ def test_criterion_07_complement_axioms(u2, rels2):
 
 
 def assert_rows_as_scalar(monkeypatch, model, statements):
-    """`verify_model` reports on `model`, which reads rows, what it reports on
-    an equal model that keeps no table and is given no row tables."""
+    """`verify_model` reports on `model`, and on the first call of an equal
+    model, which reads rows for each statement whose loops take them, what
+    it reports on an equal model that is given no row tables."""
     got = [rep.to_json() for rep in verify_model(model, statements)]
-    assert any(model._rows)  # the two- and three-variable laws read rows
+    for statement, want in zip(statements, got):
+        first = replace(model)
+        assert verify_model(first, [statement])[0].to_json() == want
+        assert any(first._checker[1]) == takes_rows(statement), statement
     scalar = replace(model)
     with monkeypatch.context() as m:
         m.setattr(models, "row_tables", lambda tables, n: None)
         assert [rep.to_json() for rep in verify_model(scalar, statements)] == got
-    assert scalar._rows is None  # so no statement read a row
+    assert scalar._checker[1] is None  # so no statement read a row
 
 
 def test_criterion_08_model_search(monkeypatch):

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from rlattice import ConstantKind, Universe, load_model, minimal_axioms, models, parse_model
+from rlattice import (ConstantKind, Universe, load_model, minimal_axioms, models, parse_model,
+                      search_model)
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 
@@ -40,6 +41,18 @@ class TestCheck:
         assert "verdict: REFUTED" in out
         assert "x = {(t=a)}" in out
         assert "y = empty()" in out
+
+    def test_implication_prints_premise_count(self, u2_file, capsys):
+        assert main(["check", "-u", u2_file, "-e", "x v R00 != x -> x ^ y' != R11"]) == 1
+        assert capsys.readouterr().out == (
+            "statement: x v R00 != x -> x ^ y' != R11\n"
+            "verdict: REFUTED\n"
+            "witness:\n"
+            "  x = {(t=a),(t=b)}\n"
+            "  y = empty(s)\n"
+            "assignments tested: 137\n"
+            "premise-satisfying: 85\n"
+            "mode: exhaustive\n")
 
     def test_statement_file(self, u1_file, tmp_path, capsys):
         stmt = tmp_path / "laws.stmt"
@@ -201,6 +214,10 @@ class TestSuite:
     def test_unknown_suite_exit_three(self, capsys):
         assert main(["suite", "bogus"]) == 3
 
+    def test_no_suite_name_exit_three(self, capsys):
+        assert main(["suite"]) == 3
+        assert "suite name required" in capsys.readouterr().err
+
     def test_repeated_universe_id_exit_three(self, tmp_path, u1_file, capsys):
         # Two files with one base name would otherwise run the second only.
         (tmp_path / "other").mkdir()
@@ -319,9 +336,32 @@ class TestSearch:
     def test_bad_sizes_exit_three(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"
         axiom_file.write_text("x ^ y = y ^ x\n")
-        for sizes in ("nope", "2..", "..4", "2..3..4"):  # an open end is no single size
+        # An open end is no single size; 0..3 and 4..2 hold no size of at least 1.
+        for sizes in ("nope", "2..", "..4", "2..3..4", "0..3", "4..2"):
             assert main(["search", "-f", str(axiom_file), "--sizes", sizes]) == 3, sizes
             assert "expected A..B" in capsys.readouterr().err, sizes
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_structured(self, tmp_path, capsys, timing):
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        goal = "x v R00 = R00 | x v R00 = R00'"
+        code = main(["search", "-f", str(axiom_file), "-e", goal, "--sizes", "2..4",
+                     "--format", "structured", *["--timing"] * timing])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        out = search_model(minimal_axioms(), [goal], range(2, 5))
+        m = out.model
+        assert set(doc) == {"found", "size", "sizes_excluded", "budget_exhausted", "model",
+                            *["elapsed_ms", "nodes"] * timing}
+        assert (doc["found"], doc["size"], doc["sizes_excluded"], doc["budget_exhausted"]) == (
+            True, 4, [2, 3], False)
+        assert doc["model"] == {
+            "meet": [list(m.meet[a * 4:a * 4 + 4]) for a in range(4)],
+            "join": [list(m.join[a * 4:a * 4 + 4]) for a in range(4)],
+            "complement": list(m.comp), "R00": m.r00, "R11": m.r11}
+        if timing:
+            assert doc["nodes"] == out.nodes and doc["elapsed_ms"] >= 0
 
     def test_single_size(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"

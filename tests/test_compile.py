@@ -412,26 +412,37 @@ class TestRows:
         assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
 
     def test_verify_model_makes_rows_only_for_statements_that_take_them(self, monkeypatch):
-        """A model's rows are made once, at the first statement whose loops
-        take them, and kept for later `verify_model` calls.  On a model's
-        first call a two-variable statement takes none."""
+        """A model's row tables are made once, at its first `verify_model`
+        call, and kept for later calls; only statements whose loops take
+        rows fill them, a two-variable one on the model's first call too,
+        and they report what an equal model given no row tables reports."""
         made = []
         monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
         m = model_from_universe(U1)
-        assert find_counterexample(m, "x ^ y = y ^ x") is None
         verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
-        assert made == []
-        reports = verify_model(m, ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"])
-        assert made == [6]
+        assert made == [6] and not any(m._checker[1])
+        laws = ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"]
+        assert all(map(takes_rows, laws))
+        reports = verify_model(m, laws)
+        assert made == [6] and any(m._checker[1])
+        first = model_from_universe(U1)  # an equal model, on its first call
+        assert find_counterexample(first, laws[0]) is None
+        assert any(first._checker[1])  # read by the two-variable law
         again = verify_model(m, [r.statement for r in reports])
-        assert made == [6]
+        assert made == [6, 6]
         assert [r.to_json() for r in again] == [r.to_json() for r in reports]
-        fresh = model_from_universe(U1)  # an equal model that keeps no rows yet
+        fresh = model_from_universe(U1)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in reports] == [
                 r.to_json() for r in verify_model(fresh, [r.statement for r in reports])]
-        assert made == [6]
+        assert made == [6, 6] and fresh._checker[1] is None
+
+
+def takes_rows(statement):
+    """Whether the nested loops of `statement` can walk its last variable by row."""
+    code = compile_statement(parse_goal(statement) if isinstance(statement, str) else statement)
+    return "MR" in code.run.__code__.co_varnames
 
 
 TWO_VARIABLE_CATALOG = sorted({e.text for entries in suite_catalog().values() for e in entries
@@ -496,7 +507,7 @@ class TestTwoVariableRows:
             assert not any(scalar.rows())
             # A fresh kernel reads rows only for the statements that take them.
             read = any(fresh.rows())
-            assert read <= compile_statement(statement).by_row, format_statement(statement)
+            assert read <= takes_rows(statement), format_statement(statement)
             read_rows += read
         assert read_rows >= len(statements) // 2
 
@@ -506,15 +517,14 @@ class TestTwoVariableRows:
                       + two_variable_statements(29, 80, literals=False))
         model = model_from_universe(u)
         first = [r.to_json() for r in verify_model(model, statements)]
-        assert "_rows" not in vars(model)  # a model's first call walks two variables scalar
+        assert any(model._checker[1])  # a model's first call walks two variables by row
         assert [r.to_json() for r in verify_model(model, statements)] == first
-        assert any(model._rows)  # and its later calls by row
         scalar = replace(model)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             for _ in range(2):
                 assert [r.to_json() for r in verify_model(scalar, statements)] == first
-        assert scalar._rows is None
+        assert scalar._checker[1] is None
 
 
 EMPTY = Universe.make({})  # two relations: empty() and {()}

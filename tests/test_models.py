@@ -251,10 +251,14 @@ class TestKeptTables:
 
     LAWS = ["x ^ y = y ^ x", "x * (y + z) = (x * y) + z", "x + R10 = R10 + x"]
 
-    def test_verified_as_unverified(self, m6):
-        verified, plain = replace(m6), replace(m6)
+    def test_verified_as_unverified(self, m6, monkeypatch):
+        verified, plain, scalar = replace(m6), replace(m6), replace(m6)
         first = [r.to_json() for r in verify_model(verified, self.LAWS)]
-        assert verified._rows is not None and len(verified._checker[0][2]) > 0
+        # The first call fills star entries, and meet rows for `x ^ y = y ^ x` alone.
+        assert verified._checker[1][0] and len(verified._checker[0][2]) > 0
+        with monkeypatch.context() as without:
+            without.setattr(models, "row_tables", lambda tables, n: None)
+            assert [r.to_json() for r in verify_model(scalar, self.LAWS)] == first
         assert verified == plain and hash(verified) == hash(plain)
         assert repr(verified) == repr(plain)
         assert pickle.dumps(verified) == pickle.dumps(plain)
@@ -272,7 +276,7 @@ class TestKeptTables:
         assert relabeled == verified
         assert set(vars(relabeled)) == {f.name for f in fields(FiniteModel)}
         verify_model(relabeled, self.LAWS)
-        kept = lambda m: {id(t) for t in (*m._checker[0], *m._rows)}  # noqa: E731
+        kept = lambda m: {id(t) for t in (*m._checker[0], *m._checker[1])}  # noqa: E731
         assert not kept(verified) & kept(relabeled)
 
     def test_kept_tables_hold_no_model(self, m6):
@@ -335,7 +339,8 @@ class TestFindCounterexample:
 
 class TestModelOps:
     def test_literals_rejected(self, m6):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="^relation literals have no interpretation in an "
+                                             "abstract model$"):
             verify_model(m6, ["x = {(t=a)}"])
 
     def test_derived_operations_used(self, m6):
@@ -358,6 +363,14 @@ class TestModelFiles:
         text = format_model(m6).rsplit("\n", 3)[0]
         with pytest.raises(ModelError):
             parse_model(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("join:", "joins:", "expected 'join:', found 'joins:'"),  # a wrong section word
+        ("complement:\n", "complement:\nx ", "expected an integer, found 'x'")])
+    def test_bad_token_named(self, m6, old, new, message):
+        with pytest.raises(ModelError) as err:
+            parse_model(format_model(m6).replace(old, new))
+        assert str(err.value) == message
 
     def test_trailing_garbage_detected(self, m6):
         with pytest.raises(ModelError):

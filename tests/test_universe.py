@@ -129,6 +129,14 @@ class TestUniverse:
         with pytest.raises(UniverseError):
             Universe.parse("just words\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("s : 1, 2\nt : a, , b\n", "line 2: empty value in domain list"),
+        ("# a universe\n  # with no attribute\n", "no attribute lines found")])
+    def test_parse_error_named(self, text, message):
+        with pytest.raises(UniverseError) as err:
+            Universe.parse(text)
+        assert str(err.value) == message
+
     def test_zero_attribute_universe(self):
         u0 = Universe.make({})
         assert constant(u0, R11) == constant(u0, R01)
