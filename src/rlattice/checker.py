@@ -22,8 +22,9 @@ codes, the indices into the enumeration, with tables that
 `models.verify_model` over a model's flat tables, which the model keeps
 from one call to the next (see `models.FiniteModel`).  The compiled form is
 kept per statement, with the statement's printed text for its reports,
-and a statement keeps its hash (see `terms`), so checking a statement
-again costs one dictionary probe before its loop runs.  `check` builds no
+and a statement keeps its hash and is the same object when its text is
+parsed again (see `terms`), so checking a statement again costs one
+dictionary probe, by identity, before its loop runs.  `check` builds no
 enumeration: its kernel enforces the budget and decodes the witness
 codes into relations.  A run of checks on one universe (a suite, a
 statement file) hands `check` one kernel for all of them, so they share
@@ -31,12 +32,15 @@ its image maps, symmetry orbits and operation tables.
 
 Over at most 256 elements, the nested loops of two or more variables
 take the last one a row at a time: a term of it is the `bytes` of its
-values, an operation one `translate` by a row or column of a table
-(`kernel.row_tables`), the conclusion one comparison.  The scalar loops
-stay for larger carriers (codes past 255 fit no byte), one variable (on a
-fresh u1 or u2 kernel rows measured no faster), premises or other
-disjuncts reading the last variable, and operations on two rows (a `map`
-is slower).
+values, an operation one `translate` by a row or column of a table, or,
+on the bare last variable, that row or column itself (a value row), a
+conclusion side without it the row of N copies of its value (a constant
+row), and the conclusion one comparison.  All of these are
+`kernel.row_tables`, kept with the tables and filled on use.  The
+scalar loops stay for larger carriers (codes past 255 fit no byte), one
+variable (on a fresh u1 or u2 kernel rows measured no faster), premises
+or other disjuncts reading the last variable, and operations on two
+rows (a `map` is slower).
 
 A sampled check draws the `randrange(n)` stream of `Random(seed)`.  For
 a carrier of at most 255 elements it takes the 32-bit words of one
@@ -172,8 +176,9 @@ class Compiled(NamedTuple):
     the first refuting assignment as a tuple of elements for `variables`,
     or None.  With `envs=None` (up to `_NESTED` variables) it walks every
     assignment in nested loops, last variable fastest, and, given `rows`,
-    the `kernel.row_tables` of the tables, the last variable a row at a time
-    where the module docstring says.  For two or more variables it walks
+    the `kernel.row_tables` of the tables (translate tables, constant rows
+    and value rows), the last variable a row at a time where the module
+    docstring says.  For two or more variables it walks
     only the first values `v` with `least[v] == v` and, for three or more,
     the second values `w` with `seconds(v)[w] == w` (maps, the identity when
     nothing is skipped), and adds the premise count of the block of
@@ -242,10 +247,10 @@ def compile_statement(statement: terms.Statement) -> Compiled:
         hoisted: dict[tuple[str, ...], str] = {}
         leaves: list[terms.Term] = []
         lines: list[tuple[int, str]] = []
+        last = f"v{arity - 1}" if by_row else None  # the last variable, by row
         if by_row:
-            names[terms.Var(variables[-1])] = f"v{arity - 1}", -1
-            rows.add(f"v{arity - 1}")
-            lines.append((-1, f"v{arity - 1} = bytes(range(N))"))
+            names[terms.Var(variables[-1])] = last, -1
+            rows.add(last)
 
         def hoist(key: tuple[str, ...], level: int, expr: str) -> str:
             if key not in hoisted:
@@ -263,12 +268,16 @@ def compile_statement(statement: terms.Statement) -> Compiled:
                 if isinstance(t, terms.Neg):
                     item, level = term(t.item)
                     operands = [item]
-                    expr = (f"{item}.translate({hoist(('C',), -1, 'CR[0]')})" if item in rows
-                            else f"C[{item}]")
+                    expr = ("CRV[0]" if item == last else f"C[{item}]" if item not in rows
+                            else f"{item}.translate({hoist(('C',), -1, 'CR[0]')})")
                 elif isinstance(t, terms.Bin):
                     (left, lv), (right, rv) = term(t.left), term(t.right)
                     level, table, operands = max(lv, rv), _TABLE[t.op], [left, right]
-                    if right in rows:
+                    if right == last and left not in rows:  # a kept value row
+                        expr = f"{table}RV[{left}]"
+                    elif left == last and right not in rows:
+                        expr = f"{table}CV[{right}]"
+                    elif right in rows:
                         expr = f"{right}.translate({hoist(('R', table, left), lv, f'{table}R[{left}]')})"
                     elif left in rows:
                         expr = f"{left}.translate({hoist(('C', table, right), rv, f'{table}C[{right}]')})"
@@ -298,8 +307,10 @@ def compile_statement(statement: terms.Statement) -> Compiled:
             return lines, leaves, f"{lhs} {'!=' if equal else '=='} {rhs}", ""
         if "paired" in rows:
             return None
+        if last in (lhs, rhs):  # its own row, read only as a bare side
+            lines.append((-1, f"{last} = bytes(range(N))"))
         # A side without the last variable is N copies of its value.
-        lhs, rhs = [side if side in rows else hoist(("B", side), level, f"bytes(({side},)) * N")
+        lhs, rhs = [side if side in rows else hoist(("B", side), level, f"KR[{side}]")
                     for side, level in ((lhs, lv), (rhs, rv))]
         fails = f"{lhs} != {rhs}" if equal else f"any(map(eq, {lhs}, {rhs}))"
         return lines, leaves, fails, f"[*map({'ne' if equal else 'eq'}, {lhs}, {rhs})].index(True)"
@@ -356,7 +367,8 @@ def compile_statement(statement: terms.Statement) -> Compiled:
     source = [f"def run(M, J, S, P, C, N, envs, least, seconds, rows{params}):", "    premise = 0"]
     if by_row:
         source += ["    if envs is None and rows is not None:",
-                   "        MR, JR, SR, PR, MC, JC, SC, PC, CR = rows"]
+                   "        (MR, JR, SR, PR, MC, JC, SC, PC, CR, KR,"
+                   " MRV, JRV, SRV, PRV, MCV, JCV, SCV, PCV, CRV) = rows"]
         source += ["        " + line for level, line in by_row[0] if level < 0]
         source += nested(by_row)
     source += ["    " + line for level, line in lines if level < 0]

@@ -42,7 +42,8 @@ which also fills `bridge_tables` for `models.model_from_universe`,
 moving each right operand's body once per pair of headers and taking
 every entry from one list of each header's codes.  Every fill, of a
 table, its rows or `orbit_least`, holds plain data only: offsets, sizes,
-image maps and generators, never the kernel or the table it fills.  So
+image maps, generators and, for a value row, the translate table it
+cuts, never the kernel or the table it fills.  So
 the tables outlive the kernel, and the kernel is freed, without the
 cyclic garbage collector, as soon as its last user drops it.  The
 relation-level functions in `rlattice.universe` are the reference these
@@ -463,16 +464,20 @@ def _orbit(moves: Sequence[Callable[[int], int]], code: int) -> dict[int, int]:
 
 
 def row_tables(tables: Sequence, n: int) -> tuple[_Table, ...] | None:
-    """`MR JR SR PR MC JC SC PC CR` of `checker.Compiled` over its tables `M J S P C`
-    on `range(n)`, or None past 256 elements: `MR[a]` is row `a` of `M`, `MC[b]`
-    its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table made
-    on first use."""
+    """`MR JR SR PR MC JC SC PC CR KR` and the value rows `MRV .. CRV` of
+    `checker.Compiled` over its tables `M J S P C` on `range(n)`, or None past
+    256 elements, each filled on first use.  `MR[a]` is row `a` of `M`, `MC[b]`
+    its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table;
+    `KR[v]` is `n` copies of `v`, and `MRV[a]` is `MR[a]` cut to `n` bytes,
+    what `MR[a]` makes of the last variable's row `bytes(range(n))`."""
     if n > 256:
         return None
     *binary, comp = tables
-    return (*[_Table(partial(_line, t, n, n, 1)) for t in binary],
-            *[_Table(partial(_line, t, 1, n * n, n)) for t in binary],
-            _Table(partial(_line, comp, n, n, 1)))
+    lines = (*[_Table(partial(_line, t, n, n, 1)) for t in binary],
+             *[_Table(partial(_line, t, 1, n * n, n)) for t in binary],
+             _Table(partial(_line, comp, n, n, 1)))
+    return (*lines, _Table(lambda v: bytes((v,)) * n),
+            *[_Table(lambda key, line=line: line[key][:n]) for line in lines])
 
 
 def _line(table: Sequence[int] | dict[int, int], scale: int, span: int, step: int,

@@ -24,13 +24,15 @@ so no later recursive walk over a term (evaluating, hashing, printing)
 runs out of stack.
 
 A statement (but not a term) computes its hash once and keeps it, out
-of its pickled and copied state (see `_hash_once`).
+of its pickled and copied state (see `_hash_once`), and the same text
+read again by `parse_statement` or `parse_goal` is the same object.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
 from .universe import _WORD, ConstantKind, LatticeError, Relation, Universe
@@ -107,8 +109,8 @@ def _hash_once(cls):
     A statement is a dictionary key wherever it is compiled or looked up,
     and its dataclass hash walks the whole term tree each time; this one
     walks it once per object.  The kept value is left out of the pickled
-    and copied state: it is built from `str` and `Enum` hashes, which
-    differ from one process to the next.
+    and copied state: it is built from `str` hashes and the identity
+    hashes of `ConstantKind`, which differ from one process to the next.
     """
     structural = cls.__hash__
 
@@ -411,10 +413,15 @@ def parse_term(source: str) -> Term:
     return _parse(source, lambda p: p.term()[0])
 
 
+@lru_cache(maxsize=256)
 def parse_statement(source: str) -> Statement:
+    """The statement `source` spells; the same text gives the same object
+    while it is among the last 256 read, so the checker's cache of compiled
+    statements finds it by identity.  An error is raised anew every time."""
     return _parse(source, _Parser.statement)
 
 
+@lru_cache(maxsize=256)
 def parse_goal(source: str) -> Statement:
     """Like parse_statement but admits a top-level `atom | atom` disjunction."""
     return _parse(source, _Parser.goal)

@@ -53,6 +53,10 @@ class ConstantKind(Enum):
     R10 = "R10"  # full header, empty body
     R11 = "R11"  # full header, all tuples
 
+    # The members are singletons, so identity hashing agrees with equality;
+    # it runs in C, where `Enum.__hash__` hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 def _check_word(what: str, text: str) -> None:
     if not re.fullmatch(_WORD, text):
@@ -113,7 +117,9 @@ class Universe:
 
     @classmethod
     def parse(cls, text: str, cap: int = DEFAULT_CAP) -> "Universe":
-        """Parse a universe definition: one `name : v1, v2, ...` line per attribute."""
+        """Parse a universe definition: one `name : v1, v2, ...` line per
+        attribute; `#` starts a comment.  Text with no such line, empty or
+        comments only, is the zero-attribute universe."""
         pairs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -126,8 +132,6 @@ class Universe:
             if any(not v for v in values):
                 raise UniverseError(f"line {lineno}: empty value in domain list")
             pairs.append((name.strip(), values))
-        if not pairs and text.strip():
-            raise UniverseError("no attribute lines found")
         return cls.make(pairs, cap=cap)
 
     @classmethod

@@ -38,7 +38,7 @@ from rlattice import models
 from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
-from test_compile import takes_rows
+from test_compile import ROW_FORMS, takes_rows
 from test_models import COMP6, JOIN6, MEET6, RELABEL6, flat
 
 THEOREM_SUITES = ("outer-inner", "bilattice", "complement", "nand",
@@ -152,7 +152,7 @@ def assert_rows_as_scalar(monkeypatch, model, statements):
 
 def test_criterion_08_model_search(monkeypatch):
     axioms = minimal_axioms()
-    laws = ["x ^ y ^ z = x ^ (y ^ z)", "x ^ (y' ^ z')' = ((x ^ y)' ^ (x ^ z)')'"]
+    laws = ["x ^ y ^ z = x ^ (y ^ z)", "x ^ (y' ^ z')' = ((x ^ y)' ^ (x ^ z)')'", *ROW_FORMS]
 
     out = search_model(axioms, [DISTRIBUTIVITY], range(2, 7), budget=600)
     assert out.found and out.size == 6

@@ -59,6 +59,20 @@ class TestCheck:
         stmt.write_text("# two laws\nx ^ y = y ^ x\nx v y = y v x\n")
         assert main(["check", "-u", u1_file, "-f", str(stmt)]) == 0
 
+    def test_comment_only_universe_as_empty(self, tmp_path, capsys):
+        """A universe file whose lines are all comments is the zero-attribute
+        universe, as an empty file is: the same reports and exit codes."""
+        empty, comments = tmp_path / "empty.univ", tmp_path / "comments.univ"
+        empty.write_text("")
+        comments.write_text("# t : a, b\n  # nothing declared\n")
+        outputs = []
+        for path in (empty, comments):
+            codes = [main(["check", "-u", str(path), "-e", law]) for law in
+                     ("x ^ y = y ^ x", "x = R00", "x v R00 = R00 | x v R00 = R00'")]
+            outputs.append((codes, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == [0, 1, 0] and "verdict: REFUTED" in outputs[0][1].out
+
     def test_structured_deterministic(self, u1_file, capsys):
         args = ["check", "-u", u1_file, "-e", "x ^ (y v z) = (x ^ y) v (x ^ z)",
                 "--format", "structured"]

@@ -383,7 +383,8 @@ class TestRows:
     @pytest.mark.parametrize("n", [1, 256, 257])
     @pytest.mark.parametrize("text", ["x ^ x' != R00", "x ^ y = y ^ x", "x v y = y v x",
                                       "x ^ y ^ z = x ^ (y ^ z)", "x = y -> x v z = z v y",
-                                      "x ^ y != z'"])
+                                      "x ^ y != z'", "x ^ (x v y) = x", "x ^ y' = y' ^ x",
+                                      "y = x v y"])
     def test_carrier_bounds(self, n, text):
         pairs = [divmod(key, n) for key in range(n * n)]
         M = tuple((a + 2 * b) % n for a, b in pairs)  # commutes and associates for n = 1 only
@@ -439,6 +440,23 @@ class TestRows:
         assert made == [6, 6] and fresh._checker[1] is None
 
 
+# Laws whose row loops read kept rows, with row tables (`kernel.row_tables`,
+# in its order) a fresh kernel fills for them: value rows for the bare last
+# variable under an operation or `'`, at the first level or, with three
+# variables, the second; constant rows for a conclusion side without it.
+ROW_NAMES = "MR JR SR PR MC JC SC PC CR KR MRV JRV SRV PRV MCV JCV SCV PCV CRV".split()
+ROW_FORMS = {
+    "x ^ y = y ^ x": {"MRV", "MCV"},
+    "x v y = y v x": {"JRV", "JCV"},
+    "x ^ (x v y) = x": {"JRV", "MR", "KR"},
+    "x ^ y = x": {"MRV", "KR"},
+    "x v y' = y' ^ x": {"CRV", "JR", "MC"},
+    "x ^ (y ^ z) = (x ^ y) ^ z": {"MRV", "MR"},
+    "x ^ (y v z) = (x ^ y) v (x ^ z)": {"JRV", "MR", "MRV"},
+    "x * y = x + z": {"PRV", "KR"},
+}
+
+
 def takes_rows(statement):
     """Whether the nested loops of `statement` can walk its last variable by row."""
     code = compile_statement(parse_goal(statement) if isinstance(statement, str) else statement)
@@ -486,12 +504,13 @@ def two_variable_statements(seed, count, literals):
 
 
 class TestTwoVariableRows:
-    """The row loops of two-variable statements against the scalar loops
-    (`rows=None`): the same report, byte for byte, on kernels and models."""
+    """The row loops of two-variable statements, and of the `ROW_FORMS`,
+    against the scalar loops (`rows=None`): the same report, byte for byte,
+    on kernels and models."""
 
     @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
     def test_kernels(self, u):
-        statements = ([parse_statement(text) for text in TWO_VARIABLE_CATALOG]
+        statements = ([parse_goal(text) for text in [*TWO_VARIABLE_CATALOG, *ROW_FORMS]]
                       + two_variable_statements(23, 80, literals=True))
         shared = RelationKernel(u)
 
@@ -513,7 +532,7 @@ class TestTwoVariableRows:
 
     @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
     def test_models(self, monkeypatch, u):
-        statements = ([parse_statement(text) for text in TWO_VARIABLE_CATALOG]
+        statements = ([parse_goal(text) for text in [*TWO_VARIABLE_CATALOG, *ROW_FORMS]]
                       + two_variable_statements(29, 80, literals=False))
         model = model_from_universe(u)
         first = [r.to_json() for r in verify_model(model, statements)]
@@ -525,6 +544,19 @@ class TestTwoVariableRows:
             for _ in range(2):
                 assert [r.to_json() for r in verify_model(scalar, statements)] == first
         assert scalar._checker[1] is None
+
+    @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
+    def test_kept_rows_filled(self, u):
+        """A check on a fresh kernel fills the kept rows its law reads, and
+        `x ^ y = x` (compared with the scalar loop in `test_kernels`) is
+        refuted mid-row, on a constant row."""
+        for text, names in ROW_FORMS.items():
+            k = RelationKernel(u)
+            rep = check(u, text, kernel=k)
+            filled = {name for name, table in zip(ROW_NAMES, k.rows()) if table}
+            assert names <= filled, (text, filled)
+            if text == "x ^ y = x":
+                assert rep.verdict is Verdict.REFUTED and rep.assignments_tested % k.n > 1
 
 
 EMPTY = Universe.make({})  # two relations: empty() and {()}

@@ -34,6 +34,7 @@ from rlattice import (
     free_variables,
     minimal_axioms,
     model_from_universe,
+    parse_goal,
     parse_model,
     parse_statement,
     parse_statement_file,
@@ -268,6 +269,18 @@ class TestKeptTables:
             assert kept == verified and set(vars(kept)) == field_names
         assert [r.to_json() for r in verify_model(verified, self.LAWS)] == first
         assert [r.to_json() for r in verify_model(plain, self.LAWS)] == first
+
+    def test_texts_report_as_parsed(self, m6):
+        """Texts, parsed on each call, give the reports of parsed statements,
+        on a model's first call and on later ones."""
+        texts = [*self.LAWS, "x' ^ x = x ^ R00", "x v R00 = R00 | x v R00 = R00'",
+                 "x ^ (y v z) = (x ^ y) v (x ^ z)", "x = R00 -> x ^ y = y"]
+        parsed = [parse_goal(text) for text in texts]
+        want = [r.to_json() for r in verify_model(replace(m6), parsed)]
+        model = replace(m6)
+        for _ in range(2):
+            assert [r.to_json() for r in verify_model(model, texts)] == want
+            assert [r.to_json() for r in verify_model(model, parsed)] == want
 
     def test_relabel_shares_no_kept_table(self, m6):
         verified = replace(m6)

@@ -1,7 +1,9 @@
 """Parser, printer, and statement syntax."""
 
+import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -416,6 +418,41 @@ class TestStatementHash:
             return done.stdout
 
         assert run(LOAD, 2, run(DUMP, 1)) == b"5\n"
+
+
+class TestInterning:
+    """The same text parses to the same statement object, and a constant
+    hashes by identity; neither changes what a statement equals or how it
+    survives pickling and copying."""
+
+    @pytest.mark.parametrize("text", HASHED_TEXTS)
+    def test_same_text_same_object(self, text):
+        assert parse_goal(text) is parse_goal(text)
+        if "|" not in text:
+            assert parse_statement(text) is parse_statement(text)
+            assert parse_statement(text) == parse_goal(text)
+
+    @pytest.mark.parametrize("parse, text", [(parse_statement, "x = y | x = z"),
+                                             (parse_goal, "x = y ->"), (parse_goal, "  ")])
+    def test_errors_not_cached(self, parse, text):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            raised.append(err.value)
+        assert len({id(e) for e in raised}) == 3
+        assert len({str(e) for e in raised}) == 1
+
+    def test_constants_survive_pickle_and_copy(self):
+        for kind in ConstantKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert copy.copy(kind) is kind and copy.deepcopy(kind) is kind
+            assert {k: k.value for k in ConstantKind}[pickle.loads(pickle.dumps(kind))] == kind.value
+        for text in HASHED_TEXTS:
+            s = parse_goal(text)
+            for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                assert again is not s and again == s and hash(again) == hash(s), text
+                assert compile_statement(again) is compile_statement(s)
 
 
 class TestFormatRelation:

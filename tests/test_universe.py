@@ -130,12 +130,16 @@ class TestUniverse:
             Universe.parse("just words\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("s : 1, 2\nt : a, , b\n", "line 2: empty value in domain list"),
-        ("# a universe\n  # with no attribute\n", "no attribute lines found")])
+        ("s : 1, 2\nt : a, , b\n", "line 2: empty value in domain list")])
     def test_parse_error_named(self, text, message):
         with pytest.raises(UniverseError) as err:
             Universe.parse(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["", "  \n\n", "# a universe\n  # with no attribute\n"])
+    def test_parse_no_attribute_lines(self, text):
+        """Empty, blank and comment-only text all declare no attribute."""
+        assert Universe.parse(text) == Universe.make({})
 
     def test_zero_attribute_universe(self):
         u0 = Universe.make({})
