@@ -280,29 +280,10 @@ class RelationKernel:
                     got[g[code]] = code
         return got
 
-    # ----- operations on codes
+    # ----- headers
 
     def header(self, code: int) -> int:
         return bisect_right(self._offset, code) - 1
-
-    def meet(self, a: int, b: int) -> int:
-        """Natural join: both cylinders onto the union header, intersected."""
-        return self._fills[0](a * self.n + b)
-
-    def join(self, a: int, b: int) -> int:
-        """Inner union: both projections onto the common header, united."""
-        return self._fills[1](a * self.n + b)
-
-    def star(self, a: int, b: int) -> int:
-        """Inner join: both projections onto the common header, intersected."""
-        return self._fills[2](a * self.n + b)
-
-    def plus(self, a: int, b: int) -> int:
-        """Outer union: both cylinders onto the union header, united."""
-        return self._fills[3](a * self.n + b)
-
-    def comp(self, a: int) -> int:
-        return self._fills[4](a)
 
     # ----- tables
 

@@ -19,6 +19,7 @@ constant cells and the negated goal becomes ground constraints.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product, repeat
@@ -313,12 +314,13 @@ _VALUE, _BLOCK_ROOT, _BLOCK = 0, 1, 2
 class _SizeSearch:
     """Backtracking table search at one fixed carrier size.  Cells 0 and 1
     hold R00 and R11, the next ones the variables of each goal in turn,
-    then come the complement, meet and join tables."""
+    then come the complement, meet and join tables.  Construction only
+    sizes the per-cell lists `val`, `forbid` and `args_max`: `watch` gets a
+    cell the first time an instance reads it, and `models` does the rest
+    under its deadline."""
 
     def __init__(self, size: int, axioms: Sequence[terms.Atom],
-                 goals: Sequence[Statement], symmetry: bool, deadline: float | None = None):
-        """`deadline` is checked every `_DEADLINE_EVERY` cells while the
-        per-cell lists are built: about 2 million at size 1,000."""
+                 goals: Sequence[Statement], symmetry: bool):
         self.n = n = size
         self.axioms, self.goals = axioms, goals
         self.symmetry = symmetry
@@ -328,11 +330,7 @@ class _SizeSearch:
         self.join_base = self.meet_base + n * n
         ncells = self.join_base + n * n
 
-        self.watch: list[set[int]] = []
-        for _ in range(ncells // _DEADLINE_EVERY):  # first, as the costliest list
-            self.watch += [set() for _ in range(_DEADLINE_EVERY)]
-            _check_deadline(deadline)
-        self.watch += [set() for _ in range(ncells % _DEADLINE_EVERY)]
+        self.watch: defaultdict[int, set[int]] = defaultdict(set)  # cell -> instances read it
         self.val = [-1] * ncells
         self.forbid = [0] * ncells
         self.full_mask = (1 << n) - 1
@@ -347,8 +345,6 @@ class _SizeSearch:
 
         self.instances: list[tuple[tuple, tuple, bool]] = []  # (lhs, rhs, is_eq)
         self.trivially_unsat = False
-
-        self.order = self._branch_order(deadline)
         self.trail: list[tuple] = []
         self.max_seen = -1
         self.nodes = 0
@@ -534,7 +530,7 @@ class _SizeSearch:
     def _propagate(self, queue: list[int]) -> bool:
         while queue:
             cell = queue.pop()
-            for i in list(self.watch[cell]):
+            for i in list(self.watch.get(cell, ())):
                 if not self._check_instance(i, queue):
                     return False
         return True
@@ -551,13 +547,15 @@ class _SizeSearch:
     # ----- search driver
 
     def models(self, deadline: float | None) -> Iterator[FiniteModel]:
-        """Ground, check every instance once, then yield each model that a
-        depth-first search completes; call it once.  The search gives the
-        unassigned cells in branch order their values in ascending order,
-        up to the least-number bound, and undoes through the trail.  Its
-        open branches are a list of (position in `order`, next value, trail
-        mark), not Python frames, so no carrier size meets the recursion limit.
+        """Lay out the branch order, ground, check every instance once, then
+        yield each model that a depth-first search completes; call it once.
+        The search gives the unassigned cells in branch order their values
+        in ascending order, up to the least-number bound, and undoes
+        through the trail.  Its open branches are a list of (position in
+        `order`, next value, trail mark), not Python frames, so no carrier
+        size meets the recursion limit.  Every phase reads `deadline`.
         """
+        order = self._branch_order(deadline)
         self._ground(deadline)
         if self.trivially_unsat:
             return
@@ -569,7 +567,7 @@ class _SizeSearch:
                 return
         if not self._propagate(queue):
             return
-        order, val, n = self.order, self.val, self.n
+        val, n = self.val, self.n
         branches: list[tuple[int, int, int]] = []
         pos = 0
         while True:
@@ -616,7 +614,7 @@ class _Timeout(Exception):
 
 # Ground instances between two deadline checks while grounding an atom
 # and in the first pass of `_SizeSearch.models` over every instance, and
-# cells between two while a search's per-cell lists are built.
+# cells between two while it lays out the branch order.
 _DEADLINE_EVERY = 1024
 
 
@@ -675,13 +673,12 @@ def search_model(axioms: Sequence[Statement | str], goals: Sequence[Statement | 
     model = None
     timed_out = False
     for n in size_list:
-        search = None
+        search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry)
         try:
-            search = _SizeSearch(n, parsed_axioms, parsed_goals, symmetry, deadline)
             model = next(search.models(deadline), None)
         except _Timeout:
             timed_out = True
-        nodes += 0 if search is None else search.nodes
+        nodes += search.nodes
         if timed_out or model is not None:
             break
         excluded.append(n)

@@ -46,7 +46,7 @@ class ParseError(LatticeError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 class MixedOperatorError(ParseError):
@@ -438,7 +438,7 @@ def parse_statement_file(text: str) -> list[Statement]:
         try:
             out.append(parse_goal(line))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", exc.pos) from None
+            raise type(exc)(f"line {lineno}: {exc.message}", exc.pos) from None
     return out
 
 

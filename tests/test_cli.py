@@ -7,6 +7,7 @@ import pytest
 
 from rlattice import (ConstantKind, Universe, load_model, minimal_axioms, models, parse_model,
                       search_model)
+from rlattice import kernel
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 
@@ -266,17 +267,20 @@ class TestBridgeAndVerify:
 
     @pytest.mark.parametrize("text", [U1_TEXT, U2_TEXT, "t : a, b\ns : 1, 2, 3\n"],
                              ids=["u1", "u2", "2x3"])
-    def test_bridge_file_rows(self, text, tmp_path, capsys):
+    def test_bridge_file_rows(self, text, tmp_path, capsys, monkeypatch):
         universe, model_file = tmp_path / "u.univ", tmp_path / "m.model"
         universe.write_text(text)
         assert main(["bridge", "-u", str(universe), "-o", str(model_file)]) == 0
-        # The file as rows of codes, rebuilt from the kernel's operations.
+        # The file as rows of codes, rebuilt from a kernel's tables filled
+        # one pair at a time, not by the bridge's block routine.
+        monkeypatch.setattr(kernel, "WHOLE_PAIRS", 0)
         k = RelationKernel(Universe.load(str(universe)))
         codes = range(k.n)
-        row = lambda op, a: " ".join(str(op(a, b)) for b in codes)
-        expected = [f"size {k.n}", "meet:", *(row(k.meet, a) for a in codes),
-                    "join:", *(row(k.join, a) for a in codes),
-                    "complement:", " ".join(str(k.comp(a)) for a in codes),
+        meet, join, _, _, comp = k.tables()
+        row = lambda table, a: " ".join(str(table[a * k.n + b]) for b in codes)
+        expected = [f"size {k.n}", "meet:", *(row(meet, a) for a in codes),
+                    "join:", *(row(join, a) for a in codes),
+                    "complement:", " ".join(str(comp[a]) for a in codes),
                     f"R00 = {k.const(ConstantKind.R00)}", f"R11 = {k.const(ConstantKind.R11)}"]
         assert model_file.read_text() == "\n".join(expected) + "\n"
 

@@ -39,23 +39,35 @@ from rlattice import (
     verify_model,
 )
 from rlattice import checker
+from rlattice import kernel as kernel_module
 from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map, _blocks, _op_table
 
-BINARY = {
-    "^": (RelationKernel.meet, natural_join),
-    "v": (RelationKernel.join, inner_union),
-    "*": (RelationKernel.star, inner_join),
-    "+": (RelationKernel.plus, outer_union),
-    # Compiled statements expand y @ x into (y v R11) + x.
-    "@": (lambda k, a, b: k.plus(k.join(a, k.const(ConstantKind.R11)), b), cylindrify),
-}
+BINARY = {"^": natural_join, "v": inner_union, "*": inner_join, "+": outer_union,
+          "@": cylindrify}
+
+
+def code_ops(k):
+    """The operations of `k.tables()` as functions of codes, by operator,
+    with the complement as `'`."""
+    n, r11, (meet, join, star, plus, comp) = k.n, k.const(ConstantKind.R11), k.tables()
+    return {"^": lambda a, b: meet[a * n + b], "v": lambda a, b: join[a * n + b],
+            "*": lambda a, b: star[a * n + b], "+": lambda a, b: plus[a * n + b],
+            # Compiled statements expand y @ x into (y v R11) + x.
+            "@": lambda a, b: plus[join[a * n + r11] * n + b], "'": comp.__getitem__}
+
+
+def per_pair_kernel(u, monkeypatch):
+    """A kernel over `u` whose tables fill one pair at a time, however few its codes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_module, "WHOLE_PAIRS", 0)
+        return RelationKernel(u)
 
 
 def assert_matches_oracle(u, k, r, s):
-    a, b = k.encode(r), k.encode(s)
-    for op, (code_fn, rel_fn) in BINARY.items():
-        assert k.decode(code_fn(k, a, b)) == rel_fn(u, r, s), (op, r, s)
-    assert k.decode(k.comp(a)) == complement(u, r)
+    a, b, ops = k.encode(r), k.encode(s), code_ops(k)
+    for op, rel_fn in BINARY.items():
+        assert k.decode(ops[op](a, b)) == rel_fn(u, r, s), (op, r, s)
+    assert k.decode(ops["'"](a)) == complement(u, r)
 
 
 class TestCodes:
@@ -92,14 +104,16 @@ class TestCodes:
 
 class TestAgainstRelations:
     @pytest.mark.parametrize("name", ["u1", "u2"])
-    def test_every_pair(self, name, request):
+    def test_every_pair(self, name, request, monkeypatch):
+        # The per-pair fills against the whole tables and the relations.
         u = request.getfixturevalue(name)
-        k = RelationKernel(u)
+        per_pair, whole = code_ops(per_pair_kernel(u, monkeypatch)), code_ops(RelationKernel(u))
         rels = enumerate_relations(u)
         for (a, r), (b, s) in product(enumerate(rels), repeat=2):
-            for op, (code_fn, rel_fn) in BINARY.items():
-                assert rels[code_fn(k, a, b)] == rel_fn(u, r, s), (op, r, s)
-            assert rels[k.comp(a)] == complement(u, r)
+            for op, rel_fn in BINARY.items():
+                code = per_pair[op](a, b)
+                assert code == whole[op](a, b) and rels[code] == rel_fn(u, r, s), (op, r, s)
+            assert per_pair["'"](a) == whole["'"](a) and rels[per_pair["'"](a)] == complement(u, r)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -122,18 +136,19 @@ class TestAgainstRelations:
             assert_matches_oracle(u, k, relation(), relation())
 
 
-def assert_flat_against_kernel(u, m):
-    """Entry `a * n + b` of the bridged tables is the kernel's operation on codes `a` and `b`."""
-    k = RelationKernel(u)
-    codes = range(k.n)
+def assert_flat_against_kernel(u, m, monkeypatch):
+    """Entry `a * n + b` of the bridged tables is the entry a kernel's
+    per-pair fill gives codes `a` and `b`."""
+    k = per_pair_kernel(u, monkeypatch)
+    meet, join, _, _, comp = k.tables()
     assert m.size == k.n
-    assert m.meet == tuple(k.meet(a, b) for a in codes for b in codes)
-    assert m.join == tuple(k.join(a, b) for a in codes for b in codes)
-    assert m.comp == tuple(map(k.comp, codes))
+    assert m.meet == tuple(map(meet.__getitem__, range(k.n * k.n)))
+    assert m.join == tuple(map(join.__getitem__, range(k.n * k.n)))
+    assert m.comp == tuple(map(comp.__getitem__, range(k.n)))
 
 
 class TestBridge:
-    def test_u2_tables_cell_for_cell(self, u2, rels2):
+    def test_u2_tables_cell_for_cell(self, u2, rels2, monkeypatch):
         m = model_from_universe(u2)
         index = {r: i for i, r in enumerate(rels2)}
         assert m.meet == tuple(index[natural_join(u2, r, s)] for r in rels2 for s in rels2)
@@ -141,9 +156,9 @@ class TestBridge:
         assert m.comp == tuple(index[complement(u2, r)] for r in rels2)
         assert rels2[m.r00] == constant(u2, ConstantKind.R00)
         assert rels2[m.r11] == constant(u2, ConstantKind.R11)
-        assert_flat_against_kernel(u2, m)
+        assert_flat_against_kernel(u2, m, monkeypatch)
 
-    def test_two_by_three_tables_cell_for_cell(self):
+    def test_two_by_three_tables_cell_for_cell(self, monkeypatch):
         u = Universe.make({"t": ("a", "b"), "s": ("1", "2", "3")})
         rels = enumerate_relations(u)
         m = model_from_universe(u)
@@ -154,13 +169,13 @@ class TestBridge:
         assert m.comp == tuple(index[complement(u, r)] for r in rels)
         assert rels[m.r00] == constant(u, ConstantKind.R00)
         assert rels[m.r11] == constant(u, ConstantKind.R11)
-        assert_flat_against_kernel(u, m)
+        assert_flat_against_kernel(u, m, monkeypatch)
 
-    def test_three_binary_attributes_against_kernel(self):
+    def test_three_binary_attributes_against_kernel(self, monkeypatch):
         u = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
         m = model_from_universe(u)
         assert m.size == 318
-        assert_flat_against_kernel(u, m)
+        assert_flat_against_kernel(u, m, monkeypatch)
         # Every entry is one of n shared int objects, not an int of its own.
         assert len({id(x) for x in m.meet + m.join}) <= m.size
 
@@ -175,33 +190,33 @@ class TestWholeTables:
     its first miss; a larger one fills only the pairs it reaches."""
 
     @pytest.mark.parametrize("decl", WHOLE.values(), ids=WHOLE)
-    def test_one_read_fills_every_entry(self, decl):
+    def test_one_read_fills_every_entry(self, decl, monkeypatch):
         u = Universe.make(decl)
-        k, ref, rels = RelationKernel(u), RelationKernel(u), enumerate_relations(u)
+        k, rels = RelationKernel(u), enumerate_relations(u)
+        ref = code_ops(per_pair_kernel(u, monkeypatch))
         n, tables = k.n, k.tables()
         pairs = list(product(range(n), repeat=2))
         assert n * n <= WHOLE_PAIRS
         for table, op in zip(tables, "^v*+"):
             table[n * n - 1]
             assert len(table) == n * n, op  # before any other read
-            code_fn, rel_fn = BINARY[op]
-            assert [table[a * n + b] for a, b in pairs] == [code_fn(ref, a, b) for a, b in pairs]
-            assert all(rels[table[a * n + b]] == rel_fn(u, rels[a], rels[b]) for a, b in pairs)
+            assert [table[a * n + b] for a, b in pairs] == [ref[op](a, b) for a, b in pairs]
+            assert all(rels[table[a * n + b]] == BINARY[op](u, rels[a], rels[b]) for a, b in pairs)
         tables[4][0]
         assert len(tables[4]) == n
-        assert [tables[4][a] for a in range(n)] == [ref.comp(a) for a in range(n)]
+        assert [tables[4][a] for a in range(n)] == [ref["'"](a) for a in range(n)]
         assert all(rels[tables[4][a]] == complement(u, rels[a]) for a in range(n))
 
     def test_past_the_bound_fills_per_pair(self):
         u = Universe.make({"t": tuple("abcdef")})  # 66 codes, 4,356 pairs
-        k, ref = RelationKernel(u), RelationKernel(u)
+        k, ref = RelationKernel(u), code_ops(RelationKernel(u))
         assert k.n ** 2 > WHOLE_PAIRS
         assert check(u, "x ^ (x v x') = x * (x + x')", kernel=k).verdict is Verdict.HOLDS
         tables = k.tables()
         assert all(0 < len(table) < k.n ** 2 for table in tables)
         for table, op in zip(tables, "^v*+"):
-            assert all(v == BINARY[op][0](ref, *divmod(key, k.n)) for key, v in table.items())
-        assert all(v == ref.comp(a) for a, v in tables[4].items())
+            assert all(v == ref[op](*divmod(key, k.n)) for key, v in table.items())
+        assert all(v == ref["'"](a) for a, v in tables[4].items())
 
     @pytest.mark.parametrize("decl", [
         {"t": tuple("abcdef")},

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import inspect
 import pickle
 import time
 import tracemalloc
@@ -239,11 +240,12 @@ class TestModelTables:
         u = Universe.make(domains)
         k, m = RelationKernel(u), model_from_universe(u)
         _, _, S, P, _ = _model_tables(m)
+        _, _, star, plus, _ = k.tables()
         n = m.size
         for a in range(n):
             for b in range(n):
-                assert S[a * n + b] == k.star(a, b), (a, b)
-                assert P[a * n + b] == k.plus(a, b), (a, b)
+                assert S[a * n + b] == star[a * n + b], (a, b)
+                assert P[a * n + b] == plus[a * n + b], (a, b)
         assert len(S) == len(P) == n * n
 
 
@@ -533,12 +535,28 @@ class TestSearch:
         assert out.budget_exhausted and not out.found and out.sizes_excluded == ()
 
     def test_budget_holds_while_cells_are_built(self):
-        # Size 1,000 has about 2 million cells, whose lists alone took
-        # 3.6 s and 600 MB to build on a 2-vCPU VM.
-        start = time.perf_counter()
-        out = search_model(minimal_axioms(), [ZERO_ARY_GOAL], [1000], budget=0)
-        assert time.perf_counter() - start < 1.0
-        assert out.budget_exhausted and out.nodes == 0 and out.sizes_excluded == ()
+        # Size 1,000 has about 2 million cells.  Construction builds their
+        # value, forbidden-value and argument lists before the deadline is
+        # first read, about 0.1 s, and no watch set: `models` reads the
+        # deadline while it lays out the branch order and grounds.
+        for budget in (0, 0.2):
+            start = time.perf_counter()
+            out = search_model(minimal_axioms(), [ZERO_ARY_GOAL], [1000], budget=budget)
+            assert time.perf_counter() - start < 1.0
+            assert out.budget_exhausted and out.nodes == 0 and out.sizes_excluded == ()
+
+    def test_construction_builds_no_watch_set(self):
+        search = models._SizeSearch(1000, [], [], True)
+        assert "deadline" not in inspect.signature(models._SizeSearch).parameters
+        assert not search.watch and len(search.val) == 2 + 1000 + 2 * 1000 ** 2
+
+    def test_watch_holds_only_read_cells(self):
+        axioms = list(map(parse_statement, minimal_axioms()))
+        search = models._SizeSearch(4, axioms, [parse_goal(ZERO_ARY_GOAL)], True)
+        assert next(search.models(None)).size == 4
+        assert search.watch
+        assert all(0 <= cell < len(search.val) and readers
+                   for cell, readers in search.watch.items())
 
     @pytest.fixture
     def clock(self):

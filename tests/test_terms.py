@@ -254,6 +254,13 @@ class TestStatementFiles:
             parse_statement_file("x = y\nx ^^ y = y\n")
         assert "line 2" in str(err.value)
 
+    def test_error_keeps_its_class_and_one_position(self):
+        with pytest.raises(MixedOperatorError) as err:
+            parse_statement_file("x = y\nx ^ y v z = y\n")
+        assert str(err.value) == (
+            "line 2: operator 'v' mixed with '^'; parenthesize one side (at position 6)")
+        assert err.value.pos == 6
+
 
 # ---- nesting bound ----------------------------------------------------------
 
