@@ -23,12 +23,15 @@ codes, the indices into the enumeration, with tables that
 from one call to the next (see `models.FiniteModel`).  The compiled form is
 kept per statement, with the statement's printed text for its reports,
 and a statement keeps its hash and is the same object when its text is
-parsed again (see `terms`), so checking a statement again costs one
-dictionary probe, by identity, before its loop runs.  `check` builds no
-enumeration: its kernel enforces the budget and decodes the witness
-codes into relations.  A run of checks on one universe (a suite, a
-statement file) hands `check` one kernel for all of them, so they share
-its image maps, symmetry orbits and operation tables.
+parsed again (see `terms`).  A model also keeps each statement's code
+bound at its first check to all it runs with but the assignments (tables,
+maps, the elements of its constants), so checking it there again is one
+dictionary probe, by identity, and one call.  `check` keeps no binding:
+it validates a literal on every call and builds no enumeration: its kernel
+enforces the budget and decodes the witness codes into relations.  A run
+of checks on one universe (a suite, a statement file) hands `check` one
+kernel for all of them, so they share its image maps, symmetry orbits and
+operation tables.
 
 Over at most 256 elements, the nested loops of two or more variables
 take the last one a row at a time: a term of it is the `bytes` of its
@@ -170,7 +173,7 @@ def enumerate_relations(u: Universe, budget: int = DEFAULT_ENUM_BUDGET) -> tuple
 class Compiled(NamedTuple):
     """A statement compiled into one generated loop over operation tables.
 
-    `run(M, J, S, P, C, N, envs, least, seconds, rows, *leaf_values)`
+    `run(M, J, S, P, C, N, least, seconds, rows, *leaf_values, envs)`
     decides the statement over the carrier `range(N)` and returns
     `(premise_satisfying, assignments_tested, witness)`, the witness being
     the first refuting assignment as a tuple of elements for `variables`,
@@ -186,7 +189,7 @@ class Compiled(NamedTuple):
     walks the assignments `envs` yields in one flat loop.  `M J S P` are the
     meet, join, star and plus tables indexed `a * N + b` and `C` the
     complement table; `leaf_values` are the elements of the constants and
-    literals in `leaves`, supplied anew by every caller and universe.
+    literals in `leaves`.  `run_check` keeps all but `envs` in its `bound`.
     `text` is the statement as `terms.format_statement` prints it, the
     name of the generated code and the `statement` of every report.
     """
@@ -215,8 +218,8 @@ _GROUP_CAP = 1 << 20
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
 # The identity map shared by checks over at most 256 elements, the bound of
-# the row loops; the loops read only `[:N]`.  A larger check builds its own,
-# so no check keeps one of a million codes alive after it ends.
+# the row loops; the loops read only `[:N]`.  A larger carrier walks a
+# `range` (see `_identity`), so no check keeps one of a million codes.
 _IDENTITY = list(range(256))
 
 
@@ -364,7 +367,7 @@ def compile_statement(statement: terms.Statement) -> Compiled:
                     *[f"{indent}premise += N"] * bool(count)]
         return out + ends[::-1] + [f"        return premise, N**{arity}, None"]
 
-    source = [f"def run(M, J, S, P, C, N, envs, least, seconds, rows{params}):", "    premise = 0"]
+    source = [f"def run(M, J, S, P, C, N, least, seconds, rows{params}, envs):", "    premise = 0"]
     if by_row:
         source += ["    if envs is None and rows is not None:",
                    "        (MR, JR, SR, PR, MC, JC, SC, PC, CR, KR,"
@@ -417,7 +420,8 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
 
 def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
               leaf: Callable[[terms.Term], int], mode: Mode = Exhaustive(),
-              symmetry: RelationKernel | None = None, rows: Sequence | None = None) -> CheckReport:
+              symmetry: RelationKernel | None = None, rows: Sequence | None = None,
+              bound: dict[terms.Statement, tuple[Compiled, Callable]] | None = None) -> CheckReport:
     """Check a statement over the carrier `range(n)` with operation tables.
 
     `tables` are the `M J S P C` tables of `Compiled`, any mapping from
@@ -436,9 +440,11 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     first's stabilizer (`stabilizer_least`; see the module docstring);
     other checks walk them over the identity.  `rows`, the
     `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
+    `bound`, a dict kept with the carrier, keeps from a statement's first check its `Compiled`
+    and `run` bound to all but `envs`; any maps kept give the same report.
     """
     start = perf_counter()
-    code = compile_statement(statement)
+    code, run = bound and bound.get(statement) or (compile_statement(statement), None)
     arity = len(code.variables)
     exhaustive = isinstance(mode, Exhaustive)
     if exhaustive:
@@ -450,15 +456,17 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         # The draws, grouped `arity` at a time into assignments.
         draws = _draws(random.Random(mode.seed).getrandbits, n)
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
-    identity = _IDENTITY if n <= len(_IDENTITY) else list(range(n))
-    least, seconds = identity, lambda first: identity
-    if (symmetry is not None and envs is None and arity >= 2
-            and total >= _REDUCE_FROM and not code.literals):
-        least = symmetry.orbit_least
-        if arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP:
-            seconds = symmetry.stabilizer_least
-    premise_sat, tested, found = code.run(*tables, n, envs, least, seconds, rows,
-                                          *map(leaf, code.leaves))
+    if run is None:
+        least, seconds = _identity(n)
+        if (symmetry is not None and envs is None and arity >= 2
+                and total >= _REDUCE_FROM and not code.literals):
+            least = symmetry.orbit_least
+            if arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP:
+                seconds = symmetry.stabilizer_least
+        run = partial(code.run, *tables, n, least, seconds, rows, *map(leaf, code.leaves))
+        if bound is not None:
+            bound[statement] = code, run
+    premise_sat, tested, found = run(envs)
     if found is not None:
         witness = dict(zip(code.variables, found))
         verdict, text = Verdict.REFUTED, {v: str(e) for v, e in witness.items()}
@@ -468,6 +476,13 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     return CheckReport(code.text, verdict, witness, text, tested,
                        premise_sat if code.implication else None, mode,
                        (perf_counter() - start) * 1000.0)
+
+
+@lru_cache(maxsize=8)
+def _identity(n: int) -> tuple[Sequence[int], Callable[[int], Sequence[int]]]:
+    # `least` and `seconds` that skip no value of `range(n)`, made once per size.
+    identity = _IDENTITY if n <= len(_IDENTITY) else range(n)
+    return identity, lambda first: identity
 
 
 def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:

@@ -46,9 +46,9 @@ class FiniteModel:
 
     `verify_model` keeps with the model, from its first call, what the
     checker reads: its five `_model_tables`, their `kernel.row_tables`
-    (filled on use) and its leaf function.  The kept tables are not
-    fields, so equality, hashing, pickling and copying see a model as if
-    never verified.
+    (filled on use), its leaf function and each statement's binding
+    (`run_check`'s `bound`).  These are not fields, so equality, hashing,
+    pickling and copying see a model as if never verified.
     """
 
     size: int
@@ -78,8 +78,8 @@ class FiniteModel:
 
     @cached_property
     def _checker(self) -> tuple[tuple[Sequence[int] | dict[int, int], ...],
-                                tuple[dict[int, bytes], ...] | None, Callable[[Term], int]]:
-        """`tables`, `rows` and `leaf` of `checker.run_check`; `leaf` refuses a literal."""
+                                tuple[dict[int, bytes], ...] | None, Callable[[Term], int], dict]:
+        """`tables`, `rows`, `leaf` and `bound` of `checker.run_check`; `leaf` refuses a literal."""
         constants = {ConstantKind.R00: self.r00, ConstantKind.R11: self.r11,
                      ConstantKind.R10: self.r10, ConstantKind.R01: self.r01}
 
@@ -89,7 +89,7 @@ class FiniteModel:
             return constants[t.kind]
 
         tables = _model_tables(self)
-        return tables, row_tables(tables, self.size), leaf
+        return tables, row_tables(tables, self.size), leaf, {}
 
     @property
     def r10(self) -> int:
@@ -151,10 +151,10 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
                  mode: Mode = Exhaustive()) -> list[CheckReport]:
     """Check each statement over all carrier assignments of `m`; a string
     is read by `terms.parse_goal`, so `atom | atom` too.  The tables it
-    reads are kept with `m` (see `FiniteModel`)."""
-    tables, rows, leaf = m._checker
-    return [run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode, rows=rows)
-            for statement in map(_as_statement, statements)]
+    reads and each statement's binding are kept with `m` (see `FiniteModel`)."""
+    tables, rows, leaf, bound = m._checker
+    return [run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode, rows=rows,
+                      bound=bound) for statement in map(_as_statement, statements)]
 
 
 def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str, int] | None:

@@ -39,7 +39,7 @@ from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
 from test_compile import ROW_FORMS, takes_rows
-from test_models import COMP6, JOIN6, MEET6, RELABEL6, flat
+from test_models import COMP6, JOIN6, LITERAL_FREE, MEET6, RELABEL6, assert_bound_as_fresh, flat
 
 THEOREM_SUITES = ("outer-inner", "bilattice", "complement", "nand",
                   "minimal12", "cond-dist", "cylindric", "appendixA")
@@ -161,16 +161,19 @@ def test_criterion_08_model_search(monkeypatch):
         assert rep.verdict is Verdict.HOLDS
     assert verify_model(out.model, [DISTRIBUTIVITY])[0].verdict is Verdict.REFUTED
     assert_rows_as_scalar(monkeypatch, out.model, axioms + [DISTRIBUTIVITY] + laws)
+    assert_bound_as_fresh(out.model, LITERAL_FREE)
 
     out4 = search_model(axioms, [ZERO_ARY_GOAL], range(2, 5), budget=600)
     assert out4.found and out4.size == 4
     assert_rows_as_scalar(monkeypatch, out4.model, axioms + [ZERO_ARY_GOAL] + laws)
+    assert_bound_as_fresh(out4.model, LITERAL_FREE)
 
     constrained = axioms + ["R00 ^ R11 != R00"]
     out8 = search_model(constrained, [ZERO_ARY_GOAL], range(2, 9), budget=1800)
     assert out8.found and out8.size == 8
     assert out8.sizes_excluded == (2, 3, 4, 5, 6, 7)
     assert_rows_as_scalar(monkeypatch, out8.model, constrained + [ZERO_ARY_GOAL] + laws)
+    assert_bound_as_fresh(out8.model, LITERAL_FREE)
     note(8, "countermodel sizes: distributivity 6 (none below), zero-ary goal 4, "
             "with the incompatibility postulate 8 (none through 7)")
 

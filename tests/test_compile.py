@@ -98,7 +98,7 @@ def assert_matches_relations(u, statement, limit=150):
     for env in assignments(u, statement, limit):
         counts, holds = at_relations(u, statement, {v: rels[e] for v, e in zip(code.variables, env)})
         # the flat loop over this one assignment
-        got = code.run(*tables, k.n, [env], None, None, None, *leaves)
+        got = code.run(*tables, k.n, None, None, None, *leaves, [env])
         assert got == (counts, 1, None if holds else env), env
 
 
@@ -316,13 +316,13 @@ class TestFusedLoop:
             k = RelationKernel(u)
             tables, leaves = k.tables(), [k.leaf(t) for t in code.leaves]
             identity = list(range(k.n))
-            flat = code.run(*tables, k.n, product(range(k.n), repeat=arity), None, None, None,
-                            *leaves)
+            flat = code.run(*tables, k.n, None, None, None, *leaves,
+                            product(range(k.n), repeat=arity))
             for rows in (None, k.rows()):
-                plain = code.run(*tables, k.n, None, identity, lambda first: identity, rows,
-                                 *leaves)
-                reduced = code.run(*tables, k.n, None, k.orbit_least, k.stabilizer_least, rows,
-                                   *leaves)
+                plain = code.run(*tables, k.n, identity, lambda first: identity, rows,
+                                 *leaves, None)
+                reduced = code.run(*tables, k.n, k.orbit_least, k.stabilizer_least, rows,
+                                   *leaves, None)
                 assert plain == flat == reduced, rows
 
     @settings(max_examples=150, deadline=None)

@@ -22,10 +22,12 @@ from rlattice import (
     BridgeSizeError,
     Const,
     ConstantKind,
+    Exhaustive,
     FiniteModel,
     ModelError,
     ModelSearchError,
     Neg,
+    Sample,
     Universe,
     Var,
     Verdict,
@@ -47,7 +49,7 @@ from rlattice import (
 )
 from rlattice import models
 from rlattice.kernel import RelationKernel
-from rlattice.checker import enumerate_relations, evaluate
+from rlattice.checker import compile_statement, enumerate_relations, evaluate
 from rlattice.models import _model_tables
 from rlattice.terms import BINARY_OPS, Eq, sides
 
@@ -257,8 +259,10 @@ class TestKeptTables:
     def test_verified_as_unverified(self, m6, monkeypatch):
         verified, plain, scalar = replace(m6), replace(m6), replace(m6)
         first = [r.to_json() for r in verify_model(verified, self.LAWS)]
-        # The first call fills star entries, and meet rows for `x ^ y = y ^ x` alone.
+        # The first call fills star entries, and meet rows for `x ^ y = y ^ x` alone,
+        # and binds each law.
         assert verified._checker[1][0] and len(verified._checker[0][2]) > 0
+        assert len(verified._checker[3]) == len(self.LAWS)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in verify_model(scalar, self.LAWS)] == first
@@ -295,9 +299,11 @@ class TestKeptTables:
         assert not kept(verified) & kept(relabeled)
 
     def test_kept_tables_hold_no_model(self, m6):
-        """The kept tables refer to no model, so dropping one frees it at once."""
+        """The kept tables and bound checks refer to no model, so dropping
+        one frees it at once."""
         model = replace(m6)
         verify_model(model, self.LAWS)
+        assert model._checker[3]
         gone = weakref.ref(model)
         gc.disable()
         try:
@@ -307,11 +313,71 @@ class TestKeptTables:
             gc.enable()
 
 
+# The literal-free catalog statements; a model refuses relation literals.
+LITERAL_FREE = sorted({e.text for entries in suite_catalog().values() for e in entries
+                       if "{" not in e.text})
+# Most assignments `assert_bound_as_fresh` walks uncapped: three variables on
+# the 78-element model of the 2x3 universe.
+UNCAPPED_MOST = 78 ** 3
+
+
+def untimed(report):
+    return replace(report, elapsed_ms=0.0)
+
+
+def assert_bound_as_fresh(model, texts):
+    """On `model`, each statement's first check, its bound repeat, a capped
+    and a sampled check report, in every field but `elapsed_ms`, what an
+    equal fresh model reports on its first check in the same mode.  The
+    two uncapped checks are made where they walk at most `UNCAPPED_MOST`
+    assignments; the first of the others is then the first call."""
+    for text in texts:
+        statement = parse_goal(text)
+        uncapped = model.size ** len(free_variables(statement)) <= UNCAPPED_MOST
+        for mode in [*[Exhaustive()] * (2 * uncapped), Exhaustive(max_assignments=40),
+                     Sample(20110604, 500)]:
+            got, = verify_model(model, [statement], mode)
+            want, = verify_model(replace(model), [statement], mode)
+            assert untimed(got) == untimed(want), (text, mode)
+        assert statement in model._checker[3]
+
+
+class TestBoundChecks:
+    """A model binds each statement's check once, at its first call, and
+    every later call in any mode reports what a fresh model reports."""
+
+    @pytest.mark.parametrize("domains", [{"t": "ab"}, {"t": "ab", "s": "12"},
+                                         {"t": "ab", "s": "123"}], ids=["u1", "u2", "2x3"])
+    def test_bridged_models(self, domains):
+        assert_bound_as_fresh(model_from_universe(Universe.make(domains)), LITERAL_FREE)
+
+    def test_literal_refused_on_every_call(self, m6):
+        model = replace(m6)
+        statement = parse_statement("x ^ {(t=a)} = x")
+        for _ in range(2):
+            with pytest.raises(ModelError):
+                verify_model(model, [statement])
+            assert statement not in model._checker[3]
+
+    def test_second_call_compiles_nothing(self, m6):
+        """A second call on more statements than `compile_statement` keeps
+        neither misses nor probes its cache."""
+        statements = [parse_statement(f"x{chr(39) * a} v R00 = x{chr(39) * b} ^ R11")
+                      for a in range(20) for b in range(15)]
+        assert len(set(statements)) == 300 > compile_statement.cache_info().maxsize
+        model = replace(m6)
+        first = verify_model(model, statements)
+        before = compile_statement.cache_info()
+        second = verify_model(model, statements)
+        assert compile_statement.cache_info() == before
+        assert list(map(untimed, second)) == list(map(untimed, first))
+
+
 def test_verify_model_copies_no_table():
     """`verify_model` reads the model's own meet and join: on the 318-element
     model, whose tables are 101,124 entries each, the laws of the `scale`
     benchmark workload allocate less than one copy of one table in the
-    call that makes the model's tables."""
+    call that makes the model's tables and binds each law."""
     u = Universe.make({"a": "01", "b": "01", "c": "01"})
     m = model_from_universe(u)
     laws = {"x ^ (x v y) = x"}
@@ -331,6 +397,10 @@ def test_verify_model_copies_no_table():
         tracemalloc.stop()
     assert len(reports) == 26
     assert peak < 1 << 20
+    # The bindings share one identity map, a `range`, not a list of 318 codes each.
+    kept = [run.args for _, run in m._checker[3].values()]
+    assert len(kept) == 26 and len({(id(a[6]), id(a[7])) for a in kept}) == 1
+    assert type(kept[0][6]) is range
 
 
 class TestFindCounterexample:

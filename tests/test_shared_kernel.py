@@ -37,6 +37,7 @@ from rlattice.checker import _REDUCE_FROM
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 from rlattice.suites import DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES
+from rlattice.universe import RelationError
 
 THREE_BINARY = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
 
@@ -194,6 +195,27 @@ class TestNoCycles:
         assert main(["check", "-u", str(tmp_path / "u2.univ"),
                      "-f", str(tmp_path / "laws.stmt")]) == 1
         assert len(kernels) == 1 and kernels[0]() is None
+
+
+class TestCheckKeepsNoBinding:
+    """`check` keeps no statement's binding: a shared kernel validates a
+    literal on every check, and a sampled check builds nothing only an
+    uncapped one reads."""
+
+    def test_invalid_literal_refused_on_every_check(self, u2):
+        k = RelationKernel(u2)
+        for _ in range(2):
+            with pytest.raises(RelationError, match="attribute 'q' not in universe"):
+                check(u2, "x ^ {(q=a)} = x", kernel=k)
+        assert check(u2, "x ^ {(t=a)} = x", kernel=k).verdict is Verdict.REFUTED
+
+    def test_sampled_check_builds_no_group(self):
+        k = RelationKernel(THREE_BINARY)
+        text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
+        check(THREE_BINARY, text, Sample(DEFAULT_SEED, 200), kernel=k)
+        assert k._group is None
+        check(THREE_BINARY, text, kernel=k)  # walks second values by the group
+        assert k._group is not None
 
 
 class TestSharedEqualsFresh:

@@ -287,7 +287,7 @@ class TestWhenReduced:
             code = real(statement)
 
             def run(*args):
-                least, seconds = args[7:9]
+                least, seconds = args[6:8]
                 seen.append((type(least).__name__, type(seconds(0)).__name__))
                 return code.run(*args)
             return code._replace(run=run)
