@@ -16,22 +16,19 @@ and skips everything inside it when false.  The assignment count is
 worked out from the position of the witness, or is N^k when nothing
 refutes.  Sampled and capped checks run the same lines in one flat loop
 over the assignments they are handed.  `run_check` runs that code over
-any carrier `range(n)` that supplies such tables: `check` over relation
-codes, the indices into the enumeration, with tables that
-`rlattice.kernel.RelationKernel` fills on first use, and
-`models.verify_model` over a model's flat tables, which the model keeps
-from one call to the next (see `models.FiniteModel`).  The compiled form is
-kept per statement, with the statement's printed text for its reports,
-and a statement keeps its hash and is the same object when its text is
-parsed again (see `terms`).  A model also keeps each statement's code
-bound at its first check to all it runs with but the assignments (tables,
-maps, the elements of its constants), so checking it there again is one
-dictionary probe, by identity, and one call.  `check` keeps no binding:
-it validates a literal on every call and builds no enumeration: its kernel
-enforces the budget and decodes the witness codes into relations.  A run
-of checks on one universe (a suite, a statement file) hands `check` one
-kernel for all of them, so they share its image maps, symmetry orbits and
-operation tables.
+a carrier `range(n)` that supplies such tables (`kernel.carrier`):
+`check` over relation codes, the indices into the enumeration, with
+tables that `rlattice.kernel.RelationKernel` fills on first use, and
+`models.verify_model` over a model's flat tables.  A kernel and a model
+each keep their carrier, and in it each statement's code, with its
+printed text for the reports, bound at its first check there to all it
+runs with but the assignments (tables, maps, the elements of its
+constants), so checking it there again is one dictionary probe, by
+identity (see `terms`), and one call.  `check` builds no enumeration:
+its kernel enforces the budget and decodes the witness codes into
+relations.  A run of checks on one universe (a suite, a statement file)
+hands `check` one kernel for all of them, so they share its image maps,
+symmetry orbits, operation tables and bindings.
 
 Over at most 256 elements, the nested loops of two or more variables
 take the last one a row at a time: a term of it is the `bytes` of its
@@ -69,7 +66,9 @@ walked earlier and whose count it recorded at that block's end; the loop
 adds that count where it skips the value, so an implication's premise
 count is complete when the loop returns.  Other walks (`verify_model`,
 checks with literals or under `_REDUCE_FROM` assignments, the second
-level past `_GROUP_CAP`) run the same loops over the identity map.
+level past `_GROUP_CAP`) run the same loops over the identity map.  The
+maps are picked at a statement's first check on a carrier, whatever the
+mode: the flat loop of a capped or sampled check reads neither.
 `evaluate` instead applies the relation-level operations of
 `rlattice.universe` directly, for any universe.
 """
@@ -84,7 +83,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, islice, product, repeat
 from operator import eq, ne
 from time import perf_counter
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from . import terms
 from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel
@@ -189,7 +188,7 @@ class Compiled(NamedTuple):
     walks the assignments `envs` yields in one flat loop.  `M J S P` are the
     meet, join, star and plus tables indexed `a * N + b` and `C` the
     complement table; `leaf_values` are the elements of the constants and
-    literals in `leaves`.  `run_check` keeps all but `envs` in its `bound`.
+    literals in `leaves`.  `run_check` binds all but `envs` once per carrier.
     `text` is the statement as `terms.format_statement` prints it, the
     name of the generated code and the `statement` of every report.
     """
@@ -217,10 +216,6 @@ _REDUCE_FROM = 4096
 _GROUP_CAP = 1 << 20
 # 32-bit words per `getrandbits` call of a bulk draw stream.
 _DRAW_WORDS = 1024
-# The identity map shared by checks over at most 256 elements, the bound of
-# the row loops; the loops read only `[:N]`.  A larger carrier walks a
-# `range` (see `_identity`), so no check keeps one of a million codes.
-_IDENTITY = list(range(256))
 
 
 @lru_cache(maxsize=256)
@@ -418,15 +413,14 @@ def evaluate(u: Universe, t: terms.Term, assignment: Mapping[str, Relation]) -> 
     raise TypeError(f"not a term: {t!r}")
 
 
-def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
-              leaf: Callable[[terms.Term], int], mode: Mode = Exhaustive(),
-              symmetry: RelationKernel | None = None, rows: Sequence | None = None,
-              bound: dict[terms.Statement, tuple[Compiled, Callable]] | None = None) -> CheckReport:
-    """Check a statement over the carrier `range(n)` with operation tables.
+def run_check(statement: terms.Statement, carrier: tuple, mode: Mode = Exhaustive()) -> CheckReport:
+    """Check a statement over a carrier with operation tables.
 
-    `tables` are the `M J S P C` tables of `Compiled`, any mapping from
-    index to element; `leaf` gives the element of a constant or literal,
-    read for every leaf before any loop runs, so it may refuse one.
+    `carrier` is `(n, tables, rows, leaf, maps, bound)` (`kernel.carrier`):
+    the elements `range(n)`; the `M J S P C` tables of `Compiled`, any
+    mapping from index to element; their `kernel.row_tables` or None; the
+    element of a constant or literal, read for every leaf before any loop
+    runs, so it may refuse one; the loops' maps; and the kept bindings.
     Exhaustive mode walks assignments in canonical order (itertools.product,
     last variable fastest) and reports the first witness: in the generated
     nested loops, or, when `max_assignments` stops it short or there are
@@ -434,17 +428,14 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     `max_assignments` of them.  Sampled mode draws each variable as
     `Random(seed).randrange(n)` does in CPython 3.10-3.13 (see `_draws`).
     Implications count vacuous and premise-satisfying assignments
-    separately.  A `symmetry` kernel over the carrier's codes lets the
-    nested loops skip first values that are not orbit-least
-    (`orbit_least`), and second values that are not least under the
-    first's stabilizer (`stabilizer_least`; see the module docstring);
-    other checks walk them over the identity.  `rows`, the
-    `kernel.row_tables` of `tables`, lets them walk the last variable a row at a time.
-    `bound`, a dict kept with the carrier, keeps from a statement's first check its `Compiled`
-    and `run` bound to all but `envs`; any maps kept give the same report.
+    separately.  A statement's first check on the carrier keeps in `bound`
+    its `Compiled` and `run` bound to all but `envs`, with the symmetry
+    maps of `maps` where the module docstring says, else the identity's,
+    whatever the mode: only the uncapped nested loops read them.
     """
     start = perf_counter()
-    code, run = bound and bound.get(statement) or (compile_statement(statement), None)
+    n, tables, rows, leaf, maps, bound = carrier
+    code, run = bound.get(statement) or (compile_statement(statement), None)
     arity = len(code.variables)
     exhaustive = isinstance(mode, Exhaustive)
     if exhaustive:
@@ -457,15 +448,13 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
         draws = _draws(random.Random(mode.seed).getrandbits, n)
         envs = islice(zip(*[draws] * arity) if arity else repeat(()), max(mode.samples, 0))
     if run is None:
-        least, seconds = _identity(n)
-        if (symmetry is not None and envs is None and arity >= 2
-                and total >= _REDUCE_FROM and not code.literals):
-            least = symmetry.orbit_least
-            if arity >= 3 and symmetry.group_order() * n <= _GROUP_CAP:
-                seconds = symmetry.stabilizer_least
+        least, seconds, orbits, stabilizers, order = maps
+        if 2 <= arity <= _NESTED and n ** arity >= _REDUCE_FROM and not code.literals:
+            least = orbits
+            if arity >= 3 and order * n <= _GROUP_CAP:
+                seconds = stabilizers
         run = partial(code.run, *tables, n, least, seconds, rows, *map(leaf, code.leaves))
-        if bound is not None:
-            bound[statement] = code, run
+        bound[statement] = code, run
     premise_sat, tested, found = run(envs)
     if found is not None:
         witness = dict(zip(code.variables, found))
@@ -476,13 +465,6 @@ def run_check(statement: terms.Statement, n: int, *, tables: Sequence,
     return CheckReport(code.text, verdict, witness, text, tested,
                        premise_sat if code.implication else None, mode,
                        (perf_counter() - start) * 1000.0)
-
-
-@lru_cache(maxsize=8)
-def _identity(n: int) -> tuple[Sequence[int], Callable[[int], Sequence[int]]]:
-    # `least` and `seconds` that skip no value of `range(n)`, made once per size.
-    identity = _IDENTITY if n <= len(_IDENTITY) else range(n)
-    return identity, lambda first: identity
 
 
 def _draws(getrandbits: Callable[[int], int], n: int) -> Iterator[int]:
@@ -516,9 +498,9 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
     Assignments range over relation codes (`rlattice.kernel`), whose
     kernel raises `EnumerationBudgetError` past `enum_budget`; each code
     of the witness is decoded into its relation once.  A `kernel` over
-    `u` is used instead of a new one, with the image maps, orbits and
-    table entries that earlier checks left in it; the report does not
-    depend on them.  A kernel over another universe is an error.
+    `u` is used instead of a new one, with the image maps, orbits, table
+    entries and bound checks that earlier checks left in it; the report
+    does not depend on them.  A kernel over another universe is an error.
     """
     if isinstance(statement, str):  # a parse error comes before a budget error
         statement = terms.parse_goal(statement)
@@ -526,8 +508,7 @@ def check(u: Universe, statement: terms.Statement | str, mode: Mode = Exhaustive
         kernel = RelationKernel(u, enum_budget)
     elif kernel.u != u:
         raise LatticeError("the kernel is over another universe than the check")
-    report = run_check(statement, kernel.n, tables=kernel.tables(), leaf=kernel.leaf,
-                       mode=mode, symmetry=kernel, rows=kernel.rows())
+    report = run_check(statement, kernel._checker, mode)
     if report.witness is not None:
         relations = {code: kernel.decode(code) for code in set(report.witness.values())}
         report.witness = {name: relations[code] for name, code in report.witness.items()}

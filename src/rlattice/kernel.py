@@ -31,8 +31,8 @@ For the checker's symmetry-reduced walk, `orbit_least` maps each code to
 the least code of its orbit, walking an orbit (`_orbit`) the first time
 one of its codes is read and filling it in for every member, and
 `stabilizer_least` maps each code to the least of its orbit under the
-automorphisms that fix a first value, from the whole group closed once
-from the generators as maps on codes.
+automorphisms that fix a first value, from the whole group, closed from
+the generators at its first miss into a list its fill holds.
 
 `RelationKernel.tables` hands the checker dicts filled on first use, so
 the checks on one kernel compute each entry once.  Past `WHOLE_PAIRS`
@@ -41,20 +41,20 @@ that many (u1, u2) a table's first miss fills it whole by `_op_table`,
 which also fills `bridge_tables` for `models.model_from_universe`,
 moving each right operand's body once per pair of headers and taking
 every entry from one list of each header's codes.  Every fill, of a
-table, its rows or `orbit_least`, holds plain data only: offsets, sizes,
-image maps, generators and, for a value row, the translate table it
-cuts, never the kernel or the table it fills.  So
-the tables outlive the kernel, and the kernel is freed, without the
+table, its rows, `orbit_least` or `stabilizer_least`, and `leaf` hold
+plain data only (offsets, sizes, image maps, generators, the group, the
+translate table a value row cuts), never the kernel or the table it
+fills, and so does the `carrier` the kernel keeps, bindings included.
+So the tables outlive the kernel, and the kernel is freed, without the
 cyclic garbage collector, as soon as its last user drops it.  The
-relation-level functions in `rlattice.universe` are the reference these
-operations are tested against.
+relation-level functions in `rlattice.universe` are the reference.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import partial
+from functools import cached_property, partial
 from math import factorial, prod
 from operator import and_, or_, pos
 from typing import Any, Callable, Iterable, Sequence
@@ -98,13 +98,13 @@ class RelationKernel:
     entries, each as wide as the target space: small for every universe
     whose relations can be enumerated, but growing with the square of
     the space beyond that.  The image tables, symmetry maps, orbits,
-    automorphism group, stabilizer-least codes and operation tables are
-    kept per kernel and shared by every check handed
-    it (`checker.check`'s `kernel`): a suite run, the reading harness and
-    `check -f FILE` keep one kernel per universe for all their checks.
-    Nothing the kernel keeps refers back to it, so it is freed as soon
-    as its last user drops it, and the tables, rows and orbits it handed
-    out stay filled and filling after that.
+    automorphism group, stabilizer-least codes, operation tables and each
+    statement's bound check are kept per kernel and shared by every check
+    handed it (`checker.check`'s `kernel`): a suite run, the reading
+    harness and `check -f FILE` keep one kernel per universe for all their
+    checks.  Nothing it keeps, stabilizer maps and bindings included,
+    refers back to it, so it is freed as soon as its last user drops it,
+    and the tables, rows and orbits it handed out go on filling.
     """
 
     def __init__(self, u: Universe, budget: int = DEFAULT_ENUM_BUDGET):
@@ -135,6 +135,8 @@ class RelationKernel:
         # Empty and full body over the empty header, then over the full one.
         self._consts = {ConstantKind.R00: 0, ConstantKind.R01: 1, ConstantKind.R10: offset[-1],
                         ConstantKind.R11: total - 1}
+        self.encode = partial(_encode, u, dims, self._ranks, offset)
+        self.leaf = partial(_leaf, u, self._consts, self.encode)
         # The generators of `symmetries`: (target of each attribute, target
         # rank of each value, moved attributes) for each.
         same, ranks = list(range(len(dims))), [range(d) for d in dims]
@@ -151,11 +153,11 @@ class RelationKernel:
                     swapped = [*range(r), r + 1, r, *range(r + 2, d)]
                     moves.append((same, [*ranks[:p], swapped, *ranks[p + 1:]], 1 << p))
             last[d] = p
-        self._symmetries = [self._symmetry(*move) for move in moves]
-        # A missing code walks its orbit and fills it in for every member.
-        self.orbit_least = _Bulk(partial(_orbit, self._symmetries))
-        self._group: list[tuple[int, ...]] | None = None
-        self._stabilizers: dict[int, list[int]] = {}  # filled by `stabilizer_least`
+        self._symmetries = gens = [self._symmetry(*move) for move in moves]
+        # A missing code walks its orbit and fills it in for every member;
+        # a missing first code closes the group, once, into the fill's list.
+        self.orbit_least = _Bulk(partial(_orbit, gens))
+        self.stabilizer_least = _Table(partial(_stabilizer_least, gens, total, [])).__getitem__
         if total * total > WHOLE_PAIRS:
             self._tables = tuple(map(_Table, fills))
         else:  # a table's first miss fills it whole, by the block routine
@@ -166,19 +168,6 @@ class RelationKernel:
         self._rows = row_tables(self._tables, total)
 
     # ----- codes and relations
-
-    def encode(self, r: Relation) -> int:
-        """Code of a relation already validated over the universe."""
-        u = self.u
-        positions = [u.attr_position(a) for a in r.header]
-        h = sum(1 << p for p in positions)
-        body = 0
-        for tup in r.body:
-            index = 0
-            for p, v in zip(positions, tup):
-                index = index * self._dims[p] + self._ranks[p][v]
-            body |= 1 << index
-        return self._offset[h] + body
 
     def decode(self, code: int) -> Relation:
         """The relation with code `code`, for `0 <= code < n`: the index of
@@ -202,10 +191,6 @@ class RelationKernel:
 
     def const(self, kind: ConstantKind) -> int:
         return self._consts[kind]
-
-    def leaf(self, t: Const | Lit) -> int:
-        """Code of a constant, or of a literal validated over the universe."""
-        return self.encode(t.relation(self.u)) if isinstance(t, Lit) else self.const(t.kind)
 
     # ----- symmetries
 
@@ -253,33 +238,6 @@ class RelationKernel:
         sizes `d` and of `c!` over the numbers `c` of attributes sharing one."""
         return prod(map(factorial, [*self._dims, *Counter(self._dims).values()]))
 
-    def stabilizer_least(self, first: int) -> list[int]:
-        """For each code, the least code of its orbit under the automorphisms
-        fixing `first`, kept per `first`.  The first call closes `symmetries`
-        into the whole group, `group_order()` maps on codes of `n` entries
-        each, and keeps it."""
-        got = self._stabilizers.get(first)
-        if got is not None:
-            return got
-        if self._group is None:
-            n = self.n
-            moves = [tuple(map(move, range(n))) for move in self.symmetries()]
-            self._group = group = [tuple(range(n))]
-            seen = set(group)
-            for g in group:  # grows as the closure finds new maps
-                for move in moves:
-                    h = tuple(map(move.__getitem__, g))
-                    if h not in seen:
-                        seen.add(h)
-                        group.append(h)
-        fixing = [g for g in self._group if g[first] == first]
-        got = self._stabilizers[first] = [-1] * self.n
-        for code in range(self.n):
-            if got[code] < 0:  # the least of an orbit not met yet
-                for g in fixing:
-                    got[g[code]] = code
-        return got
-
     # ----- headers
 
     def header(self, code: int) -> int:
@@ -304,6 +262,12 @@ class RelationKernel:
         """`row_tables` over `tables()`, kept with them."""
         return self._rows
 
+    @cached_property
+    def _checker(self) -> tuple:
+        """`checker.check`'s `carrier` of the codes, made at the first check, kept."""
+        return carrier(self.n, self.tables(), self.rows(), self.leaf,
+                       (self.orbit_least, self.stabilizer_least, self.group_order()))
+
     def bridge_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Every entry of the meet, join and complement tables, as flat tuples
         of codes, entry `a * n + b` for codes `a` and `b`: the layout of
@@ -313,6 +277,36 @@ class RelationKernel:
         meet, join = (tuple(_op_table(self._sizes, self._images, *target, blocks))
                       for target in _TARGETS[:2])
         return meet, join, tuple(map(self._fills[4], range(self.n)))
+
+
+def carrier(n: int, tables: Sequence, rows: Sequence | None, leaf: Callable[[Any], int],
+            symmetry: tuple | None = None) -> tuple:
+    """The carrier `checker.run_check` takes over `range(n)`: `(n, tables,
+    rows, leaf, maps, bound)`, `bound` empty.  `maps` are the `least` and
+    `seconds` that skip nothing (a `range` past 256 elements, so no carrier
+    keeps a million codes), then `symmetry`, an orbit-least map,
+    stabilizer-least function and group order, by default those maps and 1."""
+    ids = list(range(n)) if n <= 256 else range(n)
+    same = lambda first: ids
+    return n, tables, rows, leaf, (ids, same, *(symmetry or (ids, same, 1))), {}
+
+
+def _encode(u: Universe, dims: Sequence[int], ranks: Sequence[dict[str, int]],
+            offset: Sequence[int], r: Relation) -> int:
+    """Code of a relation already validated over `u`."""
+    positions = [u.attr_position(a) for a in r.header]
+    body = 0
+    for tup in r.body:
+        index = 0
+        for p, v in zip(positions, tup):
+            index = index * dims[p] + ranks[p][v]
+        body |= 1 << index
+    return offset[sum(1 << p for p in positions)] + body
+
+
+def _leaf(u: Universe, consts: dict, encode: Callable[[Relation], int], t: Const | Lit) -> int:
+    """Code of a constant, or of a literal validated over `u`."""
+    return encode(t.relation(u)) if isinstance(t, Lit) else consts[t.kind]
 
 
 def _blocks(offset: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
@@ -442,6 +436,29 @@ def _orbit(moves: Sequence[Callable[[int], int]], code: int) -> dict[int, int]:
                 orbit.add(y)
                 todo.append(y)
     return dict.fromkeys(orbit, min(orbit))
+
+
+def _stabilizer_least(moves: Sequence[Callable[[int], int]], n: int,
+                      group: list[tuple[int, ...]], first: int) -> list[int]:
+    """Each code's least image under the automorphisms fixing `first`; the
+    first call closes `moves` into the whole group, maps on codes, in `group`."""
+    if not group:
+        maps = [tuple(map(move, range(n))) for move in moves]
+        group.append(tuple(range(n)))
+        seen = set(group)
+        for g in group:  # grows as the closure finds new maps
+            for move in maps:
+                h = tuple(map(move.__getitem__, g))
+                if h not in seen:
+                    seen.add(h)
+                    group.append(h)
+    fixing = [g for g in group if g[first] == first]
+    least = [-1] * n
+    for code in range(n):
+        if least[code] < 0:  # the least of an orbit not met yet
+            for g in fixing:
+                least[g[code]] = code
+    return least
 
 
 def row_tables(tables: Sequence, n: int) -> tuple[_Table, ...] | None:

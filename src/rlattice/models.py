@@ -23,11 +23,11 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
-from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, row_tables
+from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, carrier, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
@@ -44,11 +44,11 @@ class FiniteModel:
     `a * size + b` is `a ^ b` (`a v b`).  That is the layout the checker
     reads (`checker.Compiled`) and the search fills.
 
-    `verify_model` keeps with the model, from its first call, what the
-    checker reads: its five `_model_tables`, their `kernel.row_tables`
-    (filled on use), its leaf function and each statement's binding
-    (`run_check`'s `bound`).  These are not fields, so equality, hashing,
-    pickling and copying see a model as if never verified.
+    `verify_model` keeps with the model, from its first call, its checker
+    carrier (`kernel.carrier`): its five `_model_tables`, their
+    `kernel.row_tables` (filled on use), its leaf function, identity maps
+    and each statement's binding.  These are not fields, so equality,
+    hashing, pickling and copying see a model as if never verified.
     """
 
     size: int
@@ -77,9 +77,8 @@ class FiniteModel:
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     @cached_property
-    def _checker(self) -> tuple[tuple[Sequence[int] | dict[int, int], ...],
-                                tuple[dict[int, bytes], ...] | None, Callable[[Term], int], dict]:
-        """`tables`, `rows`, `leaf` and `bound` of `checker.run_check`; `leaf` refuses a literal."""
+    def _checker(self) -> tuple:
+        """The `carrier` of `checker.run_check` over the model; its `leaf` refuses a literal."""
         constants = {ConstantKind.R00: self.r00, ConstantKind.R11: self.r11,
                      ConstantKind.R10: self.r10, ConstantKind.R01: self.r01}
 
@@ -89,7 +88,7 @@ class FiniteModel:
             return constants[t.kind]
 
         tables = _model_tables(self)
-        return tables, row_tables(tables, self.size), leaf, {}
+        return carrier(self.size, tables, row_tables(tables, self.size), leaf)
 
     @property
     def r10(self) -> int:
@@ -152,9 +151,7 @@ def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
     """Check each statement over all carrier assignments of `m`; a string
     is read by `terms.parse_goal`, so `atom | atom` too.  The tables it
     reads and each statement's binding are kept with `m` (see `FiniteModel`)."""
-    tables, rows, leaf, bound = m._checker
-    return [run_check(statement, m.size, tables=tables, leaf=leaf, mode=mode, rows=rows,
-                      bound=bound) for statement in map(_as_statement, statements)]
+    return [run_check(statement, m._checker, mode) for statement in map(_as_statement, statements)]
 
 
 def find_counterexample(m: FiniteModel, statement: Statement | str) -> dict[str, int] | None:

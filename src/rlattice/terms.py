@@ -25,12 +25,13 @@ runs out of stack.
 
 A statement (but not a term) computes its hash once and keeps it, out
 of its pickled and copied state (see `_hash_once`), and the same text
-read again by `parse_statement` or `parse_goal` is the same object.
+read again, by `parse_statement` or `parse_goal`, is the same object.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
@@ -413,17 +414,20 @@ def parse_term(source: str) -> Term:
     return _parse(source, lambda p: p.term()[0])
 
 
-@lru_cache(maxsize=256)
 def parse_statement(source: str) -> Statement:
-    """The statement `source` spells; the same text gives the same object
-    while it is among the last 256 read, so the checker's cache of compiled
-    statements finds it by identity.  An error is raised anew every time."""
-    return _parse(source, _Parser.statement)
+    """The statement `source` spells: the very object `parse_goal` returns,
+    but for a disjunction or an error, the statement rule's error."""
+    with suppress(ParseError):
+        if not isinstance(statement := parse_goal(source), Or):
+            return statement
+    return _parse(source, _Parser.statement)  # raises: the goal rule failed or read `|`
 
 
 @lru_cache(maxsize=256)
 def parse_goal(source: str) -> Statement:
-    """Like parse_statement but admits a top-level `atom | atom` disjunction."""
+    """Like parse_statement but admits a top-level `atom | atom` disjunction.
+    The same text gives the same object while it is among the last 256 read,
+    so the checker's caches find it by identity; an error is raised anew."""
     return _parse(source, _Parser.goal)
 
 

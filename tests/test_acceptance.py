@@ -142,12 +142,12 @@ def assert_rows_as_scalar(monkeypatch, model, statements):
     for statement, want in zip(statements, got):
         first = replace(model)
         assert verify_model(first, [statement])[0].to_json() == want
-        assert any(first._checker[1]) == takes_rows(statement), statement
+        assert any(first._checker[2]) == takes_rows(statement), statement
     scalar = replace(model)
     with monkeypatch.context() as m:
         m.setattr(models, "row_tables", lambda tables, n: None)
         assert [rep.to_json() for rep in verify_model(scalar, statements)] == got
-    assert scalar._checker[1] is None  # so no statement read a row
+    assert scalar._checker[2] is None  # so no statement read a row
 
 
 def test_criterion_08_model_search(monkeypatch):

@@ -23,7 +23,7 @@ from rlattice import (
 )
 from rlattice import checker
 from rlattice.checker import run_check
-from rlattice.kernel import RelationKernel
+from rlattice.kernel import RelationKernel, carrier
 
 
 class TestEnumeration:
@@ -186,9 +186,9 @@ class TestDrawStream:
             def __getitem__(self, a):
                 seen.append(a)
                 return a
-        rep = run_check(parse_statement(TestDrawStream.STATEMENTS[arity]), n,
-                        tables=(None, None, None, None, Recorder()), leaf=None,
-                        mode=Sample(seed, samples))
+        rep = run_check(parse_statement(TestDrawStream.STATEMENTS[arity]),
+                        carrier(n, (None, None, None, None, Recorder()), None, None),
+                        Sample(seed, samples))
         return list(zip(*[iter(seen)] * arity)), rep
 
     @staticmethod
@@ -261,9 +261,7 @@ class TestGenericEngine:
         def leaf(t):
             raise AssertionError("no constants here")
 
-        rep = run_check(
-            parse_statement("x ^ y = y ^ x"), 2,
-            tables=(meet, join, (), (), (1, 0)), leaf=leaf,
-        )
+        rep = run_check(parse_statement("x ^ y = y ^ x"),
+                        carrier(2, (meet, join, (), (), (1, 0)), None, leaf))
         assert rep.verdict is Verdict.HOLDS
         assert rep.assignments_tested == 4

@@ -53,7 +53,7 @@ from rlattice import (
 )
 from rlattice import models
 from rlattice.checker import compile_statement, run_check
-from rlattice.kernel import RelationKernel, row_tables
+from rlattice.kernel import RelationKernel, carrier, row_tables
 from rlattice.suites import SUITE_NAMES
 from rlattice.terms import BINARY_OPS
 
@@ -368,8 +368,7 @@ class TestFusedLoop:
                 witness = env
                 break
         for rows in (None, row_tables((M, J, S, P, C), n)):  # scalar and row loops
-            rep = run_check(statement, n, tables=(M, J, S, P, C), leaf=lambda t: leaf[t.kind],
-                            rows=rows)
+            rep = run_check(statement, carrier(n, (M, J, S, P, C), rows, lambda t: leaf[t.kind]))
             assert rep.verdict is (Verdict.HOLDS if witness is None else Verdict.REFUTED)
             assert rep.assignments_tested == tested
             assert rep.premise_satisfying == (premises if isinstance(statement, Imp) else None)
@@ -393,7 +392,7 @@ class TestRows:
         rows = row_tables(tables, n)
         assert (rows is None) == (n > 256)
         statement = parse_goal(text)
-        got, want = (run_check(statement, n, tables=tables, leaf=lambda t: 0, rows=r).document()
+        got, want = (run_check(statement, carrier(n, tables, r, lambda t: 0)).document()
                      for r in (rows, None))
         assert got == want
         # Rows are read exactly when they serve.
@@ -409,7 +408,7 @@ class TestRows:
         statement = parse_statement(text)
         fresh, scalar = RelationKernel(U23), RelationKernel(U23)
         check(U23, statement, kernel=fresh)
-        run_check(statement, scalar.n, tables=scalar.tables(), leaf=scalar.leaf)
+        run_check(statement, carrier(scalar.n, scalar.tables(), None, scalar.leaf))
         assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
 
     def test_verify_model_makes_rows_only_for_statements_that_take_them(self, monkeypatch):
@@ -421,14 +420,14 @@ class TestRows:
         monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
         m = model_from_universe(U1)
         verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
-        assert made == [6] and not any(m._checker[1])
+        assert made == [6] and not any(m._checker[2])
         laws = ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"]
         assert all(map(takes_rows, laws))
         reports = verify_model(m, laws)
-        assert made == [6] and any(m._checker[1])
+        assert made == [6] and any(m._checker[2])
         first = model_from_universe(U1)  # an equal model, on its first call
         assert find_counterexample(first, laws[0]) is None
-        assert any(first._checker[1])  # read by the two-variable law
+        assert any(first._checker[2])  # read by the two-variable law
         again = verify_model(m, [r.statement for r in reports])
         assert made == [6, 6]
         assert [r.to_json() for r in again] == [r.to_json() for r in reports]
@@ -437,7 +436,7 @@ class TestRows:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in reports] == [
                 r.to_json() for r in verify_model(fresh, [r.statement for r in reports])]
-        assert made == [6, 6] and fresh._checker[1] is None
+        assert made == [6, 6] and fresh._checker[2] is None
 
 
 # Laws whose row loops read kept rows, with row tables (`kernel.row_tables`,
@@ -515,8 +514,10 @@ class TestTwoVariableRows:
         shared = RelationKernel(u)
 
         def report(statement, k, rows):
-            return run_check(statement, k.n, tables=k.tables(), leaf=k.leaf, symmetry=k,
-                             rows=rows).to_json()
+            """The check on `k`'s own carrier, or, without rows, on one with its symmetry maps."""
+            own = k._checker
+            return run_check(statement, own if rows else
+                             carrier(k.n, k.tables(), None, k.leaf, own[4][2:])).to_json()
 
         read_rows = 0
         for statement in statements:
@@ -536,14 +537,14 @@ class TestTwoVariableRows:
                       + two_variable_statements(29, 80, literals=False))
         model = model_from_universe(u)
         first = [r.to_json() for r in verify_model(model, statements)]
-        assert any(model._checker[1])  # a model's first call walks two variables by row
+        assert any(model._checker[2])  # a model's first call walks two variables by row
         assert [r.to_json() for r in verify_model(model, statements)] == first
         scalar = replace(model)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             for _ in range(2):
                 assert [r.to_json() for r in verify_model(scalar, statements)] == first
-        assert scalar._checker[1] is None
+        assert scalar._checker[2] is None
 
     @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
     def test_kept_rows_filled(self, u):

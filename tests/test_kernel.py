@@ -38,7 +38,6 @@ from rlattice import (
     suite_catalog,
     verify_model,
 )
-from rlattice import checker
 from rlattice import kernel as kernel_module
 from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map, _blocks, _op_table
 
@@ -286,12 +285,13 @@ class TestBounds:
         # 4^12 header pairs up front would not finish promptly.
         u = Universe.make({f"a{i}": ("0",) for i in range(12)})
         start = time.perf_counter()
-        rep = check(u, "x'' = x")
+        k = RelationKernel(u)
+        rep = check(u, "x'' = x", kernel=k)
         assert rep.verdict is Verdict.HOLDS
         assert rep.assignments_tested == 8192
         assert time.perf_counter() - start < 5.0
-        # The identity map the check walked over is not kept past it.
-        assert len(checker._IDENTITY) <= 256
+        # The identity map the kernel keeps for its checks is a `range`, not 8,192 codes.
+        assert type(k._checker[4][0]) is range
 
     def test_enumeration_budget_still_enforced(self, u2):
         with pytest.raises(EnumerationBudgetError):

@@ -27,17 +27,19 @@ from rlattice import (
     discriminate_fd_reading,
     free_variables,
     model_from_universe,
+    parse_goal,
     parse_statement,
     run_suite,
     standard_universes,
     suite_catalog,
 )
 from rlattice import checker, cli, suites
-from rlattice.checker import _REDUCE_FROM
+from rlattice.checker import _REDUCE_FROM, compile_statement
 from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 from rlattice.suites import DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES
 from rlattice.universe import RelationError
+from test_symmetry import closed_group
 
 THREE_BINARY = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
 
@@ -173,6 +175,15 @@ class TestNoCycles:
         del k
         assert len(kernels) == 1 and kernels[0]() is None
 
+    def test_kernel_holding_stabilizer_maps(self, u2, kernels, no_gc):
+        k = RelationKernel(u2)
+        text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
+        assert reduced(text, u2) and check(u2, text, kernel=k).verdict is Verdict.REFUTED
+        (_, run), = k._checker[5].values()
+        assert run.args[6:8] == (k.orbit_least, k.stabilizer_least) and closed_group(k)
+        del k, run
+        assert len(kernels) == 1 and kernels[0]() is None
+
     def test_tables_outlive_the_kernel(self, u2, kernels, no_gc):
         k = RelationKernel(u2)
         n, tables, rows, orbit_least = k.n, k.tables(), k.rows(), k.orbit_least
@@ -197,25 +208,70 @@ class TestNoCycles:
         assert len(kernels) == 1 and kernels[0]() is None
 
 
-class TestCheckKeepsNoBinding:
-    """`check` keeps no statement's binding: a shared kernel validates a
-    literal on every check, and a sampled check builds nothing only an
-    uncapped one reads."""
+class TestCheckBindsOnce:
+    """A kernel binds each statement's check at its first `check`, as a
+    model does, and every later check of it there, in any mode, reports
+    what a fresh kernel reports."""
+
+    def test_one_binding_per_statement(self, u2):
+        k = RelationKernel(u2)
+        text = "x ^ z = R10 -> x ^ y != z v R11"
+        for statement in (text, parse_goal(text), parse_statement(text)):
+            for mode in (Exhaustive(), Exhaustive(max_assignments=300), Sample(DEFAULT_SEED, 50)):
+                check(u2, statement, mode, kernel=k)
+        check(u2, "x ^ y = y ^ x", kernel=k)
+        assert list(k._checker[5]) == [parse_goal(text), parse_goal("x ^ y = y ^ x")]
 
     def test_invalid_literal_refused_on_every_check(self, u2):
         k = RelationKernel(u2)
         for _ in range(2):
             with pytest.raises(RelationError, match="attribute 'q' not in universe"):
                 check(u2, "x ^ {(q=a)} = x", kernel=k)
+            assert k._checker[5] == {}
         assert check(u2, "x ^ {(t=a)} = x", kernel=k).verdict is Verdict.REFUTED
+        assert len(k._checker[5]) == 1
 
-    def test_sampled_check_builds_no_group(self):
+    def test_sampled_then_uncapped_as_fresh(self, u2):
+        """The uncapped check runs the binding the sampled one made, with the
+        maps of the statement, so it reports a fresh kernel's report."""
+        k = RelationKernel(u2)
+        text = "x ^ z = R10 -> x ^ y != z v R11"
+        assert reduced(text, u2)
+        for mode in (Sample(DEFAULT_SEED, 500), Exhaustive()):
+            got, want = check(u2, text, mode, kernel=k), check(u2, text, mode)
+            assert (got.assignments_tested, got.witness, got.premise_satisfying) == (
+                want.assignments_tested, want.witness, want.premise_satisfying)
+            assert got.to_json() == want.to_json()
+        assert len(k._checker[5]) == 1
+
+    def test_sampled_check_closes_no_group(self):
         k = RelationKernel(THREE_BINARY)
         text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
         check(THREE_BINARY, text, Sample(DEFAULT_SEED, 200), kernel=k)
-        assert k._group is None
+        assert closed_group(k) == [] and len(k._checker[5]) == 1
         check(THREE_BINARY, text, kernel=k)  # walks second values by the group
-        assert k._group is not None
+        assert len(closed_group(k)) == k.group_order()
+
+    def test_second_round_compiles_nothing(self, u2):
+        """A second round of more statements than `compile_statement` keeps
+        neither misses nor probes its cache."""
+        statements = [parse_statement(f"x{chr(39) * a} v R00 = x{chr(39) * b} ^ R11")
+                      for a in range(20) for b in range(15)]
+        assert len(set(statements)) == 300 > compile_statement.cache_info().maxsize
+        k = RelationKernel(u2)
+        first = [check(u2, statement, kernel=k).to_json() for statement in statements]
+        before = compile_statement.cache_info()
+        assert [check(u2, statement, kernel=k).to_json() for statement in statements] == first
+        assert compile_statement.cache_info() == before
+
+    def test_cli_check_file_repeated_line(self, tmp_path, capsys):
+        (tmp_path / "u2.univ").write_text("t : a, b\ns : 1, 2\n")
+        law = "x ^ z = R10 -> x ^ y != z v R11"
+        (tmp_path / "laws.stmt").write_text(f"{law}\nx ^ y = y ^ x\n{law}\n")
+        assert main(["check", "-u", str(tmp_path / "u2.univ"), "-f", str(tmp_path / "laws.stmt"),
+                     "--format", "structured"]) == 1
+        first, _, again = json.loads(capsys.readouterr().out)["reports"]
+        assert again == first and first["verdict"] == "REFUTED"
 
 
 class TestSharedEqualsFresh:

@@ -10,7 +10,7 @@ orbit-least values for the first variable, must report exactly what
 more variables it also tries only the second values least under the
 automorphisms fixing the first; those must be the whole group's too,
 and the two-level walk must report exactly what `run_check` reports
-without a symmetry kernel.
+on a carrier without symmetry maps.
 """
 
 from itertools import permutations, product
@@ -36,7 +36,7 @@ from rlattice import (
 from rlattice import checker
 from rlattice import kernel as kernel_module
 from rlattice.checker import Exhaustive, run_check
-from rlattice.kernel import RelationKernel
+from rlattice.kernel import RelationKernel, carrier
 from rlattice.terms import BINARY_OPS, Bin, Const, Eq, Imp, Lt, Ne, Neg, Or, Var
 
 U1 = Universe.make({"t": ("a", "b")})
@@ -86,6 +86,11 @@ def least_codes(k):
 def least_seconds(k, first):
     """The codes least in their orbit under the automorphisms fixing `first`."""
     return [c for c, m in enumerate(k.stabilizer_least(first)) if c == m]
+
+
+def closed_group(k):
+    """The group `k.stabilizer_least` closes at its first miss, kept by its fill."""
+    return k.stabilizer_least.__self__.fill.args[-1]
 
 
 def reference_least(u):
@@ -151,8 +156,9 @@ class TestOrbits:
     def test_group_order(self, u, order):
         k = RelationKernel(u)
         assert k.group_order() == order == len(list(automorphisms(u)))
+        assert closed_group(k) == []
         k.stabilizer_least(0)
-        assert len(set(k._group)) == order
+        assert len(set(closed_group(k))) == order
 
     @pytest.mark.parametrize("u", [U2, U13, U23, GAPPED, SINGLETONS])
     def test_stabilizers_against_the_whole_group(self, u):
@@ -307,15 +313,16 @@ class TestWhenReduced:
 _kernels = {}
 
 
-def assert_as_one_level(u, statement):
-    """`run_check` with the kernel as `symmetry` reports what it reports
-    without one: verdict, witness, assignment and premise counts."""
-    if u not in _kernels:
-        _kernels[u] = RelationKernel(u)
-    k = _kernels[u]
-    kw = dict(tables=k.tables(), leaf=k.leaf)
-    got = run_check(statement, k.n, symmetry=k, **kw)
-    want = run_check(statement, k.n, symmetry=None, **kw)
+def assert_as_one_level(u, statement, k=None):
+    """`run_check` on the carrier of a kernel over `u` (by default one kept
+    per universe) reports what it reports on a carrier of the same tables
+    without symmetry maps: verdict, witness, assignment and premise counts."""
+    if k is None:
+        if u not in _kernels:
+            _kernels[u] = RelationKernel(u)
+        k = _kernels[u]
+    got = run_check(statement, k._checker)
+    want = run_check(statement, carrier(k.n, k.tables(), k.rows(), k.leaf))
     assert (got.verdict, got.witness, got.assignments_tested, got.premise_satisfying) == (
         want.verdict, want.witness, want.assignments_tested, want.premise_satisfying)
     return k, got
@@ -330,21 +337,22 @@ def catalog_texts(fewest, most, universe="u2"):
 
 @pytest.fixture
 def seconds_walked():
-    """The first values whose second values a check asked the kernel for."""
+    """The first values whose second values a check asked a kernel built
+    in the test for, each once: the misses of its `stabilizer_least`."""
     calls = []
-    real = RelationKernel.stabilizer_least
+    real = kernel_module._stabilizer_least
 
-    def spy(kernel, first):
+    def spy(moves, n, group, first):
         calls.append(first)
-        return real(kernel, first)
-    with mock.patch.object(RelationKernel, "stabilizer_least", spy):
+        return real(moves, n, group, first)
+    with mock.patch.object(kernel_module, "_stabilizer_least", spy):
         yield calls
 
 
 class TestSecondLevel:
     @pytest.mark.parametrize("text", catalog_texts(3, 4))
     def test_catalog_on_u2(self, seconds_walked, text):
-        assert_as_one_level(U2, parse_statement(text))
+        assert_as_one_level(U2, parse_statement(text), RelationKernel(U2))
         assert seconds_walked
 
     @pytest.mark.parametrize("text", catalog_texts(3, 3))
@@ -387,6 +395,6 @@ class TestSecondLevel:
     def test_one_level_past_the_cap(self, seconds_walked):
         k = RelationKernel(U23)
         with mock.patch.object(checker, "_GROUP_CAP", k.group_order() * k.n - 1):
-            assert_as_one_level(U23, parse_statement("x ^ z = R10 -> x ^ y != z v R11"))
-            assert_as_one_level(U23, parse_statement("(x * y) * z = x * (y * z)"))
+            assert_as_one_level(U23, parse_statement("x ^ z = R10 -> x ^ y != z v R11"), k)
+            assert_as_one_level(U23, parse_statement("(x * y) * z = x * (y * z)"), k)
         assert seconds_walked == []

@@ -437,7 +437,16 @@ class TestInterning:
         assert parse_goal(text) is parse_goal(text)
         if "|" not in text:
             assert parse_statement(text) is parse_statement(text)
-            assert parse_statement(text) == parse_goal(text)
+            assert parse_statement(text) is parse_goal(text)  # one cache for both readers
+
+    @pytest.mark.parametrize("text, pos", [("a = b | c = d", 6),
+                                           ("x = y & y = z -> x = z | x = y", 23)])
+    def test_statement_errors_its_own(self, text, pos):
+        """`parse_statement` reads through `parse_goal`'s cache but raises the
+        statement rule's error, not the goal rule's."""
+        with pytest.raises(ParseError) as err:
+            parse_statement(text)
+        assert str(err.value) == f"unexpected trailing input '|' (at position {pos})"
 
     @pytest.mark.parametrize("parse, text", [(parse_statement, "x = y | x = z"),
                                              (parse_goal, "x = y ->"), (parse_goal, "  ")])
