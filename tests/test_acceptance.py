@@ -38,6 +38,7 @@ from rlattice import models
 from rlattice.suites import discriminate_fd_reading
 from rlattice.universe import DEFAULT_FD_READING, FdReading
 
+from conftest import carrier_of
 from test_compile import ROW_FORMS, takes_rows
 from test_models import COMP6, JOIN6, LITERAL_FREE, MEET6, RELABEL6, assert_bound_as_fresh, flat
 
@@ -142,12 +143,12 @@ def assert_rows_as_scalar(monkeypatch, model, statements):
     for statement, want in zip(statements, got):
         first = replace(model)
         assert verify_model(first, [statement])[0].to_json() == want
-        assert any(first._checker[2]) == takes_rows(statement), statement
+        assert any(carrier_of(first).rows) == takes_rows(statement), statement
     scalar = replace(model)
     with monkeypatch.context() as m:
         m.setattr(models, "row_tables", lambda tables, n: None)
         assert [rep.to_json() for rep in verify_model(scalar, statements)] == got
-    assert scalar._checker[2] is None  # so no statement read a row
+    assert carrier_of(scalar).rows is None  # so no statement read a row
 
 
 def test_criterion_08_model_search(monkeypatch):

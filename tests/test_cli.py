@@ -347,9 +347,40 @@ class TestSearch:
         axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
         start = time.perf_counter()
         assert main(["search", "-f", str(axiom_file), "-e", " + ".join(["x"] * 40) + " = x",
-                     "--sizes", "2..3"]) == 2
+                     "--sizes", "2..4"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().out == "no model; sizes fully excluded: [2, 3]\n"
+        assert capsys.readouterr().out == "no model; sizes fully excluded: [2, 3, 4]\n"
+
+    def test_no_axioms_at_size_22(self, tmp_path, capsys):
+        """Past the depth where a recursive search stopped."""
+        axiom_file = tmp_path / "none.stmt"
+        axiom_file.write_text("")
+        assert main(["search", "-f", str(axiom_file), "-e", "x = y", "--sizes", "22..22"]) == 0
+        assert capsys.readouterr().out.startswith("model found at size 22 (excluded sizes: [])\n")
+
+    def test_cylindrification_goal(self, u2_file, tmp_path, capsys):
+        """`@`, which the checker and the search both read as its core form:
+        a law with it holds on u2, and no model of size 2..4 refutes it."""
+        assert main(["check", "-u", u2_file, "-e", "x @ y = y @ x"]) == 0
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        capsys.readouterr()
+        assert main(["search", "-f", str(axiom_file), "-e", "x @ y = y @ x", "--sizes", "2..4"]) == 2
+        assert capsys.readouterr().out == "no model; sizes fully excluded: [2, 3, 4]\n"
+
+    def test_order_goal_round_trip(self, u2_file, tmp_path, capsys):
+        """`<`, read as its core form too: an order goal is refuted by u2's
+        model, found at size 2 by a search, and refuted on the file it writes."""
+        goal = "x < y -> y < x"
+        u2_model, found = str(tmp_path / "u2.model"), tmp_path / "lt.model"
+        assert main(["bridge", "-u", u2_file, "-o", u2_model]) == 0
+        assert main(["verify-model", "-m", u2_model, "-e", goal]) == 1
+        axiom_file = tmp_path / "ax.stmt"
+        axiom_file.write_text("\n".join(minimal_axioms()) + "\n")
+        assert main(["search", "-f", str(axiom_file), "-e", goal, "--sizes", "2..4",
+                     "-o", str(found)]) == 0
+        assert found.read_text().startswith("size 2\n")
+        assert main(["verify-model", "-m", str(found), "-e", goal]) == 1
 
     def test_bad_sizes_exit_three(self, tmp_path, capsys):
         axiom_file = tmp_path / "ax.stmt"

@@ -57,6 +57,8 @@ from rlattice.kernel import RelationKernel, carrier, row_tables
 from rlattice.suites import SUITE_NAMES
 from rlattice.terms import BINARY_OPS
 
+from conftest import carrier_of
+
 U1 = Universe.make({"t": ("a", "b")})
 U2 = Universe.make({"t": ("a", "b"), "s": ("1", "2")})
 U23 = Universe.make({"t": ("a", "b"), "s": ("1", "2", "3")})  # 78 relations
@@ -420,14 +422,14 @@ class TestRows:
         monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
         m = model_from_universe(U1)
         verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
-        assert made == [6] and not any(m._checker[2])
+        assert made == [6] and not any(carrier_of(m).rows)
         laws = ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"]
         assert all(map(takes_rows, laws))
         reports = verify_model(m, laws)
-        assert made == [6] and any(m._checker[2])
+        assert made == [6] and any(carrier_of(m).rows)
         first = model_from_universe(U1)  # an equal model, on its first call
         assert find_counterexample(first, laws[0]) is None
-        assert any(first._checker[2])  # read by the two-variable law
+        assert any(carrier_of(first).rows)  # read by the two-variable law
         again = verify_model(m, [r.statement for r in reports])
         assert made == [6, 6]
         assert [r.to_json() for r in again] == [r.to_json() for r in reports]
@@ -436,7 +438,7 @@ class TestRows:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in reports] == [
                 r.to_json() for r in verify_model(fresh, [r.statement for r in reports])]
-        assert made == [6, 6] and fresh._checker[2] is None
+        assert made == [6, 6] and carrier_of(fresh).rows is None
 
 
 # Laws whose row loops read kept rows, with row tables (`kernel.row_tables`,
@@ -515,9 +517,9 @@ class TestTwoVariableRows:
 
         def report(statement, k, rows):
             """The check on `k`'s own carrier, or, without rows, on one with its symmetry maps."""
-            own = k._checker
-            return run_check(statement, own if rows else
-                             carrier(k.n, k.tables(), None, k.leaf, own[4][2:])).to_json()
+            own = k._checker if rows else carrier(k.n, k.tables(), None, k.leaf,
+                                                  carrier_of(k).maps[2:])
+            return run_check(statement, own).to_json()
 
         read_rows = 0
         for statement in statements:
@@ -537,14 +539,14 @@ class TestTwoVariableRows:
                       + two_variable_statements(29, 80, literals=False))
         model = model_from_universe(u)
         first = [r.to_json() for r in verify_model(model, statements)]
-        assert any(model._checker[2])  # a model's first call walks two variables by row
+        assert any(carrier_of(model).rows)  # a model's first call walks two variables by row
         assert [r.to_json() for r in verify_model(model, statements)] == first
         scalar = replace(model)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             for _ in range(2):
                 assert [r.to_json() for r in verify_model(scalar, statements)] == first
-        assert scalar._checker[2] is None
+        assert carrier_of(scalar).rows is None
 
     @pytest.mark.parametrize("u", [U1, U2, U23], ids=["u1", "u2", "2x3"])
     def test_kept_rows_filled(self, u):
@@ -618,6 +620,52 @@ class TestCheckAgainstVerify:
         rels = enumerate_relations(u)
         assert con.witness == (None if tab.witness is None else
                                {v: rels[e] for v, e in tab.witness.items()})
+
+
+# Reports on u2: verdict, assignments tested, premise-satisfying count and
+# witness codes.  Zero to three variables; a disjunction; `x ^ y = x`,
+# refuted mid-row on a constant row; an implication whose premise reads
+# its first variable alone; and one whose two-level reduced walk finds
+# its witness mid-block.
+U2_REPORTS = {
+    "R00 ^ R11 != R00": (Verdict.HOLDS, 1, None, None),
+    "x' v x = x v R11": (Verdict.HOLDS, 26, None, None),
+    "x v R00 = R00 | x v R00 = R00'": (Verdict.HOLDS, 26, None, None),
+    "x ^ y = y ^ x": (Verdict.HOLDS, 676, None, None),
+    "x ^ y = x": (Verdict.REFUTED, 3, None, {"x": 0, "y": 2}),
+    "x v R00 != x -> x ^ y' != R11": (Verdict.REFUTED, 137, 85, {"x": 5, "y": 6}),
+    "x ^ z = R10 -> x ^ y != z v R11": (Verdict.REFUTED, 962, 442, {"x": 1, "z": 10, "y": 25}),
+    "x ^ (y v z) = (x ^ y) v (x ^ z)": (Verdict.REFUTED, 2033, None, {"x": 3, "y": 0, "z": 4}),
+    "x ^ y ^ z = x ^ (y ^ z)": (Verdict.HOLDS, 17576, None, None),
+}
+
+
+@pytest.mark.parametrize("text", U2_REPORTS)
+def test_pinned_reports_on_u2(text):
+    """`check` on u2, the scalar loop over its model's tables, and a fresh
+    model's first and second `verify_model` each give the pinned report.
+    The model's first call binds the statement and fills the rows its
+    loops take, those `ROW_FORMS` names among them."""
+    statement = parse_goal(text)
+    verdict, tested, premises, witness = U2_REPORTS[text]
+    rels = enumerate_relations(U2)
+    rep = check(U2, statement)
+    assert (rep.verdict, rep.assignments_tested, rep.premise_satisfying, rep.witness) == (
+        verdict, tested, premises, witness and {v: rels[c] for v, c in witness.items()})
+    model = model_from_universe(U2)
+    kept = carrier_of(model)
+    scalar = run_check(statement, carrier(kept.n, kept.tables, None, kept.leaf))
+    first, = verify_model(model, [text])
+    filled = {name for name, table in zip(ROW_NAMES, kept.rows) if table}
+    assert bool(filled) == takes_rows(statement) and ROW_FORMS.get(text, set()) <= filled
+    # A kept constant row `KR[v]` is 26 copies of `v`.
+    assert all(row == bytes((v,)) * 26 for v, row in kept.rows[ROW_NAMES.index("KR")].items())
+    assert list(map(id, kept.bound)) == [id(statement)]  # the text parsed again is that object
+    second, = verify_model(model, [text])
+    for got in (scalar, first, second):
+        assert (got.verdict, got.assignments_tested, got.premise_satisfying, got.witness) == (
+            verdict, tested, premises, witness), got
+    assert second.to_json() == first.to_json()
 
 
 # --- sampled draws -----------------------------------------------------------

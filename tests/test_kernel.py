@@ -41,6 +41,8 @@ from rlattice import (
 from rlattice import kernel as kernel_module
 from rlattice.kernel import _TARGETS, WHOLE_PAIRS, RelationKernel, _bit_map, _blocks, _op_table
 
+from conftest import carrier_of
+
 BINARY = {"^": natural_join, "v": inner_union, "*": inner_join, "+": outer_union,
           "@": cylindrify}
 
@@ -217,6 +219,19 @@ class TestWholeTables:
             assert all(v == ref[op](*divmod(key, k.n)) for key, v in table.items())
         assert all(v == ref["'"](a) for a, v in tables[4].items())
 
+    def test_checks_fill_the_pairs_they_read(self):
+        """Over three binary attributes (318 codes) a check fills only the
+        pairs it reads, each entry the one the bridge's block routine fills."""
+        u = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
+        k = RelationKernel(u)
+        meet, join, star, plus, comp = k.tables()
+        check(u, "x * R10 = R10 * x", kernel=k)
+        assert 0 < len(star) <= 2 * k.n and not (meet or join or plus or comp)
+        assert check(u, "x v (x ^ R10) = x", kernel=k).verdict is Verdict.HOLDS
+        m = model_from_universe(u)
+        for table, flat in ((meet, m.meet), (join, m.join)):
+            assert table and all(v == flat[key] for key, v in table.items())
+
     @pytest.mark.parametrize("decl", [
         {"t": tuple("abcdef")},
         {"t": ("a", "b"), "s": ("1", "2", "3")},
@@ -291,7 +306,7 @@ class TestBounds:
         assert rep.assignments_tested == 8192
         assert time.perf_counter() - start < 5.0
         # The identity map the kernel keeps for its checks is a `range`, not 8,192 codes.
-        assert type(k._checker[4][0]) is range
+        assert type(carrier_of(k).maps[0]) is range
 
     def test_enumeration_budget_still_enforced(self, u2):
         with pytest.raises(EnumerationBudgetError):

@@ -53,6 +53,8 @@ from rlattice.checker import compile_statement, enumerate_relations, evaluate
 from rlattice.models import _model_tables
 from rlattice.terms import BINARY_OPS, Eq, sides
 
+from conftest import carrier_of
+
 DISTRIBUTIVITY = "x ^ (y v z) = (x ^ y) v (x ^ z)"
 ASSOCIATIVITY = "x ^ (y ^ z) = (x ^ y) ^ z"
 ZERO_ARY_GOAL = "x v R00 = R00 | x v R00 = R00'"
@@ -261,8 +263,9 @@ class TestKeptTables:
         first = [r.to_json() for r in verify_model(verified, self.LAWS)]
         # The first call fills star entries, and meet rows for `x ^ y = y ^ x` alone,
         # and binds each law.
-        assert verified._checker[2][0] and len(verified._checker[1][2]) > 0
-        assert len(verified._checker[5]) == len(self.LAWS)
+        kept = carrier_of(verified)
+        assert kept.rows[0] and len(kept.tables[2]) > 0
+        assert len(kept.bound) == len(self.LAWS)
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in verify_model(scalar, self.LAWS)] == first
@@ -295,7 +298,7 @@ class TestKeptTables:
         assert relabeled == verified
         assert set(vars(relabeled)) == {f.name for f in fields(FiniteModel)}
         verify_model(relabeled, self.LAWS)
-        kept = lambda m: {id(t) for t in (*m._checker[1], *m._checker[2])}  # noqa: E731
+        kept = lambda m: {id(t) for t in (*carrier_of(m).tables, *carrier_of(m).rows)}  # noqa: E731
         assert not kept(verified) & kept(relabeled)
 
     def test_kept_tables_hold_no_model(self, m6):
@@ -303,7 +306,7 @@ class TestKeptTables:
         one frees it at once."""
         model = replace(m6)
         verify_model(model, self.LAWS)
-        assert model._checker[5]
+        assert carrier_of(model).bound
         gone = weakref.ref(model)
         gc.disable()
         try:
@@ -339,7 +342,7 @@ def assert_bound_as_fresh(model, texts):
             got, = verify_model(model, [statement], mode)
             want, = verify_model(replace(model), [statement], mode)
             assert untimed(got) == untimed(want), (text, mode)
-        assert statement in model._checker[5]
+        assert statement in carrier_of(model).bound
 
 
 class TestBoundChecks:
@@ -357,7 +360,7 @@ class TestBoundChecks:
         for _ in range(2):
             with pytest.raises(ModelError):
                 verify_model(model, [statement])
-            assert statement not in model._checker[5]
+            assert statement not in carrier_of(model).bound
 
     def test_bound_under_the_goal_readers_object(self, m6):
         """A model verified with `parse_statement` objects keeps them as the
@@ -365,7 +368,7 @@ class TestBoundChecks:
         texts = ["R00 ^ R11 != R00", "x' v x = x v R11", "x ^ z = R10 -> x ^ y != z v R11"]
         model = replace(m6)
         verify_model(model, [parse_statement(text) for text in texts])
-        assert [id(s) for s in model._checker[5]] == [id(parse_goal(text)) for text in texts]
+        assert [id(s) for s in carrier_of(model).bound] == [id(parse_goal(text)) for text in texts]
 
     def test_second_call_compiles_nothing(self, m6):
         """A second call on more statements than `compile_statement` keeps
@@ -406,7 +409,7 @@ def test_verify_model_copies_no_table():
     assert len(reports) == 26
     assert peak < 1 << 20
     # The bindings share one identity map, a `range`, not a list of 318 codes each.
-    kept = [run.args for _, run in m._checker[5].values()]
+    kept = [run.args for _, run in carrier_of(m).bound.values()]
     assert len(kept) == 26 and len({(id(a[6]), id(a[7])) for a in kept}) == 1
     assert type(kept[0][6]) is range
 

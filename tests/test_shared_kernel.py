@@ -39,6 +39,7 @@ from rlattice.cli import main
 from rlattice.kernel import RelationKernel
 from rlattice.suites import DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES
 from rlattice.universe import RelationError
+from conftest import carrier_of
 from test_symmetry import closed_group
 
 THREE_BINARY = Universe.make({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
@@ -179,7 +180,7 @@ class TestNoCycles:
         k = RelationKernel(u2)
         text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
         assert reduced(text, u2) and check(u2, text, kernel=k).verdict is Verdict.REFUTED
-        (_, run), = k._checker[5].values()
+        (_, run), = carrier_of(k).bound.values()
         assert run.args[6:8] == (k.orbit_least, k.stabilizer_least) and closed_group(k)
         del k, run
         assert len(kernels) == 1 and kernels[0]() is None
@@ -190,6 +191,7 @@ class TestNoCycles:
         least = k.stabilizer_least(0)  # code 0 is fixed by every automorphism
         del k
         assert len(kernels) == 1 and kernels[0]() is None
+        assert orbit_least[4] == 3  # the first read of code 4's orbit, filled now
         meet = model_from_universe(u2).meet
         assert [tables[0][key] for key in range(n * n)] == list(meet)
         assert rows[0][3][:n] == bytes(meet[3 * n:4 * n])  # row 3 of MR
@@ -216,20 +218,22 @@ class TestCheckBindsOnce:
     def test_one_binding_per_statement(self, u2):
         k = RelationKernel(u2)
         text = "x ^ z = R10 -> x ^ y != z v R11"
-        for statement in (text, parse_goal(text), parse_statement(text)):
-            for mode in (Exhaustive(), Exhaustive(max_assignments=300), Sample(DEFAULT_SEED, 50)):
-                check(u2, statement, mode, kernel=k)
+        for mode in (Exhaustive(), Exhaustive(max_assignments=300), Sample(DEFAULT_SEED, 50)):
+            # Each later check reports what the first did.
+            reports = {check(u2, statement, mode, kernel=k).to_json()
+                       for statement in (text, parse_goal(text), parse_statement(text))}
+            assert len(reports) == 1, mode
         check(u2, "x ^ y = y ^ x", kernel=k)
-        assert list(k._checker[5]) == [parse_goal(text), parse_goal("x ^ y = y ^ x")]
+        assert list(carrier_of(k).bound) == [parse_goal(text), parse_goal("x ^ y = y ^ x")]
 
     def test_invalid_literal_refused_on_every_check(self, u2):
         k = RelationKernel(u2)
         for _ in range(2):
             with pytest.raises(RelationError, match="attribute 'q' not in universe"):
                 check(u2, "x ^ {(q=a)} = x", kernel=k)
-            assert k._checker[5] == {}
+            assert carrier_of(k).bound == {}
         assert check(u2, "x ^ {(t=a)} = x", kernel=k).verdict is Verdict.REFUTED
-        assert len(k._checker[5]) == 1
+        assert len(carrier_of(k).bound) == 1
 
     def test_sampled_then_uncapped_as_fresh(self, u2):
         """The uncapped check runs the binding the sampled one made, with the
@@ -242,13 +246,13 @@ class TestCheckBindsOnce:
             assert (got.assignments_tested, got.witness, got.premise_satisfying) == (
                 want.assignments_tested, want.witness, want.premise_satisfying)
             assert got.to_json() == want.to_json()
-        assert len(k._checker[5]) == 1
+        assert len(carrier_of(k).bound) == 1
 
     def test_sampled_check_closes_no_group(self):
         k = RelationKernel(THREE_BINARY)
         text = "x ^ (y v z) = (x ^ y) v (x ^ z)"
         check(THREE_BINARY, text, Sample(DEFAULT_SEED, 200), kernel=k)
-        assert closed_group(k) == [] and len(k._checker[5]) == 1
+        assert closed_group(k) == [] and len(carrier_of(k).bound) == 1
         check(THREE_BINARY, text, kernel=k)  # walks second values by the group
         assert len(closed_group(k)) == k.group_order()
 
