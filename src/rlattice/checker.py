@@ -36,7 +36,10 @@ values, an operation one `translate` by a row or column of a table, or,
 on the bare last variable, that row or column itself (a value row), a
 conclusion side without it the row of N copies of its value (a constant
 row), and the conclusion one comparison.  All of these are
-`kernel.row_tables`, kept with the tables and filled on use.  The
+`kernel.row_tables`, kept with the tables and filled on use, but for a
+model of at most 64 elements (`n * n <= kernel.WHOLE_PAIRS`), which keeps
+its tables and rows whole, as tuples, for life (at most 2 * 4096 star and
+plus entries and 19 * 64 rows), so that its loops read no dict.  The
 scalar loops stay for larger carriers (codes past 255 fit no byte), one
 variable (on a fresh u1 or u2 kernel rows measured no faster), premises
 or other disjuncts reading the last variable, and operations on two
@@ -111,15 +114,13 @@ class Verdict(Enum):
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(NamedTuple):
     """Try every assignment; optionally stop after max_assignments."""
 
     max_assignments: int | None = None
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """Draw `samples` assignments from a generator seeded with `seed`."""
 
     seed: int

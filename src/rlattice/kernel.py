@@ -467,7 +467,10 @@ def row_tables(tables: Sequence, n: int) -> tuple[_Table, ...] | None:
     256 elements, each filled on first use.  `MR[a]` is row `a` of `M`, `MC[b]`
     its column `b` and `CR[0]` is `C`, each as a `bytes.translate` table;
     `KR[v]` is `n` copies of `v`, and `MRV[a]` is `MR[a]` cut to `n` bytes,
-    what `MR[a]` makes of the last variable's row `bytes(range(n))`."""
+    what `MR[a]` makes of the last variable's row `bytes(range(n))`.  A
+    model of at most 64 elements (`n * n <= WHOLE_PAIRS`) keeps them whole,
+    as tuples indexed by element, for life: at most 19 * 64 rows
+    (`models._kept_tables`)."""
     if n > 256:
         return None
     *binary, comp = tables

@@ -23,11 +23,11 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import terms
 from .checker import CheckReport, Exhaustive, Mode, Verdict, run_check
-from .kernel import DEFAULT_ENUM_BUDGET, RelationKernel, _Table, carrier, row_tables
+from .kernel import DEFAULT_ENUM_BUDGET, WHOLE_PAIRS, RelationKernel, _Table, carrier, row_tables
 from .terms import Bin, Const, Eq, Lit, Lt, Ne, Neg, Statement, Term, Var
 from .universe import ConstantKind, LatticeError, Universe
 
@@ -46,9 +46,13 @@ class FiniteModel:
 
     `verify_model` keeps with the model, from its first call, its checker
     carrier (`kernel.carrier`): its five `_model_tables`, their
-    `kernel.row_tables` (filled on use), its leaf function, identity maps
-    and each statement's binding.  These are not fields, so equality,
-    hashing, pickling and copying see a model as if never verified.
+    `kernel.row_tables`, its leaf function, identity maps and each
+    statement's binding.  A model of at most 64 elements (`size * size <=
+    kernel.WHOLE_PAIRS`) keeps those tables and rows whole, as tuples, for
+    life: at most 2 * 4096 star and plus entries and 19 * 64 rows
+    (`_kept_tables`); a larger one fills them on use.  These are not
+    fields, so equality, hashing, pickling and copying see a model as if
+    never verified.
     """
 
     size: int
@@ -87,8 +91,7 @@ class FiniteModel:
                 raise ModelError("relation literals have no interpretation in an abstract model")
             return constants[t.kind]
 
-        tables = _model_tables(self)
-        return carrier(self.size, tables, row_tables(tables, self.size), leaf)
+        return carrier(self.size, *_kept_tables(self), leaf)
 
     @property
     def r10(self) -> int:
@@ -129,7 +132,9 @@ def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
     Meet, join and complement are the model's own tuples, not copies.
     Star and plus are derived from their definitions, entry `a * n + b`
     on its first read: a check computes only the entries it reaches,
-    each once per call.
+    each once per call.  A model of at most 64 elements (`n * n <=
+    kernel.WHOLE_PAIRS`) keeps them whole instead, at most 2 * 4096
+    entries, and its 19 * 64 rows with them (`_kept_tables`).
     """
     n, M, J = m.size, m.meet, m.join
     low = M[m.r00::n]  # a ^ R00 for every element a
@@ -144,6 +149,27 @@ def _model_tables(m: FiniteModel) -> tuple[Sequence[int] | dict[int, int], ...]:
         return J[M[a * n + high[b]] * n + M[b * n + high[a]]]
 
     return M, J, _Table(star), _Table(plus), m.comp
+
+
+def _kept_tables(m: FiniteModel) -> tuple[tuple, tuple | None]:
+    """The `_model_tables` of `m` and their `kernel.row_tables`, as its
+    checks read them: over at most `WHOLE_PAIRS` pairs, the rule by which
+    a kernel fills its tables whole, all of them whole, as tuples, the
+    rows indexed by element; else filled on use, so that a check derives
+    only the entries and rows it reads."""
+    n = m.size
+    tables = _model_tables(m)
+    if n * n > WHOLE_PAIRS:
+        return tables, row_tables(tables, n)
+    M, J, S, P, C = tables
+    keys = range(n * n)
+    tables = M, J, tuple(map(S.fill, keys)), tuple(map(P.fill, keys)), C
+    rows = row_tables(tables, n)
+    if rows is None:
+        return tables, None
+    entries = [n] * len(rows)  # a row or column per element,
+    entries[8] = entries[18] = 1  # but one row of the complement in `CR` and `CRV`
+    return tables, tuple(tuple(map(r.__getitem__, range(k))) for r, k in zip(rows, entries))
 
 
 def verify_model(m: FiniteModel, statements: Sequence[Statement | str],
@@ -288,8 +314,7 @@ class ModelSearchError(LatticeError):
     """Unusable axiom/goal set for the searcher."""
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     model: FiniteModel | None
     size: int | None
     sizes_excluded: tuple[int, ...]

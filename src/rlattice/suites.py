@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import terms
 from .checker import (
@@ -103,8 +103,7 @@ ALL_FD_READINGS = tuple(
 )
 
 
-@dataclass
-class ReadingVerdicts:
+class ReadingVerdicts(NamedTuple):
     reading: FdReading
     verdicts: dict[str, dict[str, Verdict]]  # law -> universe id -> verdict
 
@@ -113,8 +112,7 @@ class ReadingVerdicts:
         return all(v is HOLDS for per_u in self.verdicts.values() for v in per_u.values())
 
 
-@dataclass
-class FdDiscrimination:
+class FdDiscrimination(NamedTuple):
     rows: tuple[ReadingVerdicts, ...]
 
     @property
@@ -326,8 +324,7 @@ def minimal_axioms() -> list[str]:
 
 # --- running -----------------------------------------------------------------
 
-@dataclass
-class EntryResult:
+class EntryResult(NamedTuple):
     entry: SuiteEntry
     reports: tuple[tuple[str, CheckReport], ...]
 
@@ -339,8 +336,7 @@ class EntryResult:
         return any(v is Verdict.REFUTED for v in verdicts)
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     results: tuple[EntryResult, ...]
 

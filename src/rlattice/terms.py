@@ -34,7 +34,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .universe import _WORD, ConstantKind, LatticeError, Relation, Universe
 
@@ -56,18 +56,15 @@ class MixedOperatorError(ParseError):
 
 # --- terms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     kind: ConstantKind
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     """A relation literal: explicit tuples, or empty/full over a header.
 
     For `shape == "rows"`, attrs is the attribute order of the first tuple
@@ -87,13 +84,11 @@ class Lit:
         return rel
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     item: "Term"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str
     left: "Term"
     right: "Term"
@@ -230,8 +225,7 @@ _WORD_KINDS = {"v": "OP", **dict.fromkeys(_CONSTS, "CONST"),
                "empty": "KEYWORD", "full": "KEYWORD"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # OP, IDENT, CONST, KEYWORD, WORD, PUNC, END
     text: str
     pos: int

@@ -9,6 +9,7 @@ directly, one assignment at a time and in whole reference loops over
 compared with each other, and so are the two callers.
 """
 
+import operator
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -53,7 +54,7 @@ from rlattice import (
 )
 from rlattice import models
 from rlattice.checker import compile_statement, run_check
-from rlattice.kernel import RelationKernel, carrier, row_tables
+from rlattice.kernel import WHOLE_PAIRS, RelationKernel, carrier, row_tables
 from rlattice.suites import SUITE_NAMES
 from rlattice.terms import BINARY_OPS
 
@@ -414,31 +415,55 @@ class TestRows:
         assert list(map(dict, fresh.tables())) == list(map(dict, scalar.tables()))
 
     def test_verify_model_makes_rows_only_for_statements_that_take_them(self, monkeypatch):
-        """A model's row tables are made once, at its first `verify_model`
-        call, and kept for later calls; only statements whose loops take
-        rows fill them, a two-variable one on the model's first call too,
-        and they report what an equal model given no row tables reports."""
+        """A model past the size rule, the 78 relations of the 2x3 universe,
+        makes its row tables once, at its first `verify_model` call, and
+        keeps them for later calls; only statements whose loops take rows
+        fill them, a two-variable one on the model's first call too, no
+        statement here fills a star or plus entry, and they report what an
+        equal model given no row tables reports."""
         made = []
         monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
-        m = model_from_universe(U1)
+        m = replace(model_of(U23))
         verify_model(m, ["x' ^ x = x ^ R00", "x ^ y = y ^ x | x = y"])
-        assert made == [6] and not any(carrier_of(m).rows)
+        assert made == [78] and not any(carrier_of(m).rows)
         laws = ["x ^ y = y ^ x", "x ^ y ^ z = x ^ (y ^ z)", "x ^ (y v z) = y"]
         assert all(map(takes_rows, laws))
         reports = verify_model(m, laws)
-        assert made == [6] and any(carrier_of(m).rows)
-        first = model_from_universe(U1)  # an equal model, on its first call
+        assert made == [78] and any(carrier_of(m).rows)
+        assert not (carrier_of(m).tables[2] or carrier_of(m).tables[3])
+        first = replace(model_of(U23))  # an equal model, on its first call
         assert find_counterexample(first, laws[0]) is None
         assert any(carrier_of(first).rows)  # read by the two-variable law
         again = verify_model(m, [r.statement for r in reports])
-        assert made == [6, 6]
+        assert made == [78, 78]
         assert [r.to_json() for r in again] == [r.to_json() for r in reports]
-        fresh = model_from_universe(U1)
+        fresh = replace(model_of(U23))
         with monkeypatch.context() as without:
             without.setattr(models, "row_tables", lambda tables, n: None)
             assert [r.to_json() for r in reports] == [
                 r.to_json() for r in verify_model(fresh, [r.statement for r in reports])]
-        assert made == [6, 6] and carrier_of(fresh).rows is None
+        assert made == [78, 78] and carrier_of(fresh).rows is None
+
+    @pytest.mark.parametrize("u", [U1, U2], ids=["u1", "u2"])
+    def test_small_models_keep_whole_tuples(self, monkeypatch, u):
+        """A model of at most 64 elements makes its tables and row tables
+        once, at its first `verify_model` call, all whole, as tuples: its
+        own meet, join and complement, every star and plus entry, and a row
+        per element (`CR` and `CRV` one), `KR[v]` being n copies of `v`."""
+        made = []
+        monkeypatch.setattr(models, "row_tables", lambda tables, n: made.append(n) or row_tables(tables, n))
+        m = replace(model_of(u))
+        n = m.size
+        verify_model(m, ["x' ^ x = x ^ R00"])
+        kept = carrier_of(m)
+        assert made == [n]
+        assert kept.tables[0] is m.meet and kept.tables[1] is m.join and kept.tables[4] is m.comp
+        assert all(type(t) is tuple for t in (*kept.tables, *kept.rows))
+        assert [len(t) for t in kept.tables] == [n * n] * 4 + [n]
+        assert [len(r) for r in kept.rows] == [1 if name in ("CR", "CRV") else n for name in ROW_NAMES]
+        assert kept.rows[ROW_NAMES.index("KR")] == tuple(bytes((v,)) * n for v in range(n))
+        verify_model(m, ["x ^ y = y ^ x", "x * (y + z) = (x * y) + z"])
+        assert made == [n] and all(map(operator.is_, carrier_of(m), kept))
 
 
 # Laws whose row loops read kept rows, with row tables (`kernel.row_tables`,
@@ -539,7 +564,11 @@ class TestTwoVariableRows:
                       + two_variable_statements(29, 80, literals=False))
         model = model_from_universe(u)
         first = [r.to_json() for r in verify_model(model, statements)]
-        assert any(carrier_of(model).rows)  # a model's first call walks two variables by row
+        rows = carrier_of(model).rows
+        if model.size ** 2 <= WHOLE_PAIRS:  # kept whole from the first call
+            assert all(type(row) is tuple for row in rows)
+        else:  # the first call fills the rows it walks two variables by
+            assert any(rows)
         assert [r.to_json() for r in verify_model(model, statements)] == first
         scalar = replace(model)
         with monkeypatch.context() as without:
@@ -644,8 +673,9 @@ U2_REPORTS = {
 def test_pinned_reports_on_u2(text):
     """`check` on u2, the scalar loop over its model's tables, and a fresh
     model's first and second `verify_model` each give the pinned report.
-    The model's first call binds the statement and fills the rows its
-    loops take, those `ROW_FORMS` names among them."""
+    The model's first call binds the statement.  On the 78-element model
+    of the 2x3 universe, past the size rule, a first call fills the rows
+    its loops take, those `ROW_FORMS` names among them."""
     statement = parse_goal(text)
     verdict, tested, premises, witness = U2_REPORTS[text]
     rels = enumerate_relations(U2)
@@ -656,16 +686,21 @@ def test_pinned_reports_on_u2(text):
     kept = carrier_of(model)
     scalar = run_check(statement, carrier(kept.n, kept.tables, None, kept.leaf))
     first, = verify_model(model, [text])
-    filled = {name for name, table in zip(ROW_NAMES, kept.rows) if table}
-    assert bool(filled) == takes_rows(statement) and ROW_FORMS.get(text, set()) <= filled
-    # A kept constant row `KR[v]` is 26 copies of `v`.
-    assert all(row == bytes((v,)) * 26 for v, row in kept.rows[ROW_NAMES.index("KR")].items())
     assert list(map(id, kept.bound)) == [id(statement)]  # the text parsed again is that object
     second, = verify_model(model, [text])
     for got in (scalar, first, second):
         assert (got.verdict, got.assignments_tested, got.premise_satisfying, got.witness) == (
             verdict, tested, premises, witness), got
     assert second.to_json() == first.to_json()
+    big = replace(model_of(U23))
+    verify_model(big, [statement])
+    rows = carrier_of(big).rows
+    filled = {name for name, table in zip(ROW_NAMES, rows) if table}
+    assert bool(filled) == takes_rows(statement) and ROW_FORMS.get(text, set()) <= filled
+    # A kept constant row `KR[v]` is n copies of `v`: on u2 all 26, kept whole.
+    KR = ROW_NAMES.index("KR")
+    assert kept.rows[KR] == tuple(bytes((v,)) * 26 for v in range(26))
+    assert all(row == bytes((v,)) * 78 for v, row in rows[KR].items())
 
 
 # --- sampled draws -----------------------------------------------------------

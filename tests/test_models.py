@@ -4,6 +4,7 @@ import copy
 import gc
 import inspect
 import pickle
+import random
 import time
 import tracemalloc
 import weakref
@@ -48,7 +49,7 @@ from rlattice import (
     verify_model,
 )
 from rlattice import models
-from rlattice.kernel import RelationKernel
+from rlattice.kernel import WHOLE_PAIRS, RelationKernel
 from rlattice.checker import compile_statement, enumerate_relations, evaluate
 from rlattice.models import _model_tables
 from rlattice.terms import BINARY_OPS, Eq, sides
@@ -382,6 +383,55 @@ class TestBoundChecks:
         second = verify_model(model, statements)
         assert compile_statement.cache_info() == before
         assert list(map(untimed, second)) == list(map(untimed, first))
+
+
+# Each of `LITERAL_FREE` of at most three variables.
+UP_TO_THREE = [s for s in map(parse_goal, LITERAL_FREE) if len(free_variables(s)) <= 3]
+
+
+def random_model(size, seed):
+    """A valid model of `size` elements: seeded random tables and constants."""
+    rng = random.Random(seed)
+    entries = lambda count: tuple(rng.randrange(size) for _ in range(count))  # noqa: E731
+    return FiniteModel(size, entries(size * size), entries(size * size), entries(size), *entries(2))
+
+
+class TestLayouts:
+    """A model of at most 64 elements (`size * size <= WHOLE_PAIRS`) keeps
+    its star, plus and row tables whole, as tuples, star and plus as the
+    eager derivation gives them; a larger one keeps them filling on use.
+    Either way every literal-free catalog statement of at most three
+    variables reports, byte for byte, what an equal model given no row
+    tables (the scalar loops) reports."""
+
+    def assert_as_scalar(self, monkeypatch, model):
+        got = [r.to_json() for r in verify_model(model, UP_TO_THREE)]
+        kept = carrier_of(model)
+        whole = model.size ** 2 <= WHOLE_PAIRS
+        assert {type(t) is tuple for t in (kept.tables[2], kept.tables[3], *kept.rows)} == {whole}
+        if whole:
+            assert kept.tables[2:4] == eager_star_plus(model)
+        scalar = replace(model)
+        with monkeypatch.context() as without:
+            without.setattr(models, "row_tables", lambda tables, n: None)
+            assert [r.to_json() for r in verify_model(scalar, UP_TO_THREE)] == got
+        assert carrier_of(scalar).rows is None
+
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_random_models(self, monkeypatch, size):
+        self.assert_as_scalar(monkeypatch, random_model(size, size))
+
+    @pytest.mark.parametrize("goal, extra, size", [
+        (ZERO_ARY_GOAL, [], 4), (DISTRIBUTIVITY, [], 6),
+        (ZERO_ARY_GOAL, ["R00 ^ R11 != R00"], 8)], ids=["zero", "dist", "constrained"])
+    def test_criterion_8_models(self, monkeypatch, m6, goal, extra, size):
+        """The countermodels of `test_criterion_08_model_search`, each
+        searched at its own size only; the six-element one is the bridge
+        of u1 relabeled (`test_criterion_02_six_element_model_reproduction`)."""
+        model = (m6.relabel(RELABEL6) if size == 6
+                 else search_model(minimal_axioms() + extra, [goal], [size]).model)
+        assert model.size == size
+        self.assert_as_scalar(monkeypatch, model)
 
 
 def test_verify_model_copies_no_table():

@@ -39,6 +39,7 @@ from rlattice import (
     parse_statement_file,
     parse_term,
     search_model,
+    suite_catalog,
     verify_model,
 )
 from rlattice.checker import compile_statement
@@ -425,6 +426,47 @@ class TestStatementHash:
             return done.stdout
 
         assert run(LOAD, 2, run(DUMP, 1)) == b"5\n"
+
+
+def subterms(t):
+    """`t` and every term inside it."""
+    yield t
+    if isinstance(t, Neg):
+        yield from subterms(t.item)
+    elif isinstance(t, Bin):
+        yield from subterms(t.left)
+        yield from subterms(t.right)
+
+
+class TestKindsAsTuples:
+    """Terms are named tuples, statements are not: over the subterms of the
+    parsed catalog, no two kinds of term, and no term and statement, are
+    equal, and equal atoms of two kinds differ and keep their own hashes."""
+
+    STATEMENTS = [e.statement for entries in suite_catalog().values() for e in entries]
+    ATOMS = [atom for s in STATEMENTS for atom in sum(clause(s), ())]
+    # With a literal of each shape, of which the catalog has none.
+    TERMS = [*map(parse_term, ["{(t=a)}", "empty(t)", "full(t)", "{(t=a)} ^ x"]),
+             *(t for atom in ATOMS for side in (atom.lhs, atom.rhs) for t in subterms(side))]
+
+    def test_equal_terms_share_a_kind(self):
+        first = {}  # the first term seen of each value; equal values hash alike
+        for t in self.TERMS:
+            assert type(first.setdefault(t, t)) is type(t), t
+        assert {type(t) for t in first} == {Var, Const, Lit, Neg, Bin}
+
+    def test_no_term_equals_a_statement(self):
+        terms = set(self.TERMS)
+        for s in {*self.STATEMENTS, *self.ATOMS}:
+            assert not any(t == s or s == t for t in terms), s
+
+    def test_atom_kinds_differ_and_keep_own_hash(self):
+        for atom in self.ATOMS:
+            eq, ne, lt = Eq(atom.lhs, atom.rhs), Ne(atom.lhs, atom.rhs), Lt(atom.lhs, atom.rhs)
+            assert eq != ne and ne != lt and lt != eq, atom
+            hash(eq)
+            assert "_hash" in vars(eq) and "_hash" not in vars(ne), atom
+            assert [hash(s) for s in (eq, ne, lt)] == [vars(s)["_hash"] for s in (eq, ne, lt)]
 
 
 class TestInterning:
